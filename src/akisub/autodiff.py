@@ -114,11 +114,16 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on `inputs` would be recorded: a tape is active and an input
+    requires grad. Primitives that cache for their backward check this first."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape.nodes.append(TapeNode(inputs, out, backward_fn))
+        _active_tape().nodes.append(TapeNode(inputs, out, backward_fn))
     return out
 
 
@@ -183,14 +188,6 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _record((a, b), out, bwd)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T.copy())
-    return _record((a,), out, lambda g: (g.T,))
 
 
 def reshape(a, shape) -> Tensor:

@@ -130,10 +130,7 @@ def lstm_forward(params, batch: list[PreparedStay], hyper: HyperConfig) -> Tenso
     static = np.stack([s.static for s in batch])
     b, t, _ = tensors.shape
     lstm = nn.LstmParams(params["wx"], params["wh"], params["b"])
-    h = Tensor(np.zeros((b, hyper.emb_dim)))
-    c = Tensor(np.zeros((b, hyper.emb_dim)))
-    for step in range(t):
-        h, c = nn.lstm_cell(Tensor(tensors[:, step, :]), h, c, lstm)
+    h = nn.lstm_sequence(Tensor(tensors), np.full(b, t), lstm)
     joined = ad.concat([h, Tensor(static)], axis=1)
     return ad.softmax(ad.matmul(joined, params["w_out"]))
 

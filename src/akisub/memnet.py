@@ -9,6 +9,12 @@ updates the query as u' = u H + o with A and B shared across hops. The stay
 representation is v = concat(u_final + o, static W_s), a 144-vector with
 default dimensions, classified by a two-class softmax head.
 
+Both LSTM layers run as one packed `nn.lstm_sequence` call each: the word
+layer over every note of the batch (padded word ids gathered in one
+`gather_rows`), the note layer over each stay's note vectors (gathered by row
+index; a stay without notes reads the null-note row). Each records a single
+tape node, and steps past a sequence's length are never computed.
+
 All parameters live in one flat name->Tensor dict, so layer tying is
 structural: there is exactly one stored A and one stored B.
 """
@@ -111,59 +117,34 @@ def init_params(rng: np.random.Generator, hyper: HyperConfig, vocab_size: int,
 def _bottom_lstm(params, seqs: list[list[int]], hyper: HyperConfig) -> Tensor:
     """Encode every note in the batch at once; returns (n_notes + 1, bottom_hidden)
     with the learned null-note vector appended as the last row."""
-    lstm = nn.LstmParams(params["bottom_wx"], params["bottom_wh"], params["bottom_b"])
     if not seqs:
         return params["null_note"]
-    max_len = max(len(s) for s in seqs)
-    n = len(seqs)
-    ids = np.zeros((n, max_len), dtype=np.intp)
-    last = np.zeros((n, max_len))
+    lengths = [len(seq) for seq in seqs]
+    ids = np.zeros((len(seqs), max(lengths)), dtype=np.intp)
     for i, seq in enumerate(seqs):
         ids[i, :len(seq)] = seq
-        last[i, len(seq) - 1] = 1.0
-    h = Tensor(np.zeros((n, hyper.bottom_hidden)))
-    c = Tensor(np.zeros((n, hyper.bottom_hidden)))
-    h_note = Tensor(np.zeros((n, hyper.bottom_hidden)))
-    for step in range(max_len):
-        x = ad.gather_rows(params["word_emb"], ids[:, step])
-        h, c = nn.lstm_cell(x, h, c, lstm)
-        h_note = ad.add(h_note, ad.mul(h, Tensor(last[:, step:step + 1])))
-    return ad.concat([h_note, params["null_note"]], axis=0)
+    x = ad.reshape(ad.gather_rows(params["word_emb"], ids.ravel()),
+                   ids.shape + (hyper.word_emb_dim,))
+    lstm = nn.LstmParams(params["bottom_wx"], params["bottom_wh"], params["bottom_b"])
+    return ad.concat([nn.lstm_sequence(x, lengths, lstm), params["null_note"]], axis=0)
 
 
 def encode_notes_batch(params, batch_seqs: list[list[list[int]]],
                        hyper: HyperConfig) -> Tensor:
     """HieLSTM query for a batch of stays; zero-note stays read the null-note row."""
-    flat: list[list[int]] = []
-    slots: list[list[int]] = []
-    for seqs in batch_seqs:
-        if seqs:
-            slots.append(list(range(len(flat), len(flat) + len(seqs))))
-            flat.extend(seqs)
-        else:
-            slots.append([-1])  # null-note sentinel (last row of the note matrix)
+    flat = [seq for seqs in batch_seqs for seq in seqs]
+    lengths = [max(len(seqs), 1) for seqs in batch_seqs]
+    # rows of the note matrix; padding and zero-note stays point at the null note
+    rows = np.full((len(batch_seqs), max(lengths)), len(flat), dtype=np.intp)
+    start = 0
+    for i, seqs in enumerate(batch_seqs):
+        rows[i, :len(seqs)] = np.arange(start, start + len(seqs))
+        start += len(seqs)
     note_vecs = _bottom_lstm(params, flat, hyper)
-    null_row = note_vecs.shape[0] - 1
-    b = len(batch_seqs)
-    max_notes = max(len(s) for s in slots)
-
+    x = ad.reshape(ad.gather_rows(note_vecs, rows.ravel()),
+                   rows.shape + (hyper.bottom_hidden,))
     lstm = nn.LstmParams(params["top_wx"], params["top_wh"], params["top_b"])
-    h = Tensor(np.zeros((b, hyper.top_hidden)))
-    c = Tensor(np.zeros((b, hyper.top_hidden)))
-    u = Tensor(np.zeros((b, hyper.top_hidden)))
-    for step in range(max_notes):
-        select = np.zeros((b, note_vecs.shape[0]))
-        is_last = np.zeros((b, 1))
-        for i, slot in enumerate(slots):
-            if step < len(slot):
-                row = slot[step] if slot[step] >= 0 else null_row
-                select[i, row] = 1.0
-                if step == len(slot) - 1:
-                    is_last[i, 0] = 1.0
-        x = ad.matmul(Tensor(select), note_vecs)
-        h, c = nn.lstm_cell(x, h, c, lstm)
-        u = ad.add(u, ad.mul(h, Tensor(is_last)))
-    return u
+    return nn.lstm_sequence(x, lengths, lstm)
 
 
 def memory_read_batch(params, u: Tensor, tensors: np.ndarray) -> tuple[Tensor, Tensor]:

@@ -1,14 +1,26 @@
-"""Neural building blocks on top of the autodiff tape: LSTM cell, init, Adam."""
+"""Neural building blocks on top of the autodiff tape: LSTM layers, init, Adam.
+
+`lstm_sequence` runs a whole LSTM layer over a padded batch of sequences as one
+tape primitive. Rows are stably sorted by length, so the rows still running at
+step t are a prefix of the sorted batch and step t computes only those (a
+packed batch). When recording, the input projection x @ Wx is one GEMM over all
+valid steps, and the backward is hand-written BPTT over the cached activated
+gates and cell states: only dh_{t-1} = dpre_t @ Wh.T runs per step, while the
+weight, bias and input gradients are one operation each over all steps.
+Forward-only calls keep no cache. `lstm_cell` is the same step composed from
+tape primitives; it is the reference the packed layer is tested against.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError, OptimizationError
+from .errors import ArgumentError, DimensionError, OptimizationError
 
 INIT_SCALE = 0.1  # parameters start uniform in [-0.1, 0.1]
 FORGET_BIAS = 1.0
@@ -63,6 +75,100 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tens
     c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
     h2 = ad.mul(o, ad.tanh(c2))
     return h2, c2
+
+
+def lstm_sequence(x, lengths, params: LstmParams) -> Tensor:
+    """Hidden state of each row at its last valid step, shape (n, hidden).
+
+    `x` is a padded (n, T, input_dim) batch and row r has `lengths[r]` valid
+    steps, 1 <= lengths[r] <= T; steps past a row's length are never read. The
+    state starts at zero and each step is the `lstm_cell` update. The whole
+    sequence records one tape node (see the module docstring).
+    """
+    x = ad.as_tensor(x)
+    hid = params.hidden
+    if x.ndim != 3 or x.shape[2] != params.input_dim:
+        raise DimensionError(f"lstm_sequence: x {x.shape} vs params "
+                             f"(input_dim={params.input_dim})")
+    n, steps, _ = x.shape
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (n,):
+        raise DimensionError(f"lstm_sequence: lengths {lengths.shape} for {n} rows")
+    bad = lengths[(lengths < 1) | (lengths > steps)]
+    if bad.size:
+        raise ArgumentError(f"lstm_sequence: lengths must lie in 1..{steps}, got "
+                            f"{bad[:5].tolist()}")
+    order = np.argsort(-lengths, kind="stable")
+    active = (lengths > np.arange(lengths.max(initial=0))[:, None]).sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(active)))  # packed start of each step
+    wx, wh, b = params.wx.data, params.wh.data, params.b.data
+    inputs = (x, params.wx, params.wh, params.b)
+    cache = ad.recording(inputs)
+    if cache:
+        # packed layout: step-major, sorted rows within a step
+        step_of = np.repeat(np.arange(active.size), active)
+        rows = order[np.arange(offsets[-1]) - offsets[step_of]]
+        xp = x.data[rows, step_of]
+        gates = xp @ wx
+        hs, cs, tcs = (np.empty((offsets[-1], hid)) for _ in range(3))
+    else:
+        hs, cs, tcs = (np.zeros((n, hid)) for _ in range(3))  # state of the sorted rows
+    for t, n_t in enumerate(active):
+        if cache:
+            cur = slice(offsets[t], offsets[t] + n_t)
+            prev = slice(offsets[t - 1], offsets[t - 1] + n_t) if t else None
+            pre = gates[cur]
+        else:
+            cur = prev = slice(0, n_t)
+            pre = x.data[order[:n_t], t] @ wx
+        if t:
+            pre += hs[prev] @ wh
+        pre += b
+        expit(pre[:, :2 * hid], out=pre[:, :2 * hid])
+        np.tanh(pre[:, 2 * hid:3 * hid], out=pre[:, 2 * hid:3 * hid])
+        expit(pre[:, 3 * hid:], out=pre[:, 3 * hid:])
+        i, f, g, o = (pre[:, k * hid:(k + 1) * hid] for k in range(4))
+        cs[cur] = f * cs[prev] + i * g if t else i * g
+        np.tanh(cs[cur], out=tcs[cur])
+        hs[cur] = o * tcs[cur]
+    last = offsets[lengths[order] - 1] + np.arange(n) if cache else np.arange(n)
+    out = np.empty((n, hid))
+    out[order] = hs[last]
+    if not cache:
+        return Tensor(out)
+
+    def bwd(g_out):
+        dh = g_out[order]  # a row's output gradient enters at its last step
+        dc = np.zeros((n, hid))
+        dpre = np.empty_like(gates)
+        for t in range(active.size - 1, -1, -1):
+            n_t = active[t]
+            cur = slice(offsets[t], offsets[t] + n_t)
+            i, f, g, o = (gates[cur, k * hid:(k + 1) * hid] for k in range(4))
+            tc = tcs[cur]
+            dh_t = dh[:n_t]
+            dc_t = dc[:n_t] + dh_t * o * (1.0 - tc * tc)
+            d = dpre[cur]
+            d[:, :hid] = dc_t * g * i * (1.0 - i)
+            if t:
+                prev = slice(offsets[t - 1], offsets[t - 1] + n_t)
+                d[:, hid:2 * hid] = dc_t * cs[prev] * f * (1.0 - f)
+            else:
+                d[:, hid:2 * hid] = 0.0
+            d[:, 2 * hid:3 * hid] = dc_t * i * (1.0 - g * g)
+            d[:, 3 * hid:] = dh_t * tc * o * (1.0 - o)
+            dc[:n_t] = dc_t * f
+            if t:
+                dh[:n_t] = d @ wh.T
+        # h_{t-1} of every packed entry after step 0, for one dWh GEMM
+        h_prev = hs[np.arange(active[0], offsets[-1]) - active[step_of[active[0]:] - 1]]
+        dx = None
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[rows, step_of] = dpre @ wx.T
+        return dx, xp.T @ dpre, h_prev.T @ dpre[active[0]:], dpre.sum(axis=0)
+
+    return ad._record(inputs, Tensor(out), bwd)
 
 
 @dataclass

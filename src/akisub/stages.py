@@ -47,6 +47,16 @@ class ClusterConfig:
         if len(self.k_range) == 0 or min(self.k_range) < 2:
             raise ConfigError("k_range must contain values >= 2")
 
+    def check_cases(self, n_cases: int):
+        """Raise DataError unless `n_cases` case stays can be clustered: k-means
+        needs more cases than the largest k, and t-SNE more than 3*perplexity."""
+        k_max = max(self.k_range)
+        if n_cases < k_max + 1:
+            raise DataError(f"only {n_cases} cases; too few for k up to {k_max}")
+        if self.method == "tsne" and n_cases <= 3 * self.perplexity:
+            raise DataError(f"only {n_cases} cases; t-SNE perplexity {self.perplexity:g} "
+                            f"needs more than {3 * self.perplexity:g}")
+
 
 @dataclass
 class EvaluateConfig:
@@ -410,10 +420,8 @@ def _stage_cluster(config: RunConfig):
     labels = read_labels(_artifact_path(config, "labels"))
     case_ids = [sid for sid in ids if labels[sid].is_case]
     case_rows = np.array([X[ids.index(sid)] for sid in case_ids])
-    if len(case_ids) < max(config.cluster.k_range) + 1:
-        raise DataError(f"only {len(case_ids)} cases; too few for "
-                        f"k up to {max(config.cluster.k_range)}")
     cc = config.cluster
+    cc.check_cases(len(case_ids))
     if cc.method == "tsne":
         Y = clustering.tsne_embed(case_rows, perplexity=cc.perplexity,
                                   iters=cc.tsne_iters, seed=cc.seed).embedding
@@ -537,4 +545,12 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
 
 
 def run_all(config: RunConfig, force: bool = False) -> list[dict]:
-    return [run_stage(stage, config, force=force) for stage in STAGES]
+    """Run every stage in order. Right after label, the case count is checked
+    against the cluster config, so an infeasible run stops before training."""
+    manifests = []
+    for stage in STAGES:
+        manifests.append(run_stage(stage, config, force=force))
+        if stage == "label":
+            labels = read_labels(_artifact_path(config, "labels"))
+            config.cluster.check_cases(sum(lab.is_case for lab in labels.values()))
+    return manifests

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from akisub import autodiff as ad
+from akisub import nn
 from akisub.autodiff import Tensor
 
 
@@ -53,6 +55,35 @@ def check_gradients(loss_fn, params: dict[str, Tensor], analytic: dict[str, np.n
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
         worst = max(worst, err)
     return worst
+
+
+def scaled_error(actual: np.ndarray, reference: np.ndarray) -> float:
+    """Largest absolute difference relative to the largest reference entry."""
+    scale = float(np.max(np.abs(reference), initial=0.0))
+    diff = float(np.max(np.abs(np.asarray(actual) - reference), initial=0.0))
+    return diff / scale if scale else diff
+
+
+# ---------------------------------------------------------------------------
+# padded, masked LSTM layer
+# ---------------------------------------------------------------------------
+
+def lstm_sequence_reference(x, lengths, params: nn.LstmParams) -> Tensor:
+    """`nn.lstm_sequence` composed step by step from `nn.lstm_cell` on the tape.
+
+    Every row runs all T steps, padding included, and a one-hot mask keeps the
+    hidden state of each row's last valid step.
+    """
+    x = ad.as_tensor(x)
+    n, steps, _ = x.shape
+    last = np.zeros((n, steps))
+    last[np.arange(n), np.asarray(lengths) - 1] = 1.0
+    h = c = out = Tensor(np.zeros((n, params.hidden)))
+    for t in range(steps):
+        x_t = ad.reshape(ad.slice_axis(x, t, t + 1, axis=1), (n, -1))
+        h, c = nn.lstm_cell(x_t, h, c, params)
+        out = ad.add(out, ad.mul(h, Tensor(last[:, t:t + 1])))
+    return out
 
 
 # ---------------------------------------------------------------------------

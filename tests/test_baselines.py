@@ -5,7 +5,8 @@ import pytest
 
 from akisub.autodiff import Tape, backward
 from akisub import baselines
-from akisub.baselines import (LrParams, hielstm_only_loss, hielstm_only_predict,
+from akisub.baselines import (LrParams, NeuralBaselineResult, hielstm_only_loss,
+                              hielstm_only_predict,
                               hielstm_only_train, init_hielstm_params,
                               init_lstm_baseline_params, lr_loss, lr_predict,
                               lr_train, lstm_baseline_loss, lstm_baseline_predict,
@@ -13,7 +14,7 @@ from akisub.baselines import (LrParams, hielstm_only_loss, hielstm_only_predict,
 from akisub.errors import TrainingError
 from akisub.memnet import HyperConfig
 from oracles import finite_difference_grads, max_relative_error
-from test_memnet import MICRO, VOCAB, micro_batch
+from test_memnet import MICRO, VOCAB, micro_batch, packed_and_reference
 
 
 class TestLogisticRegression:
@@ -139,3 +140,14 @@ class TestHieLstmOnly:
             s.label = 0
         with pytest.raises(TrainingError):
             hielstm_only_train(batch, MICRO, VOCAB)
+
+
+def test_neural_baseline_probabilities_match_lstm_cell_reference():
+    rng = np.random.default_rng(3)
+    lstm = NeuralBaselineResult(init_lstm_baseline_params(rng, MICRO, 3, 20), [], MICRO, "lstm")
+    hie = NeuralBaselineResult(init_hielstm_params(rng, MICRO, VOCAB), [], MICRO, "hielstm")
+    batch = micro_batch(18, n=10)
+    probs, ref = packed_and_reference(
+        lambda: (lstm_baseline_predict(lstm, batch), hielstm_only_predict(hie, batch)))
+    for p, r in zip(probs, ref):
+        assert np.max(np.abs(p - r)) < 1e-12

@@ -4,10 +4,11 @@ import pytest
 from akisub import memnet, nn
 from akisub.autodiff import Tape, Tensor, backward
 from akisub.errors import ArgumentError, DimensionError, TrainingError
-from akisub.memnet import (HyperConfig, PreparedStay, batch_loss, embed_stays,
+from akisub.memnet import (HyperConfig, PreparedStay, TrainResult, batch_loss, embed_stays,
                            encode_notes, fuse, init_params, memory_read, multi_hop,
                            params_checksum, predict, predict_stays, train)
-from oracles import finite_difference_grads, max_relative_error
+from oracles import (finite_difference_grads, lstm_sequence_reference, max_relative_error,
+                     scaled_error)
 
 MICRO = HyperConfig(memory_size=4, emb_dim=8, bottom_hidden=5, top_hidden=8,
                     word_emb_dim=6, static_proj_dim=4, hops=2, batch_size=4,
@@ -34,6 +35,14 @@ def micro_batch(seed=0, n=4, hyper=MICRO, d=3):
             label=int(i % 2),
         ))
     return out
+
+
+def packed_and_reference(fn):
+    """fn() with the packed LSTM layer, then with the per-step lstm_cell reference."""
+    packed = fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "lstm_sequence", lstm_sequence_reference)
+        return packed, fn()
 
 
 class TestEncodeNotes:
@@ -67,6 +76,56 @@ class TestEncodeNotes:
         h, _ = nn.lstm_cell(Tensor(params["null_note"].data),
                             Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))), top)
         assert np.allclose(u_empty, h.data[0], atol=1e-12)
+
+
+    def test_empty_note_sequence_rejected(self):
+        with pytest.raises(ArgumentError):
+            encode_notes(micro_params(), [[1, 2], []], MICRO)
+
+
+class TestPackedLstmParity:
+    """From identical parameters, the packed layer reproduces the per-step
+    lstm_cell composition up to the rounding of reordered sums."""
+
+    def test_batch_loss_gradients(self):
+        params = micro_params(12)
+        batch = micro_batch(14, n=12)
+
+        def loss_and_grads():
+            with Tape() as tape:
+                loss = batch_loss(params, batch, MICRO)
+            grads = backward(tape, loss)
+            return loss.item(), {name: grads[p] for name, p in params.items()}, len(tape)
+
+        (loss, grads, nodes), (ref_loss, ref_grads, ref_nodes) = \
+            packed_and_reference(loss_and_grads)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name in params:
+            assert scaled_error(grads[name], ref_grads[name]) < 1e-12, name
+        assert nodes < 50 < ref_nodes
+
+    def test_forward_outputs(self):
+        batch = micro_batch(15, n=12)
+        result = TrainResult(micro_params(16), [], MICRO, VOCAB, static_dim=20, feature_dim=3)
+        (rows, probs), (ref_rows, ref_probs) = packed_and_reference(
+            lambda: (embed_stays(result, batch), predict_stays(result, batch)))
+        assert np.max(np.abs(rows - ref_rows)) < 1e-12
+        assert np.max(np.abs(probs - ref_probs)) < 1e-12
+
+    def test_first_epoch_loss(self):
+        hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 1})
+        batch = micro_batch(17, n=12)
+        loss, ref = packed_and_reference(lambda: train(batch, hyper, VOCAB).loss_history[0])
+        assert loss == pytest.approx(ref, rel=1e-12)
+
+    def test_no_lstm_cell_calls(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("nn.lstm_cell called")
+
+        monkeypatch.setattr(nn, "lstm_cell", forbidden)
+        hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 1})
+        batch = micro_batch(18, n=6)
+        embed_stays(train(batch, hyper, VOCAB), batch)
 
 
 class TestMemoryRead:

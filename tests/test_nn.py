@@ -4,8 +4,9 @@ import pytest
 from akisub import autodiff as ad
 from akisub import nn
 from akisub.autodiff import Tape, Tensor, backward
-from akisub.errors import DimensionError, OptimizationError
-from oracles import finite_difference_grads, max_relative_error
+from akisub.errors import ArgumentError, DimensionError, OptimizationError
+from oracles import (finite_difference_grads, lstm_sequence_reference, max_relative_error,
+                     scaled_error)
 
 
 def _zero_lstm(d, h):
@@ -83,6 +84,85 @@ def test_lstm_gradients_match_finite_differences():
     numeric = finite_difference_grads(lambda ps: loss_fn(ps).item(), params)
     for name, p in params.items():
         assert max_relative_error(analytic[p], numeric[name]) < 1e-4
+
+
+# ragged, unsorted, with ties and length-1 rows
+RAGGED_LENGTHS = [3, 5, 1, 3, 5, 2, 1]
+
+
+def _sequence_case(seed, d=3, h=4, steps=5):
+    rng = np.random.default_rng(seed)
+    params = {
+        "x": Tensor(rng.normal(size=(len(RAGGED_LENGTHS), steps, d)), requires_grad=True),
+        "wx": nn.uniform_init(rng, d, 4 * h),
+        "wh": nn.uniform_init(rng, h, 4 * h),
+        "b": nn.uniform_init(rng, 4 * h),
+    }
+    weights = Tensor(rng.normal(size=(len(RAGGED_LENGTHS), h)))
+
+    def loss_fn(ps, layer=nn.lstm_sequence):
+        lstm = nn.LstmParams(wx=ps["wx"], wh=ps["wh"], b=ps["b"])
+        out = layer(ps["x"], RAGGED_LENGTHS, lstm)
+        return ad.reduce_sum(ad.mul(ad.tanh(out), weights))
+
+    return params, loss_fn
+
+
+def test_lstm_sequence_matches_cell_reference():
+    params, loss_fn = _sequence_case(7)
+    results = []
+    for layer in (nn.lstm_sequence, lstm_sequence_reference):
+        with Tape() as tape:
+            loss = loss_fn(params, layer)
+        grads = backward(tape, loss)
+        results.append((loss.item(), {name: grads[p] for name, p in params.items()}))
+    (loss, grads), (ref_loss, ref_grads) = results
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for name in params:
+        assert scaled_error(grads[name], ref_grads[name]) < 1e-12, name
+    # rows are independent: padding past a row's length is never read
+    x_pad = params["x"].data.copy()
+    for r, n in enumerate(RAGGED_LENGTHS):
+        x_pad[r, n:] = 1e3
+    lstm = nn.LstmParams(params["wx"], params["wh"], params["b"])
+    assert np.array_equal(nn.lstm_sequence(Tensor(x_pad), RAGGED_LENGTHS, lstm).data,
+                          nn.lstm_sequence(params["x"], RAGGED_LENGTHS, lstm).data)
+
+
+def test_lstm_sequence_gradients_match_finite_differences():
+    params, loss_fn = _sequence_case(8)
+    with Tape() as tape:
+        loss = loss_fn(params)
+    analytic = backward(tape, loss)
+    numeric = finite_difference_grads(lambda ps: loss_fn(ps).item(), params)
+    for name, p in params.items():
+        assert max_relative_error(analytic[p], numeric[name]) < 1e-4, name
+
+
+def test_lstm_sequence_without_grad_records_nothing():
+    params, _ = _sequence_case(10)
+    frozen = {name: Tensor(p.data) for name, p in params.items()}
+    lstm = nn.LstmParams(frozen["wx"], frozen["wh"], frozen["b"])
+    with Tape() as tape:
+        out = nn.lstm_sequence(frozen["x"], RAGGED_LENGTHS, lstm)
+    assert len(tape) == 0 and not out.requires_grad
+    ref = lstm_sequence_reference(frozen["x"], RAGGED_LENGTHS, lstm)
+    assert np.max(np.abs(out.data - ref.data)) < 1e-12
+
+
+@pytest.mark.parametrize("lengths", [[0, 2], [2, 4], [-1, 1]])
+def test_lstm_sequence_rejects_lengths_outside_range(lengths):
+    lstm = _zero_lstm(3, 2)
+    with pytest.raises(ArgumentError):
+        nn.lstm_sequence(Tensor(np.zeros((2, 3, 3))), lengths, lstm)
+
+
+def test_lstm_sequence_shape_mismatch():
+    lstm = _zero_lstm(3, 2)
+    with pytest.raises(DimensionError):
+        nn.lstm_sequence(Tensor(np.zeros((2, 3, 4))), [1, 1], lstm)
+    with pytest.raises(DimensionError):
+        nn.lstm_sequence(Tensor(np.zeros((2, 3, 3))), [1, 1, 1], lstm)
 
 
 def test_adam_zero_gradient_is_identity():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from akisub.cli import main
-from akisub.errors import ConfigError, StageDependencyError
+from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (ARTIFACTS, STAGES, config_from_dict, read_embedding2d,
                            read_labels, read_representations, run_all, run_stage)
 
@@ -105,6 +105,25 @@ class TestDependsAndErrors:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"bogus": 1})
+
+    def test_cluster_feasibility_check(self):
+        cluster = small_config("unused").cluster  # k up to 4, t-SNE perplexity 8
+        cluster.check_cases(25)
+        with pytest.raises(DataError, match="perplexity 8 needs more than 24"):
+            cluster.check_cases(24)
+        cluster.method = "pca"
+        cluster.check_cases(5)
+        with pytest.raises(DataError, match="too few for k up to 4"):
+            cluster.check_cases(4)
+
+    def test_run_all_fails_fast_before_featurize(self, tmp_path):
+        # default cluster config: t-SNE perplexity 30 needs more than 90 cases
+        config = config_from_dict({"seed": 2, "out_dir": str(tmp_path),
+                                   "cohort": {"n_stays": 60}})
+        with pytest.raises(DataError, match="needs more than 90"):
+            run_all(config)
+        assert (tmp_path / "manifests" / "label.json").exists()
+        assert not (tmp_path / "manifests" / "featurize.json").exists()
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
