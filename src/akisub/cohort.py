@@ -10,12 +10,19 @@ information beyond the structured data.
 
 Cohort files are JSON Lines with a versioned header record; see
 `write_cohort` for the schema.
+
+In memory, each `EventSeries` holds its measurements column-wise: `points` is
+one C-contiguous (n, 2) float64 array whose column 0 holds the offsets (hours
+from admission) and column 1 the values; an empty series has shape (0, 2).
+`read_cohort` parses all series of a stay into one such buffer and hands each
+series a row-slice view of it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -47,24 +54,56 @@ STAY_HORIZON_HOURS = 48.0 + 7 * 24.0  # 216
 
 @dataclass
 class EventSeries:
-    """Time-ordered measurements of one variable (offsets in hours from admission)."""
+    """Time-ordered measurements of one variable (offsets in hours from admission).
+
+    Any sequence of (offset, value) pairs is converted once into a C-contiguous
+    (n, 2) float64 `points` array: offsets in column 0, values in column 1.
+    """
 
     variable: str
-    points: list[tuple[float, float]] = field(default_factory=list)
+    points: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+
+    def __post_init__(self):
+        points = np.ascontiguousarray(self.points, dtype=np.float64)
+        if points.size == 0:
+            points = points.reshape(0, 2)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise DataError(f"{self.variable}: points must be (offset, value) pairs, "
+                            f"got an array of shape {points.shape}")
+        self.points = points
+
+    def __eq__(self, other):
+        if not isinstance(other, EventSeries):
+            return NotImplemented
+        return self.variable == other.variable and np.array_equal(self.points, other.points)
 
     def validate(self):
-        prev = -np.inf
-        for t, v in self.points:
-            if t < 0:
-                raise DataError(f"{self.variable}: negative offset {t}")
-            if t <= prev:
-                raise DataError(f"{self.variable}: offsets not strictly increasing at {t}")
-            if not np.isfinite(v):
-                raise DataError(f"{self.variable}: non-finite value at {t}")
-            prev = t
+        _check_series([self])
 
-    def in_window(self, lo: float, hi: float) -> list[tuple[float, float]]:
-        return [(t, v) for t, v in self.points if lo <= t <= hi]
+
+def _check_series(series: list[EventSeries]) -> None:
+    """Offsets finite, non-negative and strictly increasing within each series, values
+    finite: checked in one pass over the points of all `series`, then the first
+    failing point is named."""
+    lengths = [len(s.points) for s in series]
+    points = np.concatenate([s.points for s in series])
+    owner = np.repeat(np.arange(len(series)), lengths)
+    t = points[:, 0]
+    ok = np.isfinite(points).all(axis=1) & (t >= 0)
+    ok[1:] &= (t[1:] > t[:-1]) | (owner[1:] != owner[:-1])
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    s = series[owner[i]]
+    j = i - sum(lengths[:owner[i]])
+    t_j, v_j = s.points[j].tolist()
+    if not np.isfinite(t_j):
+        raise DataError(f"{s.variable}: non-finite offset {t_j}")
+    if t_j < 0:
+        raise DataError(f"{s.variable}: negative offset {t_j}")
+    if j > 0 and not t_j > s.points[j - 1, 0]:
+        raise DataError(f"{s.variable}: offsets not strictly increasing at {t_j}")
+    raise DataError(f"{s.variable}: non-finite value at {t_j}")
 
 
 @dataclass
@@ -105,8 +144,7 @@ class IcuStay:
             raise DataError(f"{self.stay_id}: chart variable vocabulary mismatch")
         if set(self.lab_series) != set(LAB_VARIABLES):
             raise DataError(f"{self.stay_id}: lab variable vocabulary mismatch")
-        for series in list(self.chart_series.values()) + list(self.lab_series.values()):
-            series.validate()
+        _check_series(list(self.chart_series.values()) + list(self.lab_series.values()))
         for note in self.notes:
             note.validate()
 
@@ -492,14 +530,28 @@ def _stay_to_record(stay: IcuStay) -> dict:
         "weight_kg": stay.weight_kg,
         "med_flags": stay.med_flags,
         "comorbidity_flags": stay.comorbidity_flags,
-        "chart": {v: s.points for v, s in sorted(stay.chart_series.items())},
-        "labs": {v: s.points for v, s in sorted(stay.lab_series.items())},
+        "chart": {v: s.points.tolist() for v, s in sorted(stay.chart_series.items())},
+        "labs": {v: s.points.tolist() for v, s in sorted(stay.lab_series.items())},
         "notes": [{"offset_hours": n.offset_hours, "tokens": n.tokens} for n in stay.notes],
         "planted_subtype": stay.planted_subtype,
     }
 
 
+def _parse_series(groups: tuple[dict, ...]) -> list[dict[str, EventSeries]]:
+    """Each group's {variable: [[offset, value], ...]} as EventSeries whose points
+    are row slices of one float64 buffer, filled in a single pass."""
+    lists = [pts for group in groups for pts in group.values()]
+    if set(map(len, chain.from_iterable(lists))) - {2}:
+        raise ValueError("every point must be an [offset, value] pair")
+    bounds = list(accumulate(map(len, lists), initial=0))
+    buf = np.fromiter(chain.from_iterable(chain.from_iterable(lists)), np.float64,
+                      2 * bounds[-1]).reshape(-1, 2)
+    views = (buf[a:b] for a, b in zip(bounds, bounds[1:]))
+    return [{v: EventSeries(v, next(views)) for v in group} for group in groups]
+
+
 def _record_to_stay(rec: dict) -> IcuStay:
+    chart, labs = _parse_series((rec["chart"], rec["labs"]))
     return IcuStay(
         stay_id=rec["stay_id"],
         patient_id=rec["patient_id"],
@@ -509,10 +561,8 @@ def _record_to_stay(rec: dict) -> IcuStay:
         weight_kg=rec["weight_kg"],
         med_flags={k: int(v) for k, v in rec["med_flags"].items()},
         comorbidity_flags={k: int(v) for k, v in rec["comorbidity_flags"].items()},
-        chart_series={v: EventSeries(v, [(float(t), float(x)) for t, x in pts])
-                      for v, pts in rec["chart"].items()},
-        lab_series={v: EventSeries(v, [(float(t), float(x)) for t, x in pts])
-                    for v, pts in rec["labs"].items()},
+        chart_series=chart,
+        lab_series=labs,
         notes=[ClinicalNote(float(n["offset_hours"]), list(n["tokens"])) for n in rec["notes"]],
         planted_subtype=rec["planted_subtype"],
     )
@@ -528,6 +578,8 @@ def write_cohort(stays: list[IcuStay], path) -> None:
 
 
 def read_cohort(path) -> list[IcuStay]:
+    """Parse and validate a cohort file; any malformed or invalid stay record raises
+    `ParseError` naming its line."""
     path = Path(path)
     stays = []
     with path.open() as fh:
@@ -544,7 +596,9 @@ def read_cohort(path) -> list[IcuStay]:
                     raise ParseError(f"{path}: line 1: missing cohort header")
                 continue
             try:
-                stays.append(_record_to_stay(rec))
-            except (KeyError, TypeError, ValueError) as e:
+                stay = _record_to_stay(rec)
+                stay.validate()
+            except (KeyError, TypeError, ValueError, AttributeError, DataError) as e:
                 raise ParseError(f"{path}: line {lineno}: malformed stay record ({e})") from e
+            stays.append(stay)
     return stays

@@ -88,6 +88,25 @@ def bin_count(t1_hours: float) -> int:
     return int(t1_hours / SUB_WINDOW_HOURS)
 
 
+def _window_points(stay: IcuStay, variables: tuple[str, ...], t1_hours: float):
+    """(column, 2-hour bin, value) of every point with 0 <= offset < t1_hours, over
+    `variables` concatenated in order, each series in its own point order."""
+    points = [stay.series(var).points for var in variables]
+    col = np.repeat(np.arange(len(variables)), [len(p) for p in points])
+    offset, value = np.concatenate(points).T
+    keep = (offset >= 0.0) & (offset < t1_hours)
+    return col[keep], (offset[keep] // SUB_WINDOW_HOURS).astype(np.intp), value[keep]
+
+
+def _bin_sums(col: np.ndarray, j: np.ndarray, value: np.ndarray, t: int, d: int):
+    """(t, d) sums and counts of the values in each bin; `bincount` adds each bin's
+    values in point order, as a loop over the points would."""
+    cell = j * d + col
+    sums = np.bincount(cell, weights=value, minlength=t * d).reshape(t, d)
+    counts = np.bincount(cell, minlength=t * d).reshape(t, d)
+    return sums, counts
+
+
 def bin_events(stay: IcuStay, t1_hours: float) -> StayTensor:
     """Average each variable over 2-hour sub-windows; mask 0 where unobserved."""
     t = bin_count(t1_hours)
@@ -95,21 +114,12 @@ def bin_events(stay: IcuStay, t1_hours: float) -> StayTensor:
     for name in list(stay.chart_series) + list(stay.lab_series):
         if name not in known:
             raise SchemaError(f"unknown variable id {name!r}")
-    values = np.zeros((t, len(TIME_VARIABLES)))
-    mask = np.zeros((t, len(TIME_VARIABLES)))
-    for col, var in enumerate(TIME_VARIABLES):
-        series = stay.series(var)
-        sums = np.zeros(t)
-        counts = np.zeros(t)
-        for offset, value in series.points:
-            if 0.0 <= offset < t1_hours:
-                j = int(offset // SUB_WINDOW_HOURS)
-                sums[j] += value
-                counts[j] += 1
-        observed = counts > 0
-        values[observed, col] = sums[observed] / counts[observed]
-        mask[:, col] = observed
-    return StayTensor(stay.stay_id, values, mask)
+    d = len(TIME_VARIABLES)
+    sums, counts = _bin_sums(*_window_points(stay, TIME_VARIABLES, t1_hours), t, d)
+    observed = counts > 0
+    values = np.zeros((t, d))
+    values[observed] = sums[observed] / counts[observed]
+    return StayTensor(stay.stay_id, values, observed.astype(np.float64))
 
 
 def fit_scaling(tensors: list[StayTensor], split_id: str) -> ScalingStats:
@@ -192,41 +202,54 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
                             fill_means: dict[str, float] | None = None,
                             ) -> BaselineFeatureVector:
     """First/last/avg/min/max over raw observations in the window, least-squares
-    slope over observed 2-hour bins, and the raw observation count, per variable."""
+    slope over observed 2-hour bins, and the raw observation count, per variable.
+
+    First, last, min, max and count do not depend on an order of summation and are
+    taken for all variables at once; each average and slope keeps numpy's reduction
+    over that one variable's values."""
     t = bin_count(t1_hours)
+    n_vars = len(BASELINE_CONTINUOUS_VARS)
+    col, j, value = _window_points(stay, BASELINE_CONTINUOUS_VARS, t1_hours)
+    sums, counts = _bin_sums(col, j, value, t, n_vars)
+    n_obs = np.bincount(col, minlength=n_vars)
+    start = np.cumsum(n_obs) - n_obs
+    seen = n_obs > 0
     values = np.zeros(BASELINE_DIM)
     imputed = np.zeros(BASELINE_DIM, dtype=bool)
-    pos = 0
-    for var in BASELINE_CONTINUOUS_VARS:
-        obs = [(off, v) for off, v in stay.series(var).points if 0.0 <= off < t1_hours]
-        if obs:
-            vals = np.array([v for _, v in obs])
-            stats = [vals[0], vals[-1], vals.mean(), vals.min(), vals.max(),
-                     _bin_slope(obs, t), float(len(obs))]
-        else:
-            fill = 0.0 if fill_means is None else fill_means.get(var, 0.0)
-            stats = [fill, fill, fill, fill, fill, 0.0, 0.0]
-            imputed[pos:pos + 5] = True
-        values[pos:pos + 7] = stats
-        pos += 7
-    values[pos:] = _static14(stay)
+    stats = values[:n_vars * len(BASELINE_STATS)].reshape(n_vars, -1)
+    if seen.any():
+        first = start[seen]
+        stats[seen, 0] = value[first]
+        stats[seen, 1] = value[first + n_obs[seen] - 1]
+        stats[seen, 3] = np.minimum.reduceat(value, first)
+        stats[seen, 4] = np.maximum.reduceat(value, first)
+    stats[:, 6] = n_obs
+    for c in np.flatnonzero(seen).tolist():
+        stats[c, 2] = _mean(value[start[c]:start[c] + n_obs[c]])
+        stats[c, 5] = _bin_slope(sums[:, c], counts[:, c])
+    imputed[:stats.size].reshape(n_vars, -1)[~seen, :5] = True
+    for c in np.flatnonzero(~seen).tolist():
+        var = BASELINE_CONTINUOUS_VARS[c]
+        stats[c, :5] = 0.0 if fill_means is None else fill_means.get(var, 0.0)
+    values[stats.size:] = _static14(stay)
     return BaselineFeatureVector(stay.stay_id, values, imputed)
 
 
-def _bin_slope(obs: list[tuple[float, float]], t: int) -> float:
-    sums = np.zeros(t)
-    counts = np.zeros(t)
-    for off, v in obs:
-        j = int(off // SUB_WINDOW_HOURS)
-        sums[j] += v
-        counts[j] += 1
-    idx = np.nonzero(counts)[0]
+def _mean(a: np.ndarray):
+    """`a.mean()` to the bit (numpy's pairwise sum over `a`, divided by its length),
+    without the Python-level wrapper of `ndarray.mean`."""
+    return np.add.reduce(a) / len(a)
+
+
+def _bin_slope(sums: np.ndarray, counts: np.ndarray) -> float:
+    """Least-squares slope of the bin means against the bin index, over observed bins."""
+    idx = counts.nonzero()[0]
     if len(idx) < 2:
         return 0.0
     y = sums[idx] / counts[idx]
     x = idx.astype(float)
-    xc = x - x.mean()
-    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+    xc = x - _mean(x)
+    return float(np.add.reduce(xc * (y - _mean(y))) / np.add.reduce(xc * xc))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cohort import EventSeries, IcuStay
 from .errors import ArgumentError, ContractViolationError, InsufficientDataError
 
@@ -72,12 +74,13 @@ def egfr_mdrd(scr: float, age: float, sex: str, ethnicity: str) -> float:
 def compute_baseline(scr_series: EventSeries, window_start: float) -> BaselineScr:
     """Baseline = minimum creatinine in the 7 days before `window_start`,
     falling back to the earliest measurement at or after it."""
-    prior = [(t, v) for t, v in scr_series.points
+    points = scr_series.points.tolist()
+    prior = [(t, v) for t, v in points
              if window_start - BASELINE_LOOKBACK_HOURS <= t < window_start]
     if prior:
         t_min, v_min = min(prior, key=lambda p: p[1])
         return BaselineScr(v_min, (window_start - BASELINE_LOOKBACK_HOURS, window_start))
-    later = [(t, v) for t, v in scr_series.points if t >= window_start]
+    later = [(t, v) for t, v in points if t >= window_start]
     if not later:
         raise InsufficientDataError("no creatinine measurements to derive a baseline from")
     t0, v0 = later[0]
@@ -132,11 +135,16 @@ def _max_low_span(urine, threshold, lo, hi) -> float:
     return max((b - a for a, b in spans), default=0.0)
 
 
+def _sorted_points(series: EventSeries | None) -> list[list[float]]:
+    """[offset, value] pairs as Python floats, ordered by offset (then value)."""
+    return sorted(series.points.tolist()) if series is not None else []
+
+
 def detect_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
                baseline: BaselineScr | None, window: tuple[float, float]) -> AkiLabel:
     """Case iff any KDIGO clause fires inside `window`; onset is the earliest firing."""
-    scr = sorted(scr_series.points) if scr_series is not None else []
-    urine = sorted(urine_rate_series.points) if urine_rate_series is not None else []
+    scr = _sorted_points(scr_series)
+    urine = _sorted_points(urine_rate_series)
     if not scr and not urine:
         raise InsufficientDataError("both creatinine and urine series are empty")
     lo, hi = window
@@ -163,8 +171,8 @@ def stage_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
     label = detect_aki(scr_series, urine_rate_series, baseline, window)
     if not label.is_case:
         raise ContractViolationError("stage_aki called on a stay that is not a case")
-    scr = sorted(scr_series.points) if scr_series is not None else []
-    urine = sorted(urine_rate_series.points) if urine_rate_series is not None else []
+    scr = _sorted_points(scr_series)
+    urine = _sorted_points(urine_rate_series)
     lo, hi = window
 
     stage = 1
@@ -220,8 +228,8 @@ def apply_exclusions(stays: list[IcuStay], t1_hours: float, t2_days: float = 7.0
         if obs.is_case:
             excluded.append((stay.stay_id, EXCLUDE_AKI_IN_OBSERVATION))
             continue
-        has_pred_data = any(t1_hours < t <= horizon for t, _ in scr.points) or \
-            any(t1_hours < t <= horizon for t, _ in urine.points)
+        has_pred_data = any(np.any((s.points[:, 0] > t1_hours) & (s.points[:, 0] <= horizon))
+                            for s in (scr, urine))
         if not has_pred_data:
             excluded.append((stay.stay_id, EXCLUDE_MISSING_PREDICTION_DATA))
             continue

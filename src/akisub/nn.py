@@ -187,7 +187,13 @@ class AdamState:
 def adam_step(param: Tensor, grad, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               name: str = "") -> tuple[Tensor, AdamState]:
-    """Bias-corrected Adam update; returns the new parameter and state."""
+    """Bias-corrected Adam update; returns the new parameter and `state`, whose
+    moments are updated in place.
+
+    Each expression keeps the operand order of the textbook form
+    m = beta1*m + (1-beta1)*g, s = beta2*s + ((1-beta2)*g)*g,
+    p - lr*m_hat / (sqrt(s_hat) + eps), so the result is the same to the bit; only
+    three temporaries are allocated."""
     if lr <= 0:
         raise OptimizationError(f"adam_step: lr must be positive, got {lr}")
     g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
@@ -195,13 +201,23 @@ def adam_step(param: Tensor, grad, state: AdamState, lr: float,
         raise DimensionError(f"adam_step: grad {g.shape} vs param {param.data.shape}")
     if not np.all(np.isfinite(g)):
         raise OptimizationError(f"adam_step: non-finite gradient for parameter '{name or 'unnamed'}'")
-    k = state.k + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    s = beta2 * state.s + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** k)
-    s_hat = s / (1.0 - beta2 ** k)
-    new_data = param.data - lr * m_hat / (np.sqrt(s_hat) + eps)
-    return Tensor(new_data, requires_grad=param.requires_grad), AdamState(m=m, s=s, k=k)
+    state.k += 1
+    k = state.k
+    scaled_g = np.multiply(1.0 - beta1, g)
+    state.m *= beta1
+    state.m += scaled_g
+    np.multiply(1.0 - beta2, g, out=scaled_g)
+    scaled_g *= g
+    state.s *= beta2
+    state.s += scaled_g
+    denom = np.divide(state.s, 1.0 - beta2 ** k)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = np.divide(state.m, 1.0 - beta1 ** k)
+    np.multiply(lr, step, out=step)
+    step /= denom
+    new_data = np.subtract(param.data, step, out=step)
+    return Tensor(new_data, requires_grad=param.requires_grad), state
 
 
 class Adam:

@@ -290,12 +290,13 @@ def _first_day_mean(stay: IcuStay, var: str) -> float | None:
     if var == "age":
         return float(stay.age)
     if var == "egfr":
-        vals = [egfr_mdrd(v, stay.age, stay.sex, stay.ethnicity)
-                for t, v in stay.lab_series["creatinine"].points
-                if t <= FIRST_DAY_HOURS and v > 0]
+        t, v = stay.lab_series["creatinine"].points.T
+        vals = [egfr_mdrd(x, stay.age, stay.sex, stay.ethnicity)
+                for x in v[(t <= FIRST_DAY_HOURS) & (v > 0)].tolist()]
         return float(np.mean(vals)) if vals else None
-    vals = [v for t, v in stay.series(var).points if t <= FIRST_DAY_HOURS]
-    return float(np.mean(vals)) if vals else None
+    t, v = stay.series(var).points.T
+    vals = v[t <= FIRST_DAY_HOURS]
+    return float(vals.mean()) if vals.size else None
 
 
 def _discrete_value(stay: IcuStay, var: str) -> str:

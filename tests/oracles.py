@@ -194,6 +194,128 @@ def _max_low_span(urine, thresh, lo, hi):
     return max(b - a for a, b in spans)
 
 
+def _pairs(series) -> list[tuple[float, float]]:
+    """An EventSeries as a list of (offset, value) tuples of Python floats."""
+    return [(t, v) for t, v in series.points.tolist()]
+
+
+def exclusions_reference(stays, t1_hours: float, t2_days: float = 7.0):
+    """`kdigo.apply_exclusions` over (offset, value) tuples, with every label from
+    `brute_force_kdigo`.
+
+    Returns ([(stay_id, is_case, onset, rule, stage)], [(stay_id, reason)]), where
+    stage is None for controls.
+    """
+    horizon = t1_hours + t2_days * 24.0
+    kept, excluded = [], []
+    for stay in stays:
+        scr = _pairs(stay.lab_series["creatinine"])
+        urine = _pairs(stay.lab_series["urine_rate"])
+        if not scr and not urine:
+            excluded.append((stay.stay_id, "no_renal_data"))
+            continue
+        prior = [(t, v) for t, v in scr if -168.0 <= t < 0.0]
+        later = [(t, v) for t, v in scr if t >= 0.0]
+        if prior:
+            bval, bend = min(prior, key=lambda p: p[1])[1], 0.0
+        elif later:
+            bend, bval = later[0]
+        else:
+            bval, bend = float("inf"), 0.0  # no baseline: the ratio clause never fires
+        if brute_force_kdigo(scr, urine, bval, bend, (0.0, t1_hours))[0]:
+            excluded.append((stay.stay_id, "aki_in_observation_window"))
+            continue
+        if not any(t1_hours < t <= horizon for t, _ in scr + urine):
+            excluded.append((stay.stay_id, "missing_renal_data_in_prediction_window"))
+            continue
+        is_case, onset, rule, stage = brute_force_kdigo(scr, urine, bval, bend,
+                                                        (t1_hours, horizon))
+        kept.append((stay.stay_id, is_case, onset, rule, stage))
+    return kept, excluded
+
+
+# ---------------------------------------------------------------------------
+# per-point loops over (offset, value) tuples: the binning and summary features
+# ---------------------------------------------------------------------------
+
+def bin_events_reference(stay, variables, t1_hours: float):
+    """(values, mask) of `features.bin_events`: each 2-hour bin's sum built by
+    adding the in-window points one at a time, in series order."""
+    t = int(t1_hours / 2.0)
+    values = np.zeros((t, len(variables)))
+    mask = np.zeros((t, len(variables)))
+    for col, var in enumerate(variables):
+        sums = np.zeros(t)
+        counts = np.zeros(t)
+        for offset, value in _pairs(stay.series(var)):
+            if 0.0 <= offset < t1_hours:
+                j = int(offset // 2.0)
+                sums[j] += value
+                counts[j] += 1
+        observed = counts > 0
+        values[observed, col] = sums[observed] / counts[observed]
+        mask[:, col] = observed
+    return values, mask
+
+
+def summary_reference(stay, variables, t1_hours: float, fill_means=None):
+    """(values, imputed) of the 7 statistics per variable of
+    `features.summarize_for_baselines`, one variable at a time over tuples."""
+    t = int(t1_hours / 2.0)
+    values, imputed = [], []
+    for var in variables:
+        obs = [(off, v) for off, v in _pairs(stay.series(var)) if 0.0 <= off < t1_hours]
+        if obs:
+            vals = np.array([v for _, v in obs])
+            sums = np.zeros(t)
+            counts = np.zeros(t)
+            for off, v in obs:
+                j = int(off // 2.0)
+                sums[j] += v
+                counts[j] += 1
+            idx = np.nonzero(counts)[0]
+            slope = 0.0
+            if len(idx) >= 2:
+                y = sums[idx] / counts[idx]
+                xc = idx.astype(float) - idx.astype(float).mean()
+                slope = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+            values += [vals[0], vals[-1], vals.mean(), vals.min(), vals.max(), slope,
+                       float(len(obs))]
+            imputed += [False] * 7
+        else:
+            fill = 0.0 if fill_means is None else fill_means.get(var, 0.0)
+            values += [fill] * 5 + [0.0, 0.0]
+            imputed += [True] * 5 + [False] * 2
+    return np.array(values), np.array(imputed)
+
+
+def first_day_mean_reference(stay, var: str, egfr):
+    """`stats._first_day_mean` for a time-series variable (or "egfr", computed with
+    `egfr(scr, age, sex, ethnicity)`), as a loop over tuples."""
+    if var == "egfr":
+        vals = [egfr(v, stay.age, stay.sex, stay.ethnicity)
+                for t, v in _pairs(stay.lab_series["creatinine"]) if t <= 24.0 and v > 0]
+    else:
+        vals = [v for t, v in _pairs(stay.series(var)) if t <= 24.0]
+    return float(np.mean(vals)) if vals else None
+
+
+# ---------------------------------------------------------------------------
+# out-of-place Adam
+# ---------------------------------------------------------------------------
+
+def adam_step_reference(param: np.ndarray, g: np.ndarray, m: np.ndarray, s: np.ndarray,
+                        k: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                        eps: float = 1e-8):
+    """One bias-corrected Adam step written out of place; returns (param, m, s)."""
+    k = k + 1
+    m = beta1 * m + (1.0 - beta1) * g
+    s = beta2 * s + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** k)
+    s_hat = s / (1.0 - beta2 ** k)
+    return param - lr * m_hat / (np.sqrt(s_hat) + eps), m, s
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo / permutation oracles for p-values
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from akisub.features import (BASELINE_CONTINUOUS_VARS, BASELINE_DIM, StayTensor,
                              bin_events, build_vocabulary, fit_scaling,
                              impute_and_scale, notes_to_bow, notes_to_sequences,
                              static_vector, summarize_for_baselines)
+from oracles import bin_events_reference, summary_reference
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +196,49 @@ class TestNotes:
         vocab = build_vocabulary(stays)
         assert vocab.tokens[0] == "<pad>"
         assert list(vocab.tokens[1:]) == sorted(vocab.tokens[1:])
+
+
+def _edge_stays():
+    """Generated stays plus copies whose series hold points before 0, exactly at
+    and after 24 h and 48 h, bins shared by several points, and empty series."""
+    stays = generate_cohort(CohortConfig(n_stays=25, seed=13))
+    # bin 1 holds 0.1, 0.2, 0.3, whose sum depends on the order of addition
+    edge = [(-3.0, 1.0), (-0.5, 1.1), (0.0, 1.2), (1.99, 1.3), (2.0, 0.1), (2.5, 0.2),
+            (3.9, 0.3), (23.999, 1.5), (24.0, 1.6), (30.0, 1.7), (47.9, 1.8), (48.0, 1.9),
+            (60.0, 2.0)]
+    extra = generate_cohort(CohortConfig(n_stays=3, seed=14))
+    _with_series(extra[0], "creatinine", edge)
+    _with_series(extra[0], "bun", [])
+    _with_series(extra[1], "urine_rate", [(-1.0, 0.5), (24.0, 0.6), (48.0, 0.7)])
+    _with_series(extra[1], "potassium", [(5.0, 4.0)])
+    for var in BASELINE_CONTINUOUS_VARS:  # every series empty
+        _with_series(extra[2], var, [])
+    return stays + extra
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTupleReferenceParity:
+    """The array kernels give the bits of the per-point tuple loops they replaced."""
+
+    @pytest.mark.parametrize("t1", [24, 48])
+    def test_bin_events_bitwise(self, t1):
+        for stay in _edge_stays():
+            tensor = bin_events(stay, t1)
+            values, mask = bin_events_reference(stay, features.TIME_VARIABLES, t1)
+            assert _same_bits(tensor.values, values), stay.stay_id
+            assert _same_bits(tensor.mask, mask), stay.stay_id
+
+    @pytest.mark.parametrize("t1", [24, 48])
+    @pytest.mark.parametrize("fill", [None, {"bun": 17.25, "creatinine": 1.125}])
+    def test_summarize_for_baselines_bitwise(self, t1, fill):
+        for stay in _edge_stays():
+            vec = summarize_for_baselines(stay, t1, fill)
+            values, imputed = summary_reference(stay, BASELINE_CONTINUOUS_VARS, t1, fill)
+            n = len(values)
+            assert _same_bits(vec.values[:n], values), stay.stay_id
+            assert _same_bits(vec.imputed[:n], imputed), stay.stay_id
+            assert not vec.imputed[n:].any()

@@ -8,7 +8,7 @@ from akisub.errors import ArgumentError, ContractViolationError, InsufficientDat
 from akisub import kdigo
 from akisub.kdigo import (AkiLabel, BaselineScr, apply_exclusions, compute_baseline,
                           detect_aki, egfr_mdrd, stage_aki)
-from oracles import brute_force_kdigo
+from oracles import brute_force_kdigo, exclusions_reference
 from trajgen import random_kdigo_instance
 
 
@@ -228,3 +228,20 @@ class TestExclusions:
     def test_rejects_bad_t1(self):
         with pytest.raises(ArgumentError):
             apply_exclusions([], 30)
+
+    @pytest.mark.parametrize("t1", [24, 48])
+    def test_labels_match_tuple_reference(self, t1):
+        from akisub.cohort import generate_cohort, CohortConfig
+        stays = generate_cohort(CohortConfig(n_stays=150, case_fraction=0.4, seed=8))
+        stays.append(self._stay("early", [(-30.0, 0.9), (2.0, 1.0), (10.0, 1.05)],
+                                [(1.0, 0.9), (20.0, 0.95)]))
+        stays.append(self._stay("later", [(30.0, 1.0), (80.0, 1.7)],
+                                [(t, 0.9) for t in np.arange(1, 191, 2.0)]))
+        stays.append(self._stay("no_scr", [], [(t, 0.4) for t in np.arange(30, 60, 2.0)]))
+        stays.append(self._stay("none", [], []))
+        kept, excluded = apply_exclusions(stays, t1)
+        ref_kept, ref_excluded = exclusions_reference(stays, t1)
+        assert excluded == ref_excluded
+        assert [(s.stay_id, lab.is_case, lab.onset_offset_hours, lab.triggering_rule,
+                 lab.stage) for s, lab in kept] == ref_kept
+        assert any(case for _, case, *_ in ref_kept)

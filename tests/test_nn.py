@@ -5,8 +5,8 @@ from akisub import autodiff as ad
 from akisub import nn
 from akisub.autodiff import Tape, Tensor, backward
 from akisub.errors import ArgumentError, DimensionError, OptimizationError
-from oracles import (finite_difference_grads, lstm_sequence_reference, max_relative_error,
-                     scaled_error)
+from oracles import (adam_step_reference, finite_difference_grads, lstm_sequence_reference,
+                     max_relative_error, scaled_error)
 
 
 def _zero_lstm(d, h):
@@ -199,6 +199,25 @@ def test_adam_rejects_nonfinite_gradient():
     with pytest.raises(OptimizationError, match="badparam"):
         nn.adam_step(p, np.array([np.nan]), nn.AdamState.zeros_like(p), lr=0.01,
                      name="badparam")
+
+
+def test_adam_in_place_matches_out_of_place_reference_bitwise():
+    rng = np.random.default_rng(5)
+    shape = (7, 12)
+    p = Tensor(rng.normal(size=shape), requires_grad=True)
+    state = nn.AdamState.zeros_like(p)
+    m_state, s_state = state.m, state.s
+    ref_p, ref_m, ref_s = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    for k in range(20):
+        g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=shape)
+        p, state = nn.adam_step(p, g, state, lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+        ref_p, ref_m, ref_s = adam_step_reference(ref_p, g, ref_m, ref_s, k, lr=0.003,
+                                                  beta1=0.85, beta2=0.995, eps=1e-7)
+        assert state.k == k + 1
+        assert p.data.tobytes() == ref_p.tobytes()
+        assert state.m.tobytes() == ref_m.tobytes()
+        assert state.s.tobytes() == ref_s.tobytes()
+    assert state.m is m_state and state.s is s_state  # moments updated in place
 
 
 def test_adam_optimizer_converges_on_quadratic():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import studentized_range
 
-from akisub.cohort import CohortConfig, generate_cohort
+from akisub.cohort import CohortConfig, EventSeries, generate_cohort
 from akisub.errors import ArgumentError, DataError, NumericalRankError
-from akisub.kdigo import apply_exclusions
+from akisub.kdigo import apply_exclusions, egfr_mdrd
 from akisub import stats
 from akisub.stats import (CONTINUOUS_REPORT_VARS, DISCRETE_REPORT_VARS,
                           ancova_adjust, build_subtype_report, chi2_sf,
@@ -268,6 +268,20 @@ def planted():
     labels = [l for _, l in cases]
     clusters = np.array([s.planted_subtype - 1 for s in case_stays])
     return case_stays, labels, clusters
+
+
+def test_first_day_mean_matches_tuple_reference():
+    from oracles import first_day_mean_reference
+    stays = generate_cohort(CohortConfig(n_stays=40, case_fraction=0.5, seed=12))
+    stays[0].lab_series["creatinine"] = EventSeries(
+        "creatinine", [(0.0, 1.0), (12.5, -0.5), (24.0, 1.25), (24.5, 2.0)])
+    stays[1].lab_series["bun"] = EventSeries("bun", [(25.0, 17.0)])
+    for stay in stays:
+        for var in ("egfr", "creatinine", "bun", "glucose", "urine_rate"):
+            got = stats._first_day_mean(stay, var)
+            want = first_day_mean_reference(stay, var, egfr_mdrd)
+            assert (got is None and want is None) or got == want, (stay.stay_id, var)
+    assert stats._first_day_mean(stays[1], "bun") is None
 
 
 class TestSubtypeReport:
