@@ -1,5 +1,11 @@
 """Comparison models: logistic regression on engineered features, a plain LSTM
-over the structured stay tensor, and a HieLSTM-only classifier over notes."""
+over the structured stay tensor, and a HieLSTM-only classifier over notes.
+
+The neural baselines train through `memnet.fit` (initialised from a generator
+seeded with `hyper.seed`, shuffled by one seeded with `hyper.seed + 1`) and
+score through `memnet.infer`; HieLSTM-only adds a softmax head to
+`memnet.init_hielstm`'s note encoder.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +16,9 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Tape, Tensor, backward
-from .errors import TrainingError
-from .memnet import HyperConfig, PreparedStay, encode_notes_batch
-
-
-def _check_labels(labels):
-    classes = set(int(v) for v in labels)
-    if not classes:
-        raise TrainingError("empty training set")
-    if classes != {0, 1}:
-        raise TrainingError(f"training set must contain both classes, got {classes}")
+from .autodiff import Tensor
+from .memnet import (HyperConfig, PreparedStay, TrainResult, case_loss, check_labels,
+                     encode_notes_batch, fit, infer, init_hielstm)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +43,7 @@ def lr_train(features: np.ndarray, labels, l2: float = 1e-3, epochs: int = 800,
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    _check_labels(y)
+    check_labels(y.tolist())
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
@@ -73,46 +71,6 @@ def lr_loss(params: LrParams, features: np.ndarray, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared training loop for the neural baselines
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NeuralBaselineResult:
-    params: dict[str, Tensor]
-    loss_history: list[float]
-    hyper: HyperConfig
-    kind: str
-
-
-def _train_loop(prepared: list[PreparedStay], hyper: HyperConfig, params,
-                loss_fn, kind: str) -> NeuralBaselineResult:
-    _check_labels([s.label for s in prepared])
-    rng = np.random.default_rng(hyper.seed + 1)
-    opt = nn.Adam(lr=hyper.lr)
-    history = []
-    n = len(prepared)
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, hyper.batch_size):
-            batch = [prepared[i] for i in order[start:start + hyper.batch_size]]
-            with Tape() as tape:
-                loss = loss_fn(params, batch, hyper)
-            grads = backward(tape, loss)
-            params = opt.step(params, grads)
-            total += loss.item()
-        history.append(total / n)
-    return NeuralBaselineResult(params=params, loss_history=history, hyper=hyper,
-                                kind=kind)
-
-
-def _case_probability_loss(probs: Tensor, batch) -> Tensor:
-    p_case = ad.reshape(ad.slice_axis(probs, 1, 2, axis=1), (len(batch),))
-    labels = np.array([s.label for s in batch], dtype=np.float64)
-    return ad.cross_entropy(p_case, labels)
-
-
-# ---------------------------------------------------------------------------
 # plain LSTM over the structured tensor (+ static)
 # ---------------------------------------------------------------------------
 
@@ -136,27 +94,22 @@ def lstm_forward(params, batch: list[PreparedStay], hyper: HyperConfig) -> Tenso
 
 
 def lstm_baseline_loss(params, batch, hyper) -> Tensor:
-    return _case_probability_loss(lstm_forward(params, batch, hyper), batch)
+    return case_loss(lstm_forward(params, batch, hyper), batch)
 
 
-def lstm_baseline_train(prepared: list[PreparedStay], hyper: HyperConfig,
-                        ) -> NeuralBaselineResult:
+def lstm_baseline_train(prepared: list[PreparedStay], hyper: HyperConfig) -> TrainResult:
     hyper.validate()
-    _check_labels([s.label for s in prepared])
-    rng = np.random.default_rng(hyper.seed)
-    params = init_lstm_baseline_params(rng, hyper, prepared[0].tensor.shape[1],
+    check_labels(s.label for s in prepared)
+    params = init_lstm_baseline_params(np.random.default_rng(hyper.seed), hyper,
+                                       prepared[0].tensor.shape[1],
                                        prepared[0].static.shape[0])
-    return _train_loop(prepared, hyper, params, lstm_baseline_loss, "lstm")
+    return fit(prepared, hyper, params, lstm_baseline_loss,
+               np.random.default_rng(hyper.seed + 1))
 
 
-def lstm_baseline_predict(result: NeuralBaselineResult,
-                          prepared: list[PreparedStay]) -> np.ndarray:
-    out = np.zeros(len(prepared))
-    for start in range(0, len(prepared), 256):
-        batch = prepared[start:start + 256]
-        out[start:start + len(batch)] = lstm_forward(result.params, batch,
-                                                     result.hyper).data[:, 1]
-    return out
+def lstm_baseline_predict(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray:
+    return infer(lambda batch: lstm_forward(result.params, batch,
+                                            result.hyper).data[:, 1], prepared)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +117,8 @@ def lstm_baseline_predict(result: NeuralBaselineResult,
 # ---------------------------------------------------------------------------
 
 def init_hielstm_params(rng, hyper: HyperConfig, vocab_size: int) -> dict[str, Tensor]:
-    bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
-    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
-    return {
-        "word_emb": nn.uniform_init(rng, vocab_size, hyper.word_emb_dim),
-        "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
-        "top_wx": top.wx, "top_wh": top.wh, "top_b": top.b,
-        "null_note": nn.uniform_init(rng, 1, hyper.bottom_hidden),
-        "w_out": nn.uniform_init(rng, hyper.top_hidden, 2),
-    }
+    return {**init_hielstm(rng, hyper, vocab_size),
+            "w_out": nn.uniform_init(rng, hyper.top_hidden, 2)}
 
 
 def hielstm_forward(params, batch: list[PreparedStay], hyper: HyperConfig) -> Tensor:
@@ -181,23 +127,18 @@ def hielstm_forward(params, batch: list[PreparedStay], hyper: HyperConfig) -> Te
 
 
 def hielstm_only_loss(params, batch, hyper) -> Tensor:
-    return _case_probability_loss(hielstm_forward(params, batch, hyper), batch)
+    return case_loss(hielstm_forward(params, batch, hyper), batch)
 
 
 def hielstm_only_train(prepared: list[PreparedStay], hyper: HyperConfig,
-                       vocab_size: int) -> NeuralBaselineResult:
+                       vocab_size: int) -> TrainResult:
     hyper.validate()
-    _check_labels([s.label for s in prepared])
-    rng = np.random.default_rng(hyper.seed)
-    params = init_hielstm_params(rng, hyper, vocab_size)
-    return _train_loop(prepared, hyper, params, hielstm_only_loss, "hielstm")
+    check_labels(s.label for s in prepared)
+    params = init_hielstm_params(np.random.default_rng(hyper.seed), hyper, vocab_size)
+    return fit(prepared, hyper, params, hielstm_only_loss,
+               np.random.default_rng(hyper.seed + 1))
 
 
-def hielstm_only_predict(result: NeuralBaselineResult,
-                         prepared: list[PreparedStay]) -> np.ndarray:
-    out = np.zeros(len(prepared))
-    for start in range(0, len(prepared), 256):
-        batch = prepared[start:start + 256]
-        out[start:start + len(batch)] = hielstm_forward(result.params, batch,
-                                                        result.hyper).data[:, 1]
-    return out
+def hielstm_only_predict(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray:
+    return infer(lambda batch: hielstm_forward(result.params, batch,
+                                               result.hyper).data[:, 1], prepared)

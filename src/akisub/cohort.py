@@ -402,7 +402,7 @@ def _noisy(rng, level: float, sd: float, clamp: float | None, scale: float,
            lo: float | None, hi: float | None) -> float:
     noise = rng.normal(0.0, sd * scale) if sd > 0 and scale > 0 else 0.0
     if clamp is not None:
-        noise = float(np.clip(noise, -clamp, clamp))
+        noise = min(max(noise, -clamp), clamp)
     v = level + noise
     if lo is not None:
         v = max(v, lo)

@@ -17,11 +17,17 @@ tape node, and steps past a sequence's length are never computed.
 
 All parameters live in one flat name->Tensor dict, so layer tying is
 structural: there is exactly one stored A and one stored B.
+
+The three neural models (this one and the two in `baselines`) share `fit`,
+the one minibatch Adam loop over a `loss_fn(params, batch, hyper)`, `infer`,
+the one loop over inference batches, `case_loss` and `TrainResult`; this
+model and the HieLSTM-only baseline extend the note encoder `init_hielstm`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +35,10 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tape, Tensor, backward
-from .errors import ArgumentError, DimensionError, TrainingError
+from .errors import ArgumentError, DimensionError, ParseError, TrainingError
 
 REPRESENTATION_DIM = 144
+INFER_BATCH = 256
 
 
 @dataclass
@@ -78,27 +85,15 @@ class PreparedStay:
 
 
 @dataclass
-class MemoryState:
-    """One memory read: input/output memories, attention, and the read vector."""
-
-    z: np.ndarray      # (t, emb)
-    e: np.ndarray      # (t, emb)
-    alpha: np.ndarray  # (t,)
-    o: np.ndarray      # (emb,)
-
-
-@dataclass
 class TrainResult:
     params: dict[str, Tensor]
     loss_history: list[float]
     hyper: HyperConfig
-    vocab_size: int
-    static_dim: int
-    feature_dim: int
 
 
-def init_params(rng: np.random.Generator, hyper: HyperConfig, vocab_size: int,
-                feature_dim: int, static_dim: int) -> dict[str, Tensor]:
+def init_hielstm(rng: np.random.Generator, hyper: HyperConfig,
+                 vocab_size: int) -> dict[str, Tensor]:
+    """Note encoder parameters, drawn bottom LSTM, top LSTM, word_emb, null_note."""
     bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
     top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
     return {
@@ -106,6 +101,13 @@ def init_params(rng: np.random.Generator, hyper: HyperConfig, vocab_size: int,
         "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
         "top_wx": top.wx, "top_wh": top.wh, "top_b": top.b,
         "null_note": nn.uniform_init(rng, 1, hyper.bottom_hidden),
+    }
+
+
+def init_params(rng: np.random.Generator, hyper: HyperConfig, vocab_size: int,
+                feature_dim: int, static_dim: int) -> dict[str, Tensor]:
+    return {
+        **init_hielstm(rng, hyper, vocab_size),
         "A": nn.uniform_init(rng, feature_dim, hyper.emb_dim),
         "B": nn.uniform_init(rng, feature_dim, hyper.emb_dim),
         "H": nn.uniform_init(rng, hyper.emb_dim, hyper.emb_dim),
@@ -192,74 +194,37 @@ def forward_batch(params, batch: list[PreparedStay], hyper: HyperConfig,
     return probs, v
 
 
-def batch_loss(params, batch: list[PreparedStay], hyper: HyperConfig) -> Tensor:
-    probs, _ = forward_batch(params, batch, hyper)
+def case_loss(probs: Tensor, batch: list[PreparedStay]) -> Tensor:
+    """Mean cross-entropy of the case probability (column 1) against the labels."""
     p_case = ad.reshape(ad.slice_axis(probs, 1, 2, axis=1), (len(batch),))
     labels = np.array([s.label for s in batch], dtype=np.float64)
     return ad.cross_entropy(p_case, labels)
 
 
-# ---------------------------------------------------------------------------
-# single-stay views of the core operations
-# ---------------------------------------------------------------------------
-
-def encode_notes(params, note_seqs: list[list[int]], hyper: HyperConfig) -> np.ndarray:
-    """Query vector u for one stay's note sequences."""
-    return encode_notes_batch(params, [note_seqs], hyper).data[0]
-
-
-def memory_read(params, u: np.ndarray, tensor: np.ndarray) -> MemoryState:
-    """One attention read over a single stay tensor (t, d)."""
-    alpha_t, o_t = memory_read_batch(params, Tensor(u[None, :]), tensor[None])
-    z = tensor @ params["A"].data
-    e = tensor @ params["B"].data
-    return MemoryState(z=z, e=e, alpha=alpha_t.data[0], o=o_t.data[0])
-
-
-def multi_hop(params, u: np.ndarray, tensor: np.ndarray,
-              hops: int) -> tuple[np.ndarray, MemoryState]:
-    u_t, alpha_t, o_t = multi_hop_batch(params, Tensor(u[None, :]), tensor[None], hops)
-    z = tensor @ params["A"].data
-    e = tensor @ params["B"].data
-    return u_t.data[0], MemoryState(z=z, e=e, alpha=alpha_t.data[0], o=o_t.data[0])
-
-
-def fuse(params, u_final: np.ndarray, o: np.ndarray, static: np.ndarray) -> np.ndarray:
-    """Stay representation v = concat(u_final + o, static W_s)."""
-    return np.concatenate([u_final + o, static @ params["W_static"].data])
-
-
-def predict(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Two-class softmax over w v with w shaped (2, dim)."""
-    if w.shape != (2, v.shape[0]):
-        raise DimensionError(f"predict: w {w.shape} vs v {v.shape}")
-    logits = w @ v
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def batch_loss(params, batch: list[PreparedStay], hyper: HyperConfig) -> Tensor:
+    return case_loss(forward_batch(params, batch, hyper)[0], batch)
 
 
 # ---------------------------------------------------------------------------
-# training and embedding
+# training and inference, shared with the neural baselines
 # ---------------------------------------------------------------------------
 
-def _check_labels(prepared: list[PreparedStay]):
-    labels = {s.label for s in prepared}
-    if not prepared:
+def check_labels(labels) -> None:
+    """Raise TrainingError unless the labels are exactly the two classes 0 and 1."""
+    classes = set(labels)
+    if not classes:
         raise TrainingError("empty training set")
-    if labels != {0, 1}:
-        raise TrainingError(f"training set must contain both classes, got labels {labels}")
+    if classes != {0, 1}:
+        raise TrainingError(f"training set must contain both classes, got labels {classes}")
 
 
-def train(prepared: list[PreparedStay], hyper: HyperConfig,
-          vocab_size: int) -> TrainResult:
-    """Mini-batch Adam on the joint memory-network + HieLSTM parameters."""
-    hyper.validate()
-    _check_labels(prepared)
-    feature_dim = prepared[0].tensor.shape[1]
-    static_dim = prepared[0].static.shape[0]
-    rng = np.random.default_rng(hyper.seed)
-    params = init_params(rng, hyper, vocab_size, feature_dim, static_dim)
+def fit(prepared: list[PreparedStay], hyper: HyperConfig, params: dict[str, Tensor],
+        loss_fn, rng: np.random.Generator) -> TrainResult:
+    """Mini-batch Adam on `loss_fn(params, batch, hyper)`, shuffling every epoch with
+    `rng`; the history holds each epoch's summed batch losses over the stay count.
+
+    `params` is updated in place, so the caller's dict does not keep the
+    initial tensors alive for the whole run."""
     opt = nn.Adam(lr=hyper.lr)
     history: list[float] = []
     n = len(prepared)
@@ -269,36 +234,44 @@ def train(prepared: list[PreparedStay], hyper: HyperConfig,
         for start in range(0, n, hyper.batch_size):
             batch = [prepared[i] for i in order[start:start + hyper.batch_size]]
             with Tape() as tape:
-                loss = batch_loss(params, batch, hyper)
+                loss = loss_fn(params, batch, hyper)
             grads = backward(tape, loss)
-            params = opt.step(params, grads)
+            params.update(opt.step(params, grads))
             total += loss.item()
         history.append(total / n)
-    return TrainResult(params=params, loss_history=history, hyper=hyper,
-                       vocab_size=vocab_size, static_dim=static_dim,
-                       feature_dim=feature_dim)
+    return TrainResult(params=params, loss_history=history, hyper=hyper)
 
 
-def predict_stays(result: TrainResult, prepared: list[PreparedStay],
-                  batch_size: int = 256) -> np.ndarray:
+def train(prepared: list[PreparedStay], hyper: HyperConfig,
+          vocab_size: int) -> TrainResult:
+    """Mini-batch Adam on the joint memory-network + HieLSTM parameters; one
+    generator seeded with `hyper.seed` draws the initialisation, then the shuffles."""
+    hyper.validate()
+    check_labels(s.label for s in prepared)
+    rng = np.random.default_rng(hyper.seed)
+    params = init_params(rng, hyper, vocab_size, prepared[0].tensor.shape[1],
+                         prepared[0].static.shape[0])
+    return fit(prepared, hyper, params, batch_loss, rng)
+
+
+def infer(rows_of, prepared: list[PreparedStay]) -> np.ndarray:
+    """`rows_of(batch)` over consecutive batches of INFER_BATCH stays, stacked in order."""
+    if not prepared:
+        raise ArgumentError("no stays to score")
+    return np.concatenate([rows_of(prepared[start:start + INFER_BATCH])
+                           for start in range(0, len(prepared), INFER_BATCH)])
+
+
+def predict_stays(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray:
     """Case probabilities, inference only."""
-    out = np.zeros(len(prepared))
-    for start in range(0, len(prepared), batch_size):
-        batch = prepared[start:start + batch_size]
-        probs, _ = forward_batch(result.params, batch, result.hyper)
-        out[start:start + len(batch)] = probs.data[:, 1]
-    return out
+    return infer(lambda batch: forward_batch(result.params, batch,
+                                             result.hyper)[0].data[:, 1], prepared)
 
 
-def embed_stays(result: TrainResult, prepared: list[PreparedStay],
-                batch_size: int = 256) -> np.ndarray:
+def embed_stays(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray:
     """One representation row per stay, order preserved; no parameter mutation."""
-    rows = np.zeros((len(prepared), result.hyper.representation_dim))
-    for start in range(0, len(prepared), batch_size):
-        batch = prepared[start:start + batch_size]
-        _, v = forward_batch(result.params, batch, result.hyper)
-        rows[start:start + len(batch)] = v.data
-    return rows
+    return infer(lambda batch: forward_batch(result.params, batch,
+                                             result.hyper)[1].data, prepared)
 
 
 def params_checksum(params: dict[str, Tensor]) -> str:
@@ -318,34 +291,61 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(result: TrainResult, path) -> None:
-    import json
+    params = result.params
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "hyper": result.hyper.__dict__,
-        "vocab_size": result.vocab_size,
-        "static_dim": result.static_dim,
-        "feature_dim": result.feature_dim,
+        "vocab_size": params["word_emb"].shape[0],
+        "static_dim": params["W_static"].shape[0],
+        "feature_dim": params["A"].shape[0],
         "loss_history": result.loss_history,
         "tensors": {name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
-                    for name, t in result.params.items()},
+                    for name, t in params.items()},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
 
 
+class _ZeroDraws:
+    """Generator stand-in for `init_params` when only the shapes are wanted."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 def load_checkpoint(path) -> TrainResult:
-    import json
-    from .errors import ParseError
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ParseError(f"{path}: not an {CHECKPOINT_FORMAT} file")
-    params = {name: Tensor(np.array(rec["values"]).reshape(rec["shape"]),
-                           requires_grad=True)
-              for name, rec in payload["tensors"].items()}
-    return TrainResult(params=params, loss_history=payload["loss_history"],
-                       hyper=HyperConfig(**payload["hyper"]),
-                       vocab_size=payload["vocab_size"],
-                       static_dim=payload["static_dim"],
-                       feature_dim=payload["feature_dim"])
+    """Read a `save_checkpoint` file; content it could not have written, tensors that
+    do not fit the recorded model and non-finite values included, raises ParseError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT \
+            or payload.get("version") != CHECKPOINT_VERSION:
+        raise ParseError(f"{path}: not an {CHECKPOINT_FORMAT} file of version "
+                         f"{CHECKPOINT_VERSION}")
+    try:
+        hyper = HyperConfig(**payload["hyper"])
+        lacking = sorted(hyper.__dict__.keys() - payload["hyper"].keys())
+        if lacking:
+            raise ValueError(f"hyper lacks {lacking}")
+        hyper.validate()
+        sizes = [payload[key] for key in ("vocab_size", "feature_dim", "static_dim")]
+        expected = {name: t.shape
+                    for name, t in init_params(_ZeroDraws(), hyper, *sizes).items()}
+        params = {name: Tensor(np.array(record["values"], dtype=np.float64)
+                               .reshape(record["shape"]), requires_grad=True)
+                  for name, record in payload["tensors"].items()}
+        loss_history = payload["loss_history"]
+    except (KeyError, TypeError, ValueError, AttributeError, ArgumentError) as e:
+        raise ParseError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from None
+    found = {name: t.shape for name, t in params.items()}
+    if found != expected:
+        raise ParseError(f"{path}: tensor shapes {found} do not fit the recorded "
+                         f"model, which has {expected}")
+    if not all(np.isfinite(t.data).all() for t in params.values()):
+        raise ParseError(f"{path}: tensor values must be finite numbers")
+    return TrainResult(params=params, loss_history=loss_history, hyper=hyper)

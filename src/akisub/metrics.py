@@ -35,6 +35,21 @@ def _split_classes(scores, labels):
     return s, y
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; a run of tied values at sorted positions i..j all get (i + j) / 2 + 1."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_values = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative; ties count 0.5.
 
@@ -42,16 +57,7 @@ def auc(scores, labels) -> float:
     pairwise counting exactly.
     """
     s, y = _split_classes(scores, labels)
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks = _midranks(s)
     n_pos = int((y == 1).sum())
     n_neg = len(y) - n_pos
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0

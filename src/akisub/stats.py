@@ -18,6 +18,7 @@ from .cohort import (COMORBIDITY_FLAGS, ETHNICITIES, MED_FLAGS, SEXES,
                      TIME_VARIABLES, IcuStay)
 from .errors import ArgumentError, DataError, NumericalRankError
 from .kdigo import AkiLabel, egfr_mdrd
+from .metrics import _midranks
 
 
 @dataclass
@@ -89,20 +90,6 @@ def one_way_anova(groups) -> TestResult:
         return TestResult(np.inf, 0.0, d1, "anova")
     f = (ss_between / d1) / (ss_within / d2)
     return TestResult(float(f), f_sf(f, d1, d2), d1, "anova")
-
-
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    sorted_vals = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def kruskal_wallis(groups) -> TestResult:

@@ -87,6 +87,100 @@ def lstm_sequence_reference(x, lengths, params: nn.LstmParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# separate training and inference loops of the three neural models
+# ---------------------------------------------------------------------------
+
+def case_probability_loss_reference(probs: Tensor, batch) -> Tensor:
+    p_case = ad.reshape(ad.slice_axis(probs, 1, 2, axis=1), (len(batch),))
+    labels = np.array([s.label for s in batch], dtype=np.float64)
+    return ad.cross_entropy(p_case, labels)
+
+
+def memnet_init_reference(rng, hyper, vocab_size: int, feature_dim: int,
+                          static_dim: int) -> dict[str, Tensor]:
+    bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
+    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
+    return {
+        "word_emb": nn.uniform_init(rng, vocab_size, hyper.word_emb_dim),
+        "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
+        "top_wx": top.wx, "top_wh": top.wh, "top_b": top.b,
+        "null_note": nn.uniform_init(rng, 1, hyper.bottom_hidden),
+        "A": nn.uniform_init(rng, feature_dim, hyper.emb_dim),
+        "B": nn.uniform_init(rng, feature_dim, hyper.emb_dim),
+        "H": nn.uniform_init(rng, hyper.emb_dim, hyper.emb_dim),
+        "W_static": nn.uniform_init(rng, static_dim, hyper.static_proj_dim),
+        "w_out": nn.uniform_init(rng, hyper.representation_dim, 2),
+    }
+
+
+def hielstm_init_reference(rng, hyper, vocab_size: int) -> dict[str, Tensor]:
+    bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
+    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
+    return {
+        "word_emb": nn.uniform_init(rng, vocab_size, hyper.word_emb_dim),
+        "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
+        "top_wx": top.wx, "top_wh": top.wh, "top_b": top.b,
+        "null_note": nn.uniform_init(rng, 1, hyper.bottom_hidden),
+        "w_out": nn.uniform_init(rng, hyper.top_hidden, 2),
+    }
+
+
+def memnet_train_reference(prepared, hyper, vocab_size: int, forward):
+    """The memory network's own Adam loop: one generator draws the parameters,
+    then the shuffles. `forward(params, batch, hyper)` gives (probs, v)."""
+    rng = np.random.default_rng(hyper.seed)
+    params = memnet_init_reference(rng, hyper, vocab_size, prepared[0].tensor.shape[1],
+                                   prepared[0].static.shape[0])
+    opt = nn.Adam(lr=hyper.lr)
+    history = []
+    n = len(prepared)
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, hyper.batch_size):
+            batch = [prepared[i] for i in order[start:start + hyper.batch_size]]
+            with ad.Tape() as tape:
+                loss = case_probability_loss_reference(forward(params, batch, hyper)[0],
+                                                       batch)
+            grads = ad.backward(tape, loss)
+            params = opt.step(params, grads)
+            total += loss.item()
+        history.append(total / n)
+    return params, history
+
+
+def baseline_train_loop_reference(prepared, hyper, params, forward):
+    """The neural baselines' Adam loop, shuffling with a generator seeded
+    `hyper.seed + 1`; `forward(params, batch, hyper)` gives the probabilities."""
+    rng = np.random.default_rng(hyper.seed + 1)
+    opt = nn.Adam(lr=hyper.lr)
+    history = []
+    n = len(prepared)
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, hyper.batch_size):
+            batch = [prepared[i] for i in order[start:start + hyper.batch_size]]
+            with ad.Tape() as tape:
+                loss = case_probability_loss_reference(forward(params, batch, hyper), batch)
+            grads = ad.backward(tape, loss)
+            params = opt.step(params, grads)
+            total += loss.item()
+        history.append(total / n)
+    return params, history
+
+
+def batched_rows_reference(rows_of, prepared, width: int | None = None) -> np.ndarray:
+    """`rows_of(batch)` over batches of 256 stays, written into a preallocated
+    (n,) or (n, width) array."""
+    out = np.zeros((len(prepared),) if width is None else (len(prepared), width))
+    for start in range(0, len(prepared), 256):
+        batch = prepared[start:start + 256]
+        out[start:start + len(batch)] = rows_of(batch)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # brute-force KDIGO
 # ---------------------------------------------------------------------------
 

@@ -5,16 +5,16 @@ import pytest
 
 from akisub.autodiff import Tape, backward
 from akisub import baselines
-from akisub.baselines import (LrParams, NeuralBaselineResult, hielstm_only_loss,
-                              hielstm_only_predict,
-                              hielstm_only_train, init_hielstm_params,
+from akisub.baselines import (LrParams, hielstm_forward, hielstm_only_loss,
+                              hielstm_only_predict, hielstm_only_train, init_hielstm_params,
                               init_lstm_baseline_params, lr_loss, lr_predict,
                               lr_train, lstm_baseline_loss, lstm_baseline_predict,
-                              lstm_baseline_train)
+                              lstm_baseline_train, lstm_forward)
 from akisub.errors import TrainingError
-from akisub.memnet import HyperConfig
-from oracles import finite_difference_grads, max_relative_error
-from test_memnet import MICRO, VOCAB, micro_batch, packed_and_reference
+from akisub.memnet import HyperConfig, TrainResult
+from oracles import (baseline_train_loop_reference, batched_rows_reference,
+                     finite_difference_grads, hielstm_init_reference, max_relative_error)
+from test_memnet import MICRO, VOCAB, assert_same_fit, micro_batch, packed_and_reference
 
 
 class TestLogisticRegression:
@@ -58,6 +58,10 @@ class TestLogisticRegression:
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
             lr_train(np.zeros((4, 2)), np.ones(4))
+
+    def test_non_binary_labels_rejected(self):
+        with pytest.raises(TrainingError):
+            lr_train(np.zeros((4, 2)), [0.0, 0.5, 1.0, 1.0])
 
     def test_probabilities_in_open_interval(self):
         rng = np.random.default_rng(3)
@@ -144,10 +148,39 @@ class TestHieLstmOnly:
 
 def test_neural_baseline_probabilities_match_lstm_cell_reference():
     rng = np.random.default_rng(3)
-    lstm = NeuralBaselineResult(init_lstm_baseline_params(rng, MICRO, 3, 20), [], MICRO, "lstm")
-    hie = NeuralBaselineResult(init_hielstm_params(rng, MICRO, VOCAB), [], MICRO, "hielstm")
+    lstm = TrainResult(init_lstm_baseline_params(rng, MICRO, 3, 20), [], MICRO)
+    hie = TrainResult(init_hielstm_params(rng, MICRO, VOCAB), [], MICRO)
     batch = micro_batch(18, n=10)
     probs, ref = packed_and_reference(
         lambda: (lstm_baseline_predict(lstm, batch), hielstm_only_predict(hie, batch)))
     for p, r in zip(probs, ref):
         assert np.max(np.abs(p - r)) < 1e-12
+
+
+class TestSharedLoopParity:
+    """`memnet.fit` and `memnet.infer` reproduce the baselines' own training loop
+    and batched inference bit for bit."""
+
+    def test_lstm_train_matches_own_loop(self):
+        hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 2})
+        batch = micro_batch(61, n=10)
+        init = init_lstm_baseline_params(np.random.default_rng(hyper.seed), hyper, 3, 20)
+        assert_same_fit(lstm_baseline_train(batch, hyper),
+                         *baseline_train_loop_reference(batch, hyper, init, lstm_forward))
+
+    def test_hielstm_train_matches_own_loop(self):
+        hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 2})
+        batch = micro_batch(62, n=10)
+        init = hielstm_init_reference(np.random.default_rng(hyper.seed), hyper, VOCAB)
+        assert_same_fit(hielstm_only_train(batch, hyper, VOCAB),
+                         *baseline_train_loop_reference(batch, hyper, init, hielstm_forward))
+
+    def test_predict_matches_own_loops(self):
+        rng = np.random.default_rng(63)
+        lstm = TrainResult(init_lstm_baseline_params(rng, MICRO, 3, 20), [], MICRO)
+        hie = TrainResult(init_hielstm_params(rng, MICRO, VOCAB), [], MICRO)
+        batch = micro_batch(64, n=300)  # two inference batches
+        assert np.array_equal(lstm_baseline_predict(lstm, batch), batched_rows_reference(
+            lambda b: lstm_forward(lstm.params, b, MICRO).data[:, 1], batch))
+        assert np.array_equal(hielstm_only_predict(hie, batch), batched_rows_reference(
+            lambda b: hielstm_forward(hie.params, b, MICRO).data[:, 1], batch))

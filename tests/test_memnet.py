@@ -1,14 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from akisub import memnet, nn
 from akisub.autodiff import Tape, Tensor, backward
-from akisub.errors import ArgumentError, DimensionError, TrainingError
+from akisub.errors import ArgumentError, DimensionError, ParseError, TrainingError
 from akisub.memnet import (HyperConfig, PreparedStay, TrainResult, batch_loss, embed_stays,
-                           encode_notes, fuse, init_params, memory_read, multi_hop,
-                           params_checksum, predict, predict_stays, train)
-from oracles import (finite_difference_grads, lstm_sequence_reference, max_relative_error,
-                     scaled_error)
+                           encode_notes_batch, forward_batch, init_params, memory_read_batch,
+                           multi_hop_batch, params_checksum, predict_stays, train)
+from oracles import (batched_rows_reference, finite_difference_grads, lstm_sequence_reference,
+                     max_relative_error, memnet_train_reference, scaled_error)
 
 MICRO = HyperConfig(memory_size=4, emb_dim=8, bottom_hidden=5, top_hidden=8,
                     word_emb_dim=6, static_proj_dim=4, hops=2, batch_size=4,
@@ -45,10 +47,14 @@ def packed_and_reference(fn):
         return packed, fn()
 
 
+def encode_one(params, note_seqs):
+    return encode_notes_batch(params, [note_seqs], MICRO).data[0]
+
+
 class TestEncodeNotes:
     def test_single_one_token_note_structural_identity(self):
         params = micro_params()
-        u = encode_notes(params, [[3]], MICRO)
+        u = encode_one(params, [[3]])
         bottom = nn.LstmParams(params["bottom_wx"], params["bottom_wh"], params["bottom_b"])
         top = nn.LstmParams(params["top_wx"], params["top_wh"], params["top_b"])
         x = Tensor(params["word_emb"].data[[3]])
@@ -58,19 +64,19 @@ class TestEncodeNotes:
 
     def test_note_order_sensitivity(self):
         params = micro_params(3)
-        a = encode_notes(params, [[1, 2], [5], [7, 8, 9]], MICRO)
-        b = encode_notes(params, [[7, 8, 9], [5], [1, 2]], MICRO)
+        a = encode_one(params, [[1, 2], [5], [7, 8, 9]])
+        b = encode_one(params, [[7, 8, 9], [5], [1, 2]])
         assert not np.allclose(a, b)
 
     def test_zero_parameters_give_zero_query(self):
         params = {k: Tensor(np.zeros_like(v.data), requires_grad=True)
                   for k, v in micro_params().items()}
-        u = encode_notes(params, [[1, 2, 3], [4]], MICRO)
+        u = encode_one(params, [[1, 2, 3], [4]])
         assert np.allclose(u, 0.0)
 
     def test_zero_notes_use_null_note(self):
         params = micro_params(5)
-        u_empty = encode_notes(params, [], MICRO)
+        u_empty = encode_one(params, [])
         # manually: top LSTM one step over the null-note vector
         top = nn.LstmParams(params["top_wx"], params["top_wh"], params["top_b"])
         h, _ = nn.lstm_cell(Tensor(params["null_note"].data),
@@ -80,7 +86,7 @@ class TestEncodeNotes:
 
     def test_empty_note_sequence_rejected(self):
         with pytest.raises(ArgumentError):
-            encode_notes(micro_params(), [[1, 2], []], MICRO)
+            encode_one(micro_params(), [[1, 2], []])
 
 
 class TestPackedLstmParity:
@@ -106,7 +112,7 @@ class TestPackedLstmParity:
 
     def test_forward_outputs(self):
         batch = micro_batch(15, n=12)
-        result = TrainResult(micro_params(16), [], MICRO, VOCAB, static_dim=20, feature_dim=3)
+        result = TrainResult(micro_params(16), [], MICRO)
         (rows, probs), (ref_rows, ref_probs) = packed_and_reference(
             lambda: (embed_stays(result, batch), predict_stays(result, batch)))
         assert np.max(np.abs(rows - ref_rows)) < 1e-12
@@ -128,48 +134,59 @@ class TestPackedLstmParity:
         embed_stays(train(batch, hyper, VOCAB), batch)
 
 
+def read_one(params, u, tensor):
+    """alpha and o of one attention read over a single stay tensor (t, d)."""
+    alpha, o = memory_read_batch(params, Tensor(u[None, :]), tensor[None])
+    return alpha.data[0], o.data[0]
+
+
+def hops_one(params, u, tensor, hops):
+    """u_final, last alpha and last o of `hops` reads over one stay tensor."""
+    u_t, alpha, o = multi_hop_batch(params, Tensor(u[None, :]), tensor[None], hops)
+    return u_t.data[0], alpha.data[0], o.data[0]
+
+
 class TestMemoryRead:
     def test_identical_rows_uniform_attention(self):
         params = micro_params(1)
         tensor = np.tile(np.array([[0.2, 0.5, 0.9]]), (4, 1))
-        state = memory_read(params, np.random.default_rng(0).normal(size=8), tensor)
-        assert np.allclose(state.alpha, 0.25)
-        assert np.allclose(state.o, state.e[0], atol=1e-12)
+        alpha, o = read_one(params, np.random.default_rng(0).normal(size=8), tensor)
+        assert np.allclose(alpha, 0.25)
+        assert np.allclose(o, tensor[0] @ params["B"].data, atol=1e-12)
 
     def test_single_slot(self):
         params = micro_params(1)
         tensor = np.array([[0.1, 0.2, 0.3]])
-        state = memory_read(params, np.ones(8), tensor)
-        assert np.allclose(state.alpha, [1.0])
-        assert np.allclose(state.o, state.e[0])
+        alpha, o = read_one(params, np.ones(8), tensor)
+        assert np.allclose(alpha, [1.0])
+        assert np.allclose(o, tensor[0] @ params["B"].data)
 
     def test_alpha_is_probability_vector(self):
         params = micro_params(2)
         rng = np.random.default_rng(8)
         for _ in range(20):
-            state = memory_read(params, rng.normal(size=8), rng.uniform(size=(6, 3)))
-            assert np.all(state.alpha >= 0)
-            assert abs(state.alpha.sum() - 1.0) <= 1e-12
+            alpha, _ = read_one(params, rng.normal(size=8), rng.uniform(size=(6, 3)))
+            assert np.all(alpha >= 0)
+            assert abs(alpha.sum() - 1.0) <= 1e-12
 
     def test_temperature_limit_concentrates_on_argmax(self):
         params = micro_params(4)
         rng = np.random.default_rng(1)
         u = rng.normal(size=8)
         tensor = rng.uniform(size=(5, 3))
-        state = memory_read(params, u, tensor)
-        j = int(np.argmax(state.z @ u))
-        state_hot = memory_read(params, 5000.0 * u, tensor)
-        assert np.argmax(state_hot.alpha) == j
-        assert state_hot.alpha[j] > 0.999
+        j = int(np.argmax(tensor @ params["A"].data @ u))
+        alpha_hot, _ = read_one(params, 5000.0 * u, tensor)
+        assert np.argmax(alpha_hot) == j
+        assert alpha_hot[j] > 0.999
 
     def test_scaling_query_preserves_argmax(self):
         params = micro_params(4)
         rng = np.random.default_rng(2)
         u = rng.normal(size=8)
         tensor = rng.uniform(size=(5, 3))
-        base = np.argmax(memory_read(params, u, tensor).alpha)
+        base = np.argmax(read_one(params, u, tensor)[0])
         for c in (0.1, 2.0, 50.0):
-            assert np.argmax(memory_read(params, c * u, tensor).alpha) == base
+            assert np.argmax(read_one(params, c * u, tensor)[0]) == base
 
     def test_row_count_mismatch(self):
         params = micro_params(1)
@@ -185,10 +202,10 @@ class TestMultiHop:
         rng = np.random.default_rng(3)
         u = rng.normal(size=8)
         tensor = rng.uniform(size=(4, 3))
-        state1 = memory_read(params, u, tensor)
-        u1, state = multi_hop(params, u, tensor, hops=1)
-        assert np.allclose(u1, u @ params["H"].data + state1.o, atol=1e-12)
-        assert np.allclose(state.alpha, state1.alpha)
+        alpha1, o1 = read_one(params, u, tensor)
+        u1, alpha, _ = hops_one(params, u, tensor, hops=1)
+        assert np.allclose(u1, u @ params["H"].data + o1, atol=1e-12)
+        assert np.allclose(alpha, alpha1)
 
     def test_identity_fixed_point_with_zero_output_memory(self):
         params = micro_params(6)
@@ -197,7 +214,7 @@ class TestMultiHop:
         u = np.random.default_rng(4).normal(size=8)
         tensor = np.random.default_rng(5).uniform(size=(4, 3))
         for hops in (1, 2, 3):
-            u_out, _ = multi_hop(params, u, tensor, hops)
+            u_out, _, _ = hops_one(params, u, tensor, hops)
             assert np.allclose(u_out, u, atol=1e-12)
 
     def test_two_hops_match_manual_unroll(self):
@@ -205,31 +222,42 @@ class TestMultiHop:
         rng = np.random.default_rng(6)
         u = rng.normal(size=8)
         tensor = rng.uniform(size=(4, 3))
-        u_out, _ = multi_hop(params, u, tensor, hops=2)
+        u_out, _, _ = hops_one(params, u, tensor, hops=2)
         cur = u
         for _ in range(2):
-            state = memory_read(params, cur, tensor)
-            cur = cur @ params["H"].data + state.o
+            cur = cur @ params["H"].data + read_one(params, cur, tensor)[1]
         assert np.allclose(u_out, cur, atol=1e-12)
 
     def test_rejects_zero_hops(self):
         params = micro_params(7)
         with pytest.raises(ArgumentError):
-            multi_hop(params, np.zeros(8), np.zeros((4, 3)), hops=0)
+            hops_one(params, np.zeros(8), np.zeros((4, 3)), hops=0)
 
     def test_layer_tying_is_structural(self):
         params = micro_params(0)
         assert sum(1 for k in params if k in ("A", "B")) == 2  # one A, one B total
 
 
+def one_stay(seed=0, hyper=MICRO, d=3, static_dim=20):
+    rng = np.random.default_rng(seed)
+    return PreparedStay("s", rng.uniform(size=(hyper.memory_size, d)),
+                        rng.uniform(size=static_dim), [[1, 2], [3]], label=1)
+
+
 class TestFuseAndPredict:
+    """The fused representation v = concat(u_final + o, static W_s) and the
+    softmax head, through `forward_batch` on a batch of one stay."""
+
     def test_zero_static_pads_with_zeros(self):
         params = micro_params(1)
-        u, o = np.ones(8), np.full(8, 2.0)
-        v = fuse(params, u, o, np.zeros(20))
-        assert np.allclose(v[:8], 3.0)
-        assert np.allclose(v[8:], 0.0)
-        assert v.shape == (12,)
+        stay = one_stay(1)
+        stay.static = np.zeros(20)
+        _, v = forward_batch(params, [stay], MICRO)
+        u0 = encode_notes_batch(params, [stay.note_seqs], MICRO)
+        u_final, _, o = multi_hop_batch(params, u0, stay.tensor[None], MICRO.hops)
+        assert v.shape == (1, 12)
+        assert np.array_equal(v.data[0, :8], (u_final.data + o.data)[0])
+        assert np.allclose(v.data[0, 8:], 0.0)
 
     def test_default_dims_give_144(self):
         hyper = HyperConfig()
@@ -237,33 +265,35 @@ class TestFuseAndPredict:
         assert hyper.representation_dim == memnet.REPRESENTATION_DIM == 144
         rng = np.random.default_rng(0)
         params = init_params(rng, hyper, vocab_size=30, feature_dim=21, static_dim=20)
-        v = fuse(params, rng.normal(size=128), rng.normal(size=128), rng.uniform(size=20))
-        assert v.shape == (144,)
+        _, v = forward_batch(params, [one_stay(2, hyper, d=21)], hyper)
+        assert v.shape == (1, 144)
 
     def test_static_perturbation_only_touches_static_block(self):
         params = micro_params(2)
-        rng = np.random.default_rng(9)
-        u, o, static = rng.normal(size=8), rng.normal(size=8), rng.uniform(size=20)
-        v0 = fuse(params, u, o, static)
-        static2 = static.copy()
-        static2[5] += 1.0
-        v1 = fuse(params, u, o, static2)
-        assert np.array_equal(v0[:8], v1[:8])
-        assert not np.array_equal(v0[8:], v1[8:])
+        stay = one_stay(9)
+        _, v0 = forward_batch(params, [stay], MICRO)
+        stay.static = stay.static.copy()
+        stay.static[5] += 1.0
+        _, v1 = forward_batch(params, [stay], MICRO)
+        assert np.array_equal(v0.data[0, :8], v1.data[0, :8])
+        assert not np.array_equal(v0.data[0, 8:], v1.data[0, 8:])
 
     def test_predict_uninformative_weights(self):
-        v = np.random.default_rng(0).normal(size=6)
-        assert np.allclose(predict(v, np.zeros((2, 6))), [0.5, 0.5])
-        w = np.tile(np.random.default_rng(1).normal(size=6), (2, 1))
-        assert np.allclose(predict(v, w), [0.5, 0.5])
+        params = micro_params(3)
+        stay = one_stay(0)
+        params["w_out"] = Tensor(np.zeros((12, 2)), requires_grad=True)
+        assert np.allclose(forward_batch(params, [stay], MICRO)[0].data, [[0.5, 0.5]])
+        column = np.random.default_rng(1).normal(size=(12, 1))
+        params["w_out"] = Tensor(np.tile(column, (1, 2)), requires_grad=True)
+        assert np.allclose(forward_batch(params, [stay], MICRO)[0].data, [[0.5, 0.5]])
 
     def test_predict_matches_direct_softmax(self):
-        rng = np.random.default_rng(2)
-        v, w = rng.normal(size=6), rng.normal(size=(2, 6))
-        p = predict(v, w)
-        e = np.exp(w @ v - (w @ v).max())
-        assert np.allclose(p, e / e.sum())
-        assert p.sum() == pytest.approx(1.0)
+        params = micro_params(4)
+        probs, v = forward_batch(params, [one_stay(2)], MICRO)
+        logits = v.data[0] @ params["w_out"].data
+        e = np.exp(logits - logits.max())
+        assert np.allclose(probs.data[0], e / e.sum())
+        assert probs.data[0].sum() == pytest.approx(1.0)
 
 
 class TestTraining:
@@ -306,6 +336,15 @@ class TestTraining:
         assert r1.loss_history == r2.loss_history
         assert params_checksum(r1.params) == params_checksum(r2.params)
 
+    def test_fit_updates_params_in_place(self):
+        hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 1})
+        params = micro_params(3)
+        initial = {name: t.data for name, t in params.items()}
+        result = memnet.fit(micro_batch(4), hyper, params, batch_loss,
+                            np.random.default_rng(0))
+        assert result.params is params
+        assert all(params[name].data is not initial[name] for name in params)
+
     def test_single_class_rejected(self):
         batch = micro_batch(2)
         for s in batch:
@@ -343,3 +382,107 @@ class TestEmbed:
         assert params_checksum(loaded.params) == params_checksum(result.params)
         assert loaded.hyper == result.hyper
         assert np.allclose(embed_stays(loaded, batch), embed_stays(result, batch))
+
+    def test_empty_input_rejected(self):
+        result = TrainResult(micro_params(42), [], MICRO)
+        with pytest.raises(ArgumentError):
+            predict_stays(result, [])
+
+
+def assert_same_fit(result, params, history):
+    """`result` holds exactly the reference's parameters (names and order) and history."""
+    assert result.loss_history == history
+    assert list(result.params) == list(params)
+    for name in params:
+        assert np.array_equal(result.params[name].data, params[name].data), name
+
+
+class TestSharedLoopParity:
+    """`fit` and `infer` reproduce the memory network's own training and batched
+    inference loops bit for bit."""
+
+    def test_train_matches_own_loop(self):
+        hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 2})
+        batch = micro_batch(51, n=10)
+        assert_same_fit(train(batch, hyper, VOCAB),
+                        *memnet_train_reference(batch, hyper, VOCAB, forward_batch))
+
+    def test_predict_and_embed_match_own_loops(self):
+        batch = micro_batch(52, n=300)  # two inference batches
+        result = TrainResult(micro_params(53), [], MICRO)
+
+        def forward(b):
+            return forward_batch(result.params, b, MICRO)
+
+        assert np.array_equal(predict_stays(result, batch), batched_rows_reference(
+            lambda b: forward(b)[0].data[:, 1], batch))
+        assert np.array_equal(embed_stays(result, batch), batched_rows_reference(
+            lambda b: forward(b)[1].data, batch, MICRO.representation_dim))
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 1})
+    path = tmp_path / "ckpt.json"
+    memnet.save_checkpoint(train(micro_batch(41, n=4), hyper, vocab_size=VOCAB), path)
+    return path
+
+
+BAD_CHECKPOINTS = {
+    "format": lambda p: p.update(format="other"),
+    "version": lambda p: p.update(version=2),
+    "missing_hyper": lambda p: p.pop("hyper"),
+    "missing_vocab_size": lambda p: p.pop("vocab_size"),
+    "missing_static_dim": lambda p: p.pop("static_dim"),
+    "missing_feature_dim": lambda p: p.pop("feature_dim"),
+    "missing_loss_history": lambda p: p.pop("loss_history"),
+    "missing_tensors": lambda p: p.pop("tensors"),
+    "tensors_not_object": lambda p: p.update(tensors=[]),
+    "unknown_hyper_field": lambda p: p["hyper"].update(width=3),
+    "missing_hyper_field": lambda p: p["hyper"].pop("hops"),
+    "invalid_hyper": lambda p: p["hyper"].update(hops=0),
+    "string_size": lambda p: p.update(vocab_size="12"),
+    "missing_values": lambda p: p["tensors"]["A"].pop("values"),
+    "short_values": lambda p: p["tensors"]["A"]["values"].pop(),
+    "ragged_values": lambda p: p["tensors"]["B"].update(values=[[0.0] * 8, [0.0]]),
+    "text_values": lambda p: p["tensors"]["H"]["values"].__setitem__(0, "x"),
+    "null_value": lambda p: p["tensors"]["H"]["values"].__setitem__(0, None),
+    "nan_value": lambda p: p["tensors"]["w_out"]["values"].__setitem__(1, float("nan")),
+    "infinite_value": lambda p: p["tensors"]["A"]["values"].__setitem__(2, float("inf")),
+    "text_shape": lambda p: p["tensors"]["A"].update(shape="3x8"),
+    "reshaped_tensor": lambda p: p["tensors"]["A"].update(shape=[8, 3]),
+    "missing_tensor": lambda p: p["tensors"].pop("H"),
+    "extra_tensor": lambda p: p["tensors"].update(extra={"shape": [1], "values": [0.0]}),
+    "hyper_disagrees": lambda p: p["hyper"].update(emb_dim=6, top_hidden=6),
+    "vocab_size_disagrees": lambda p: p.update(vocab_size=VOCAB + 1),
+    "feature_dim_disagrees": lambda p: p.update(feature_dim=4),
+    "static_dim_disagrees": lambda p: p.update(static_dim=19),
+}
+
+
+class TestCheckpoint:
+    def test_records_model_sizes_from_tensor_shapes(self, checkpoint):
+        payload = json.loads(checkpoint.read_text())
+        assert (payload["vocab_size"], payload["feature_dim"], payload["static_dim"]) \
+            == (VOCAB, 3, 20)
+
+    @pytest.mark.parametrize("kept", [0.0, 0.5, 0.999])
+    def test_truncated_json_is_a_parse_error(self, checkpoint, kept):
+        text = checkpoint.read_text()
+        checkpoint.write_text(text[:int(kept * len(text))])
+        with pytest.raises(ParseError, match="not valid JSON"):
+            memnet.load_checkpoint(checkpoint)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b"null"])
+    def test_other_file_is_a_parse_error(self, checkpoint, content):
+        checkpoint.write_bytes(content)
+        with pytest.raises(ParseError):
+            memnet.load_checkpoint(checkpoint)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_malformed_content_is_a_parse_error(self, checkpoint, case):
+        payload = json.loads(checkpoint.read_text())
+        BAD_CHECKPOINTS[case](payload)
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            memnet.load_checkpoint(checkpoint)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 2
         assert payload["error"] == "config"
+
+    def test_cli_embed_truncated_checkpoint_exit_code_and_json(self, pipeline_run,
+                                                                  tmp_path, capsys):
+        out, config, _ = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config.to_dict(), "out_dir": str(run_dir)}))
+        checkpoint = run_dir / ARTIFACTS["checkpoint"]
+        checkpoint.write_text(checkpoint.read_text()[:4096])
+        code = main(["--config", str(cfg_path), "embed"])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 4
+        assert payload["error"] == "parse"
+        assert "checkpoint.json" in payload["message"]
 
     def test_cli_seed_and_out_overrides(self, tmp_path, capsys):
         out_a = tmp_path / "a"
