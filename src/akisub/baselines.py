@@ -17,6 +17,7 @@ from scipy.special import expit
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .errors import ArgumentError, OptimizationError
 from .memnet import (HyperConfig, PreparedStay, TrainResult, case_loss, check_labels,
                      encode_notes_batch, fit, infer, init_hielstm)
 
@@ -32,42 +33,68 @@ class LrParams:
     l2_strength: float
 
 
-def lr_train(features: np.ndarray, labels, l2: float = 1e-3, epochs: int = 800,
-             lr: float = 0.5) -> LrParams:
-    """Full-batch gradient descent on the L2-regularized mean NLL.
+# Newton iterations lr_train may take, and the largest accepted step (in any
+# coordinate of (w, b)) below which it has converged.
+LR_MAX_ITER = 50
+LR_STEP_TOL = 1e-8
+# Armijo sufficient-decrease fraction of the backtracking line search.
+LR_ARMIJO = 1e-4
 
-    The regularizer is applied as a proximal shrinkage step, which keeps the
-    iteration stable for arbitrarily large l2. The intercept is regularized
-    along with the weights, so l2 -> inf drives every parameter (and hence
-    the predictions) to 0.5.
+
+def lr_train(features: np.ndarray, labels, l2: float = 1e-3) -> LrParams:
+    """Minimise mean NLL + 0.5*l2*(||w||^2 + b^2) by damped Newton from zero.
+
+    The intercept is regularized along with the weights, so l2 -> inf drives
+    every parameter (and hence the predictions) to 0.5, and l2 > 0 makes the
+    objective strictly convex with one optimum. Each iteration solves the
+    (d+1)x(d+1) Hessian against the gradient and halves the step until the
+    objective falls by the Armijo fraction of its predicted decrease (a step
+    already smaller than LR_STEP_TOL is accepted as it is). The fit is returned
+    once an accepted step is below LR_STEP_TOL in every coordinate; after
+    LR_MAX_ITER iterations without that, OptimizationError.
     """
+    if not l2 > 0:
+        raise ArgumentError(f"lr_train needs l2 > 0 for a unique optimum, got {l2}")
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     check_labels(y.tolist())
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    shrink = 1.0 / (1.0 + lr * l2)
-    for _ in range(epochs):
-        p = expit(X @ w + b)
-        err = (p - y) / n
-        w = (w - lr * (X.T @ err)) * shrink
-        b = (b - lr * err.sum()) * shrink
-    return LrParams(weights=w, bias=b, l2_strength=l2)
+    Xb = np.hstack([X, np.ones((n, 1))])
+    theta = np.zeros(d + 1)
+    z = np.zeros(n)
+
+    def objective(theta, z):
+        return (np.logaddexp(0.0, z) - y * z).mean() + 0.5 * l2 * (theta @ theta)
+
+    f = objective(theta, z)
+    for _ in range(LR_MAX_ITER):
+        p = expit(z)
+        grad = Xb.T @ (p - y) / n + l2 * theta
+        hess = (Xb.T * (p * (1.0 - p) / n)) @ Xb
+        hess.flat[::d + 2] += l2
+        step = np.linalg.solve(hess, grad)
+        if not np.isfinite(step).all():  # the line search below would never end
+            raise OptimizationError(f"lr_train: non-finite Newton step (l2={l2}); "
+                                    "are the features finite?")
+        decrease = LR_ARMIJO * (grad @ step)
+        size = np.abs(step).max()
+        t = 1.0
+        while True:
+            candidate = theta - t * step
+            z_candidate = Xb @ candidate
+            f_candidate = objective(candidate, z_candidate)
+            if f_candidate <= f - t * decrease or t * size < LR_STEP_TOL:
+                break
+            t *= 0.5
+        theta, z, f = candidate, z_candidate, f_candidate
+        if t * size < LR_STEP_TOL:
+            return LrParams(weights=theta[:d], bias=float(theta[d]), l2_strength=l2)
+    raise OptimizationError(f"lr_train did not converge in {LR_MAX_ITER} Newton "
+                            f"iterations (last step {t * size:.3g}, l2={l2})")
 
 
 def lr_predict(params: LrParams, features: np.ndarray) -> np.ndarray:
     return expit(np.asarray(features) @ params.weights + params.bias)
-
-
-def lr_loss(params: LrParams, features: np.ndarray, labels) -> float:
-    """The objective lr_train minimizes (mean NLL + 0.5*l2*||theta||^2)."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    p = np.clip(expit(X @ params.weights + params.bias), 1e-12, 1 - 1e-12)
-    nll = -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
-    reg = 0.5 * params.l2_strength * (params.weights @ params.weights + params.bias ** 2)
-    return float(nll + reg)
 
 
 # ---------------------------------------------------------------------------

@@ -82,15 +82,6 @@ def _basis_completion(components, d):
     raise DegenerateInputError("could not complete an orthonormal basis")
 
 
-def pca_reconstruction_error(X: np.ndarray, out_dim: int = 2) -> float:
-    """Mean squared reconstruction error of the PCA projection (optimal linear)."""
-    X = np.asarray(X, dtype=np.float64)
-    Xc = X - X.mean(axis=0)
-    Y = pca_project(X, out_dim)
-    comps, *_ = np.linalg.lstsq(Y, Xc, rcond=None)
-    return float(((Xc - Y @ comps) ** 2).mean())
-
-
 # ---------------------------------------------------------------------------
 # autoencoder
 # ---------------------------------------------------------------------------

@@ -222,9 +222,9 @@ _URINE_BETWEEN_SD = {1: 0.06, 2: 0.06, 3: 0.06, 0: 0.09}
 _URINE_OBS_SD = 0.024
 _URINE_OBS_CLAMP = 0.06
 
-# planted creatinine ramp: fold increase over baseline by archetype stage
+# planted creatinine ramp: fold increase over baseline by archetype; with the
+# dip below, archetypes 1, 2 and 3 land in KDIGO stages 1, 3 and 2
 _SCR_RAMP_RATIO = {1: (1.60, 1.78), 2: (3.40, 3.80), 3: (1.60, 1.78)}
-_PLANTED_STAGE = {1: 1, 2: 3, 3: 2}
 
 # archetype 3 additionally gets a sustained oliguria dip (stage 2 urine clause)
 _DIP_LEVEL = (0.34, 0.42)
@@ -509,11 +509,6 @@ def _generate_notes(rng, note_arche, extra_fillers) -> list[ClinicalNote]:
         toks = [toks[i] for i in rng.permutation(len(toks))]
         notes.append(ClinicalNote(float(off), toks))
     return notes
-
-
-def planted_stage(subtype: int) -> int:
-    """KDIGO stage the generator plants for an archetype (1->1, 2->3, 3->2)."""
-    return _PLANTED_STAGE[subtype]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The outer loop estimates performance; the inner loop tunes on the outer
 training split only. For the logistic-regression models (`lr`, `lr_bow`) it
 always chooses the L2 penalty from `LR_L2_GRID`, on the design rows the outer
 fold has already built: each inner fold refits only the standardisation, and
-the rows keep the outer training split's imputation means. For the neural
+the rows keep the outer training split's imputation means. Every LR fit,
+inner or outer, is one `baselines.lr_train` call, which solves the penalised
+objective to convergence (or raises OptimizationError). For the neural
 models it tunes over the declared `HyperConfig` overrides and is skipped when
 that grid has at most one point.
 Every fitted statistic (scaling, vocabulary) is derived from the training side

@@ -26,7 +26,6 @@ model and the HieLSTM-only baseline extend the note encoder `init_hielstm`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -274,14 +273,6 @@ def embed_stays(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray
                                              result.hyper)[1].data, prepared)
 
 
-def params_checksum(params: dict[str, Tensor]) -> str:
-    digest = hashlib.sha256()
-    for name in sorted(params):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(params[name].data).tobytes())
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format (versioned JSON with named tensors)
 # ---------------------------------------------------------------------------
@@ -303,8 +294,9 @@ def save_checkpoint(result: TrainResult, path) -> None:
         "tensors": {name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
                     for name, t in params.items()},
     }
+    # json.dumps runs the C encoder; json.dump would stream through the Python one
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 class _ZeroDraws:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -107,6 +108,10 @@ class RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    """The RunConfig `raw` describes over the defaults; any malformed value raises
+    ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
     raw = dict(raw)
     version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
@@ -116,33 +121,57 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = int(raw.get("seed", 0))
+    top = RunConfig(**{key: raw[key] for key in
+                       ("seed", "t1_hours", "t2_days", "out_dir", "cohort_path")
+                       if key in raw})
+    _check_scalars("", top)
 
     def section(name, cls, **defaults):
-        payload = {**defaults, **raw.get(name, {})}
+        payload = raw.get(name, {})
+        if not isinstance(payload, dict):
+            raise ConfigError(f"'{name}' must be an object, got {payload!r}")
         try:
-            return cls(**payload)
+            obj = cls(**{**defaults, **payload})
         except TypeError as e:
             raise ConfigError(f"bad '{name}' section: {e}") from e
+        _check_scalars(f"{name}.", obj)
+        return obj
 
-    cfg = RunConfig(
-        seed=seed,
-        t1_hours=int(raw.get("t1_hours", 24)),
-        t2_days=float(raw.get("t2_days", 7.0)),
-        out_dir=str(raw.get("out_dir", "run")),
-        cohort_path=raw.get("cohort_path"),
-        cohort=section("cohort", CohortConfig, n_stays=300, seed=seed),
-        model=section("model", HyperConfig, seed=seed),
-        cluster=section("cluster", ClusterConfig, seed=seed),
-        evaluate=section("evaluate", EvaluateConfig, seed=seed),
+    cfg = replace(
+        top,
+        cohort=section("cohort", CohortConfig, n_stays=300, seed=top.seed),
+        model=section("model", HyperConfig, seed=top.seed),
+        cluster=section("cluster", ClusterConfig, seed=top.seed),
+        evaluate=section("evaluate", EvaluateConfig, seed=top.seed),
     )
-    for name in ("k_range",):
-        setattr(cfg.cluster, name, tuple(getattr(cfg.cluster, name)))
-    cfg.cohort.subtype_mixture = tuple(cfg.cohort.subtype_mixture)
-    cfg.evaluate.models = tuple(cfg.evaluate.models)
-    cfg.evaluate.grid = tuple(dict(g) for g in cfg.evaluate.grid)
-    cfg.validate()
+    # sequence values: a wrong shape or element type surfaces as TypeError or
+    # ValueError here or in validate
+    try:
+        cfg.cluster.k_range = tuple(cfg.cluster.k_range)
+        cfg.cohort.subtype_mixture = tuple(cfg.cohort.subtype_mixture)
+        cfg.evaluate.models = tuple(cfg.evaluate.models)
+        cfg.evaluate.grid = tuple(dict(g) for g in cfg.evaluate.grid)
+        for overrides in cfg.evaluate.grid:
+            _check_scalars("evaluate.grid.", replace(cfg.model, **overrides))
+        cfg.validate()
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"malformed config value: {e}") from None
     return cfg
+
+
+# what a value of each scalar field type may be; a bool is not a number here
+_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,),
+                 str | None: (str, type(None))}
+
+
+def _check_scalars(where: str, obj) -> None:
+    """ConfigError unless each int, float and str field of dataclass `obj` holds one."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        allowed = _SCALAR_TYPES.get(hint)
+        value = getattr(obj, name)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(f"'{where}{name}' must be {getattr(hint, '__name__', hint)}, "
+                              f"got {value!r}")
 
 
 def load_config(path) -> RunConfig:

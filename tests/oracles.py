@@ -7,11 +7,16 @@ paths it checks.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+from scipy.special import expit
 
 from akisub import autodiff as ad
 from akisub import nn
 from akisub.autodiff import Tensor
+from akisub.baselines import LrParams
+from akisub.clustering import pca_project
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,15 @@ def baseline_train_loop_reference(prepared, hyper, params, forward):
             total += loss.item()
         history.append(total / n)
     return params, history
+
+
+def params_checksum(params: dict[str, Tensor]) -> str:
+    """SHA-256 over every parameter's name and bytes, in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(params[name].data).tobytes())
+    return digest.hexdigest()
 
 
 def batched_rows_reference(rows_of, prepared, width: int | None = None) -> np.ndarray:
@@ -411,6 +425,38 @@ def adam_step_reference(param: np.ndarray, g: np.ndarray, m: np.ndarray, s: np.n
 
 
 # ---------------------------------------------------------------------------
+# logistic regression
+# ---------------------------------------------------------------------------
+
+def lr_loss(params: LrParams, features: np.ndarray, labels) -> float:
+    """The objective lr_train minimizes (mean NLL + 0.5*l2*||theta||^2)."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    p = np.clip(expit(X @ params.weights + params.bias), 1e-12, 1 - 1e-12)
+    nll = -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
+    reg = 0.5 * params.l2_strength * (params.weights @ params.weights + params.bias ** 2)
+    return float(nll + reg)
+
+
+def lr_gd_reference(features: np.ndarray, labels, l2: float = 1e-3, epochs: int = 800,
+                    lr: float = 0.5) -> LrParams:
+    """Full-batch gradient descent on lr_loss's objective, with the L2 term applied
+    as a proximal shrinkage step; a fixed number of epochs, no convergence test."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    shrink = 1.0 / (1.0 + lr * l2)
+    for _ in range(epochs):
+        p = expit(X @ w + b)
+        err = (p - y) / n
+        w = (w - lr * (X.T @ err)) * shrink
+        b = (b - lr * err.sum()) * shrink
+    return LrParams(weights=w, bias=b, l2_strength=l2)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo / permutation oracles for p-values
 # ---------------------------------------------------------------------------
 
@@ -495,8 +541,22 @@ def mc_nested_f_p(observed_f: float, reduced: np.ndarray, full: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# metric and clustering oracles
+# metric, clustering and generator oracles
 # ---------------------------------------------------------------------------
+
+def planted_stage(subtype: int) -> int:
+    """KDIGO stage the generator plants for an archetype (1->1, 2->3, 3->2)."""
+    return {1: 1, 2: 3, 3: 2}[subtype]
+
+
+def pca_reconstruction_error(X: np.ndarray, out_dim: int = 2) -> float:
+    """Mean squared reconstruction error of the PCA projection (optimal linear)."""
+    X = np.asarray(X, dtype=np.float64)
+    Xc = X - X.mean(axis=0)
+    Y = pca_project(X, out_dim)
+    comps, *_ = np.linalg.lstsq(Y, Xc, rcond=None)
+    return float(((Xc - Y @ comps) ** 2).mean())
+
 
 def pairwise_auc(scores, labels) -> float:
     """O(n^2) probability that a random positive outranks a random negative; ties 0.5."""

@@ -7,13 +7,13 @@ from akisub.autodiff import Tape, backward
 from akisub import baselines
 from akisub.baselines import (LrParams, hielstm_forward, hielstm_only_loss,
                               hielstm_only_predict, hielstm_only_train, init_hielstm_params,
-                              init_lstm_baseline_params, lr_loss, lr_predict,
-                              lr_train, lstm_baseline_loss, lstm_baseline_predict,
+                              init_lstm_baseline_params, lr_predict, lr_train, lstm_baseline_loss, lstm_baseline_predict,
                               lstm_baseline_train, lstm_forward)
-from akisub.errors import TrainingError
+from akisub.errors import ArgumentError, OptimizationError, TrainingError
 from akisub.memnet import HyperConfig, TrainResult
 from oracles import (baseline_train_loop_reference, batched_rows_reference,
-                     finite_difference_grads, hielstm_init_reference, max_relative_error)
+                     finite_difference_grads, hielstm_init_reference, lr_loss,
+                     max_relative_error)
 from test_memnet import MICRO, VOCAB, assert_same_fit, micro_batch, packed_and_reference
 
 
@@ -21,7 +21,7 @@ class TestLogisticRegression:
     def test_separable_1d_perfect_accuracy(self):
         X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        params = lr_train(X, y, l2=1e-4, epochs=500, lr=1.0)
+        params = lr_train(X, y, l2=1e-4)
         pred = (lr_predict(params, X) >= 0.5).astype(int)
         assert np.array_equal(pred, y)
 
@@ -29,7 +29,7 @@ class TestLogisticRegression:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
         y = (X[:, 0] > 0).astype(int)
-        params = lr_train(X, y, l2=1e6, epochs=300, lr=0.5)
+        params = lr_train(X, y, l2=1e6)
         assert np.all(np.abs(params.weights) < 1e-4)
         assert np.allclose(lr_predict(params, X), 0.5, atol=1e-3)
 
@@ -38,7 +38,7 @@ class TestLogisticRegression:
         X = rng.normal(size=(60, 2))
         y = (X @ np.array([1.5, -1.0]) + 0.3 * rng.normal(size=60) > 0).astype(int)
         l2 = 0.05
-        trained = lr_train(X, y, l2=l2, epochs=3000, lr=1.0)
+        trained = lr_train(X, y, l2=l2)
         achieved = lr_loss(trained, X, y)
         grid = np.linspace(-3, 3, 31)
         best = min(lr_loss(LrParams(np.array([w1, w2]), b, l2), X, y)
@@ -49,9 +49,9 @@ class TestLogisticRegression:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 4))
         y = (X[:, 1] - X[:, 3] > 0).astype(int)
-        params = lr_train(X, y, l2=0.01, epochs=400)
+        params = lr_train(X, y, l2=0.01)
         perm = [2, 0, 3, 1]
-        params_p = lr_train(X[:, perm], y, l2=0.01, epochs=400)
+        params_p = lr_train(X[:, perm], y, l2=0.01)
         assert np.allclose(params_p.weights, params.weights[perm], atol=1e-10)
         assert np.allclose(lr_predict(params_p, X[:, perm]), lr_predict(params, X))
 
@@ -69,6 +69,25 @@ class TestLogisticRegression:
         y = (X[:, 0] > 0).astype(int)
         p = lr_predict(lr_train(X, y), X)
         assert np.all((p > 0) & (p < 1))
+
+    def test_iteration_cap_without_convergence_raises(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 2))
+        y = (X[:, 0] > 0).astype(int)
+        monkeypatch.setattr(baselines, "LR_MAX_ITER", 1)
+        with pytest.raises(OptimizationError):
+            lr_train(X, y)
+
+    def test_non_finite_features_raise(self):
+        X = np.array([[-1.0], [np.nan], [1.0]])
+        with pytest.raises(OptimizationError):
+            lr_train(X, [0, 1, 1])
+
+    @pytest.mark.parametrize("l2", [0.0, -1e-3])
+    def test_non_positive_l2_rejected(self, l2):
+        X = np.array([[-1.0], [1.0]])
+        with pytest.raises(ArgumentError):
+            lr_train(X, [0, 1], l2=l2)
 
 
 class TestLstmBaseline:

@@ -5,11 +5,10 @@ from akisub.autodiff import Tape, Tensor, backward
 from akisub import clustering
 from akisub.clustering import (adjusted_rand_index, autoencoder_embed,
                                autoencoder_loss, init_autoencoder_params, kmeans,
-                               mcclain_rao, pca_project, pca_reconstruction_error,
-                               select_k, tsne_embed)
+                               mcclain_rao, pca_project, select_k, tsne_embed)
 from akisub.errors import ArgumentError, DegenerateInputError
 from oracles import best_two_partition_inertia, finite_difference_grads, \
-    max_relative_error
+    max_relative_error, pca_reconstruction_error
 
 
 def silhouette(X, labels):

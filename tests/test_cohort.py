@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akisub.cohort import (CHART_VARIABLES, LAB_VARIABLES, CohortConfig, EventSeries,
-                           IcuStay, generate_cohort, note_token_universe, planted_stage,
-                           read_cohort, write_cohort)
+                           IcuStay, generate_cohort, note_token_universe, read_cohort,
+                           write_cohort)
 from akisub.errors import ConfigError, DataError, ParseError
 from akisub.kdigo import apply_exclusions
+from oracles import planted_stage
 
 
 def test_generation_is_deterministic():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from akisub import baselines, crossval
 from akisub.cohort import CohortConfig, generate_cohort
@@ -8,6 +9,7 @@ from akisub.crossval import (LR_L2_GRID, grouped_stratified_folds, nested_cv,
 from akisub.errors import FoldError
 from akisub.kdigo import apply_exclusions
 from akisub.memnet import HyperConfig
+from oracles import lr_gd_reference, lr_loss
 
 FAST_HYPER = HyperConfig(memory_size=12, emb_dim=16, bottom_hidden=12, top_hidden=16,
                          word_emb_dim=8, static_proj_dim=4, hops=1, batch_size=16,
@@ -119,3 +121,35 @@ class TestNestedCv:
         # every stay is summarised once per outer fold, never again per inner fold
         assert calls["summaries"] == n_outer * len(stays)
         assert calls["fits"] == n_outer * (1 + len(LR_L2_GRID) * n_inner)
+
+
+@pytest.fixture(scope="module")
+def lr_designs(labeled):
+    """Distinct (design rows, labels) that nested_cv fits lr and lr_bow on."""
+    stays, labels = labeled
+    fit = baselines.lr_train
+    designs = {}
+
+    def recording(X, y, l2):
+        designs.setdefault(id(X), (X, y))
+        return fit(X, y, l2=l2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "lr_train", recording)
+        nested_cv(stays, labels, ["lr", "lr_bow"], 24, FAST_HYPER, n_outer=2,
+                  n_inner=2, seed=0)
+    return list(designs.values())
+
+
+@pytest.mark.parametrize("l2", LR_L2_GRID)
+def test_lr_fit_is_stationary_and_beats_gradient_descent(lr_designs, l2):
+    assert len(lr_designs) == 12  # 2 models x 2 outer folds x (2 inner + 1 outer)
+    for X, y in lr_designs:
+        params = baselines.lr_train(X, y, l2=l2)
+        residual = expit(X @ params.weights + params.bias) - y
+        grad = np.append(X.T @ residual / len(y) + l2 * params.weights,
+                         residual.mean() + l2 * params.bias)
+        assert np.abs(grad).max() <= 1e-8
+        # where gradient descent also converges the two agree to rounding
+        reference = lr_loss(lr_gd_reference(X, y, l2=l2), X, y)
+        assert lr_loss(params, X, y) <= reference + 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,14 +9,17 @@ from akisub.autodiff import Tape, Tensor, backward
 from akisub.errors import ArgumentError, DimensionError, ParseError, TrainingError
 from akisub.memnet import (HyperConfig, PreparedStay, TrainResult, batch_loss, embed_stays,
                            encode_notes_batch, forward_batch, init_params, memory_read_batch,
-                           multi_hop_batch, params_checksum, predict_stays, train)
+                           multi_hop_batch, predict_stays, train)
 from oracles import (batched_rows_reference, finite_difference_grads, lstm_sequence_reference,
-                     max_relative_error, memnet_train_reference, scaled_error)
+                     max_relative_error, memnet_train_reference, params_checksum,
+                     scaled_error)
 
 MICRO = HyperConfig(memory_size=4, emb_dim=8, bottom_hidden=5, top_hidden=8,
                     word_emb_dim=6, static_proj_dim=4, hops=2, batch_size=4,
                     lr=0.05, epochs=0, max_note_len=6, seed=0)
 VOCAB = 12
+# SHA-256 of the checkpoint TestCheckpoint.test_file_bytes_are_pinned writes
+CHECKPOINT_SHA256 = "9a93958536ef92616fe5e51af32cc9641104fe71844a7ba71f6aedab3af53973"
 
 
 def micro_params(seed=0, hyper=MICRO):
@@ -461,6 +465,19 @@ BAD_CHECKPOINTS = {
 
 
 class TestCheckpoint:
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """The file written for fixed tensors, byte for byte: how it is encoded may
+        change, the text may not."""
+        params = {}
+        for name, t in micro_params().items():
+            codes = np.arange(t.data.size) * 37 % 101 - 50
+            params[name] = Tensor((codes / 7.0).reshape(t.shape))
+        result = TrainResult(params=params, loss_history=[0.75, 1 / 3, 1e-300],
+                             hyper=MICRO)
+        path = tmp_path / "ckpt.json"
+        memnet.save_checkpoint(result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
     def test_records_model_sizes_from_tensor_shapes(self, checkpoint):
         payload = json.loads(checkpoint.read_text())
         assert (payload["vocab_size"], payload["feature_dim"], payload["static_dim"]) \

@@ -11,6 +11,22 @@ from akisub.stages import (ARTIFACTS, STAGES, config_from_dict, read_embedding2d
                            read_labels, read_representations, run_all, run_stage)
 
 
+# each holds one value of the wrong type or shape
+MALFORMED_CONFIGS = [
+    {"cohort": {"n_stays": "abc"}},
+    {"cluster": {"k_range": "x"}},
+    {"model": {"epochs": "ten"}},
+    {"seed": "x"},
+    {"t1_hours": None},
+    {"model": {"epochs": 2.5}},
+    {"cohort_path": 5},
+    {"cohort": 3},
+    {"evaluate": {"grid": [{"lr": "x"}]}},
+    {"evaluate": {"grid": [{"width": 3}]}},
+    [1],
+]
+
+
 def small_config(out_dir, seed=11):
     return config_from_dict({
         "seed": seed,
@@ -130,6 +146,11 @@ class TestDependsAndErrors:
         with pytest.raises(ConfigError):
             config_from_dict({"evaluate": {"models": ["xgboost"]}})
 
+    @pytest.mark.parametrize("raw", MALFORMED_CONFIGS, ids=json.dumps)
+    def test_malformed_value_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
 
 class TestCli:
     def test_cli_synth_and_label(self, tmp_path, capsys):
@@ -154,6 +175,15 @@ class TestCli:
         payload = json.loads(err.strip().splitlines()[-1])
         assert code == 3
         assert payload["error"] == "stage_dependency"
+
+    def test_cli_malformed_config_value_exit_code_and_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"cohort": {"n_stays": "abc"}}))
+        code = main(["--config", str(cfg_path), "synth"])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2
+        assert payload["error"] == "config"
+        assert "n_stays" in payload["message"]
 
     def test_cli_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
