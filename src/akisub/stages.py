@@ -107,6 +107,21 @@ class RunConfig:
         return d
 
 
+# what a value of each scalar field type may be; a bool is not a number here
+_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,),
+                 str | None: (str, type(None))}
+
+
+def _check_scalars(where: str, obj) -> None:
+    """ConfigError unless each int, float and str field of dataclass `obj` holds one."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        allowed = _SCALAR_TYPES.get(hint)
+        value = getattr(obj, name)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(f"'{where}{name}' must be {getattr(hint, '__name__', hint)}, "
+                              f"got {value!r}")
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """The RunConfig `raw` describes over the defaults; any malformed value raises
     ConfigError."""
@@ -157,21 +172,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed config value: {e}") from None
     return cfg
-
-
-# what a value of each scalar field type may be; a bool is not a number here
-_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,),
-                 str | None: (str, type(None))}
-
-
-def _check_scalars(where: str, obj) -> None:
-    """ConfigError unless each int, float and str field of dataclass `obj` holds one."""
-    for name, hint in typing.get_type_hints(type(obj)).items():
-        allowed = _SCALAR_TYPES.get(hint)
-        value = getattr(obj, name)
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-            raise ConfigError(f"'{where}{name}' must be {getattr(hint, '__name__', hint)}, "
-                              f"got {value!r}")
 
 
 def load_config(path) -> RunConfig:

@@ -7,7 +7,8 @@ from akisub.autodiff import Tape, backward
 from akisub import baselines
 from akisub.baselines import (LrParams, hielstm_forward, hielstm_only_loss,
                               hielstm_only_predict, hielstm_only_train, init_hielstm_params,
-                              init_lstm_baseline_params, lr_predict, lr_train, lstm_baseline_loss, lstm_baseline_predict,
+                              init_lstm_baseline_params, lr_predict, lr_train,
+                              lstm_baseline_loss, lstm_baseline_predict,
                               lstm_baseline_train, lstm_forward)
 from akisub.errors import ArgumentError, OptimizationError, TrainingError
 from akisub.memnet import HyperConfig, TrainResult
