@@ -35,10 +35,6 @@ class InsufficientDataError(AkisubError):
     category = "insufficient_data"
 
 
-class ContractViolationError(AkisubError):
-    category = "contract"
-
-
 class ImputationError(AkisubError):
     category = "imputation"
 
@@ -88,6 +84,5 @@ EXIT_CODES = {
     "fold": 5,
     "degenerate_input": 5,
     "numerical_rank": 5,
-    "contract": 5,
     "internal": 1,
 }

@@ -1,6 +1,8 @@
-"""KDIGO acute kidney injury detection, staging, eGFR, and cohort exclusion rules.
+"""KDIGO acute kidney injury labelling, eGFR, and cohort exclusion rules.
 
-Clause conventions (shared with the brute-force test oracle):
+`detect_aki` reads each window once: a case gets its onset, triggering rule
+and stage from the same pass over the measurements, and a control has no
+stage. Clause conventions (shared with the brute-force test oracle):
 - Creatinine delta: any ordered measurement pair at most 48 h apart with a rise
   of at least 0.3 mg/dL fires at the later measurement's time; the earlier
   measurement may precede the evaluation window.
@@ -11,7 +13,7 @@ Clause conventions (shared with the brute-force test oracle):
   until the next observation, with no extrapolation past the last one). Low
   spans are clipped to the evaluation window; a span of at least 6 h below
   0.5 mL/kg/h fires 6 h after the clipped span starts.
-- Stages take the maximum over all firing clauses: ratio >= 2.0 -> 2,
+- A case's stage is the maximum over all firing clauses: ratio >= 2.0 -> 2,
   ratio >= 3.0 -> 3, a rise (>= 0.3 within 48 h) reaching 4.0 mg/dL -> 3,
   low-urine spans >= 12 h at 0.5 -> 2, >= 24 h at 0.3 -> 3, anuria
   (< 0.01 mL/kg/h) >= 12 h -> 3, renal replacement therapy -> 3.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import EventSeries, IcuStay
-from .errors import ArgumentError, ContractViolationError, InsufficientDataError
+from .errors import ArgumentError, InsufficientDataError
 
 RULE_SCR_DELTA = "scr_delta_48h"
 RULE_SCR_RATIO = "scr_ratio_7d"
@@ -39,6 +41,10 @@ BASELINE_LOOKBACK_HOURS = 168.0
 OLIGURIA_RATE = 0.5
 OLIGURIA_HOURS = 6.0
 ANURIA_RATE = 0.01
+STAGE3_SCR = 4.0
+#: (rate, hours, stage): a low-urine span at least this long sets the stage
+URINE_STAGE_BANDS = ((OLIGURIA_RATE, 12.0, 2), (0.3, 24.0, 3), (ANURIA_RATE, 12.0, 3))
+PREDICTION_WINDOW_HOURS = 7 * 24.0
 
 
 @dataclass
@@ -87,26 +93,6 @@ def compute_baseline(scr_series: EventSeries, window_start: float) -> BaselineSc
     return BaselineScr(v0, (t0, t0))
 
 
-def _delta_firings(scr: list[tuple[float, float]], lo: float, hi: float):
-    out = []
-    for j, (tj, vj) in enumerate(scr):
-        if not lo <= tj <= hi:
-            continue
-        prior = [vi for ti, vi in scr[:j] if tj - ti <= DELTA_WINDOW_HOURS]
-        if prior and vj - min(prior) >= DELTA_THRESHOLD:
-            out.append(tj)
-    return out
-
-
-def _ratio_firings(scr, baseline: BaselineScr | None, lo, hi, threshold: float):
-    if baseline is None:
-        return []
-    b_end = baseline.source_window[1]
-    return [t for t, v in scr
-            if lo <= t <= hi and v >= threshold * baseline.value
-            and t - b_end <= BASELINE_LOOKBACK_HOURS]
-
-
 def _low_spans(urine: list[tuple[float, float]], threshold: float, lo: float, hi: float):
     """Maximal low-rate spans under piecewise-constant interpolation, clipped to [lo, hi]."""
     spans = []
@@ -130,19 +116,16 @@ def _low_spans(urine: list[tuple[float, float]], threshold: float, lo: float, hi
     return clipped
 
 
-def _max_low_span(urine, threshold, lo, hi) -> float:
-    spans = _low_spans(urine, threshold, lo, hi)
-    return max((b - a for a, b in spans), default=0.0)
-
-
 def _sorted_points(series: EventSeries | None) -> list[list[float]]:
     """[offset, value] pairs as Python floats, ordered by offset (then value)."""
     return sorted(series.points.tolist()) if series is not None else []
 
 
 def detect_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
-               baseline: BaselineScr | None, window: tuple[float, float]) -> AkiLabel:
-    """Case iff any KDIGO clause fires inside `window`; onset is the earliest firing."""
+               baseline: BaselineScr | None, window: tuple[float, float],
+               rrt_flag: bool = False) -> AkiLabel:
+    """Case iff any KDIGO clause fires inside `window`; onset is the earliest
+    firing and the stage the maximum over every firing clause."""
     scr = _sorted_points(scr_series)
     urine = _sorted_points(urine_rate_series)
     if not scr and not urine:
@@ -150,53 +133,41 @@ def detect_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
     lo, hi = window
 
     firings: list[tuple[float, int, str]] = []
-    for t in _delta_firings(scr, lo, hi):
-        firings.append((t, _RULE_PRIORITY[RULE_SCR_DELTA], RULE_SCR_DELTA))
-    for t in _ratio_firings(scr, baseline, lo, hi, RATIO_THRESHOLD):
-        firings.append((t, _RULE_PRIORITY[RULE_SCR_RATIO], RULE_SCR_RATIO))
-    for a, b in _low_spans(urine, OLIGURIA_RATE, lo, hi):
+    stage = 1
+    values = [v for _, v in scr]
+    start = 0  # the earliest measurement within 48 h of the current one
+    for j, (tj, vj) in enumerate(scr):
+        if not lo <= tj <= hi:
+            continue
+        while tj - scr[start][0] > DELTA_WINDOW_HOURS:
+            start += 1
+        if start < j and vj - min(values[start:j]) >= DELTA_THRESHOLD:
+            firings.append((tj, _RULE_PRIORITY[RULE_SCR_DELTA], RULE_SCR_DELTA))
+            if vj >= STAGE3_SCR:
+                stage = 3
+        if (baseline is not None and vj >= RATIO_THRESHOLD * baseline.value
+                and tj - baseline.source_window[1] <= BASELINE_LOOKBACK_HOURS):
+            firings.append((tj, _RULE_PRIORITY[RULE_SCR_RATIO], RULE_SCR_RATIO))
+            if vj >= 3.0 * baseline.value:
+                stage = 3
+            elif vj >= 2.0 * baseline.value:
+                stage = max(stage, 2)
+    oliguria = _low_spans(urine, OLIGURIA_RATE, lo, hi)
+    for a, b in oliguria:
         if b - a >= OLIGURIA_HOURS:
             firings.append((a + OLIGURIA_HOURS, _RULE_PRIORITY[RULE_URINE], RULE_URINE))
 
     if not firings:
         return AkiLabel(is_case=False)
     onset, _, rule = min(firings)
-    return AkiLabel(is_case=True, onset_offset_hours=onset, triggering_rule=rule)
-
-
-def stage_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
-              baseline: BaselineScr | None, window: tuple[float, float],
-              rrt_flag: bool = False) -> int:
-    """Maximum KDIGO stage over the window. Must only be called on detected cases."""
-    label = detect_aki(scr_series, urine_rate_series, baseline, window)
-    if not label.is_case:
-        raise ContractViolationError("stage_aki called on a stay that is not a case")
-    scr = _sorted_points(scr_series)
-    urine = _sorted_points(urine_rate_series)
-    lo, hi = window
-
-    stage = 1
-    if _ratio_firings(scr, baseline, lo, hi, 2.0):
-        stage = 2
-    if _ratio_firings(scr, baseline, lo, hi, 3.0):
-        stage = 3
-    # absolute rise reaching >= 4.0 mg/dL within 48 h
-    for j, (tj, vj) in enumerate(scr):
-        if stage == 3:
-            break
-        if vj >= 4.0 and lo <= tj <= hi:
-            prior = [vi for ti, vi in scr[:j] if tj - ti <= DELTA_WINDOW_HOURS]
-            if prior and vj - min(prior) >= DELTA_THRESHOLD:
-                stage = 3
-    if _max_low_span(urine, OLIGURIA_RATE, lo, hi) >= 12.0:
-        stage = max(stage, 2)
-    if _max_low_span(urine, 0.3, lo, hi) >= 24.0:
-        stage = 3
-    if _max_low_span(urine, ANURIA_RATE, lo, hi) >= 12.0:
-        stage = 3
+    for rate, hours, band in URINE_STAGE_BANDS:
+        spans = oliguria if rate == OLIGURIA_RATE else _low_spans(urine, rate, lo, hi)
+        if any(b - a >= hours for a, b in spans):
+            stage = max(stage, band)
     if rrt_flag:
         stage = 3
-    return stage
+    return AkiLabel(is_case=True, onset_offset_hours=onset, stage=stage,
+                    triggering_rule=rule)
 
 
 EXCLUDE_AKI_IN_OBSERVATION = "aki_in_observation_window"
@@ -204,13 +175,13 @@ EXCLUDE_NO_RENAL_DATA = "no_renal_data"
 EXCLUDE_MISSING_PREDICTION_DATA = "missing_renal_data_in_prediction_window"
 
 
-def apply_exclusions(stays: list[IcuStay], t1_hours: float, t2_days: float = 7.0,
+def apply_exclusions(stays: list[IcuStay], t1_hours: float,
                      ) -> tuple[list[tuple[IcuStay, AkiLabel]], list[tuple[str, str]]]:
     """Drop stays with observation-window AKI or without renal data in the
-    prediction window; label the rest over the prediction window only."""
+    prediction window; label the rest over the 7-day prediction window only."""
     if t1_hours not in (24, 48):
         raise ArgumentError(f"t1_hours must be 24 or 48, got {t1_hours}")
-    horizon = t1_hours + t2_days * 24.0
+    horizon = t1_hours + PREDICTION_WINDOW_HOURS
     kept: list[tuple[IcuStay, AkiLabel]] = []
     excluded: list[tuple[str, str]] = []
     for stay in stays:
@@ -233,8 +204,5 @@ def apply_exclusions(stays: list[IcuStay], t1_hours: float, t2_days: float = 7.0
         if not has_pred_data:
             excluded.append((stay.stay_id, EXCLUDE_MISSING_PREDICTION_DATA))
             continue
-        label = detect_aki(scr, urine, baseline, (t1_hours, horizon))
-        if label.is_case:
-            label.stage = stage_aki(scr, urine, baseline, (t1_hours, horizon))
-        kept.append((stay, label))
+        kept.append((stay, detect_aki(scr, urine, baseline, (t1_hours, horizon))))
     return kept, excluded

@@ -31,6 +31,14 @@ MANIFEST_VERSION = 1
 CONFIG_SCHEMA_VERSION = 1
 
 
+def _check_minimums(where: str, obj, **minimums) -> None:
+    """ConfigError unless each named field of dataclass `obj` is at least its minimum."""
+    for name, low in minimums.items():
+        value = getattr(obj, name)
+        if not value >= low:
+            raise ConfigError(f"'{where}{name}' must be >= {low}, got {value!r}")
+
+
 @dataclass
 class ClusterConfig:
     method: str = "tsne"                  # tsne | pca | autoencoder
@@ -45,8 +53,13 @@ class ClusterConfig:
     def validate(self):
         if self.method not in ("tsne", "pca", "autoencoder"):
             raise ConfigError(f"unknown cluster method {self.method!r}")
-        if len(self.k_range) == 0 or min(self.k_range) < 2:
-            raise ConfigError("k_range must contain values >= 2")
+        if not self.k_range or not all(type(k) is int and k >= 2 for k in self.k_range):
+            raise ConfigError(f"'cluster.k_range' must hold integers >= 2, "
+                              f"got {list(self.k_range)!r}")
+        if not self.perplexity > 0:
+            raise ConfigError(f"'cluster.perplexity' must be > 0, got {self.perplexity!r}")
+        _check_minimums("cluster.", self, tsne_iters=0, autoencoder_epochs=0, restarts=1,
+                        select_rel_tol=0)
 
     def check_cases(self, n_cases: int):
         """Raise DataError unless `n_cases` case stays can be clustered: k-means
@@ -72,13 +85,13 @@ class EvaluateConfig:
             if m not in crossval.MODEL_IDS:
                 raise ConfigError(f"unknown model {m!r}; expected one of "
                                   f"{crossval.MODEL_IDS}")
+        _check_minimums("evaluate.", self, outer_folds=2, inner_folds=2)
 
 
 @dataclass
 class RunConfig:
     seed: int = 0
     t1_hours: int = 24
-    t2_days: float = 7.0
     out_dir: str = "run"
     cohort_path: str | None = None
     cohort: CohortConfig = field(default_factory=lambda: CohortConfig(n_stays=300))
@@ -89,8 +102,6 @@ class RunConfig:
     def validate(self):
         if self.t1_hours not in (24, 48):
             raise ConfigError(f"t1_hours must be 24 or 48, got {self.t1_hours}")
-        if self.t2_days != 7.0:
-            raise ConfigError("t2_days is fixed to 7")
         self.cohort.validate()
         model = replace(self.model, memory_size=self.memory_size)
         model.validate()
@@ -131,13 +142,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version}")
-    known = {"seed", "t1_hours", "t2_days", "out_dir", "cohort_path", "cohort",
+    known = {"seed", "t1_hours", "out_dir", "cohort_path", "cohort",
              "model", "cluster", "evaluate"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     top = RunConfig(**{key: raw[key] for key in
-                       ("seed", "t1_hours", "t2_days", "out_dir", "cohort_path")
+                       ("seed", "t1_hours", "out_dir", "cohort_path")
                        if key in raw})
     _check_scalars("", top)
 
@@ -238,7 +249,7 @@ _STAGE_PRODUCER = {name: stage for stage, names in _STAGE_OUTPUTS.items()
 
 _STAGE_CONFIG_FIELDS = {
     "synth": ("cohort", "cohort_path"),
-    "label": ("t1_hours", "t2_days"),
+    "label": ("t1_hours",),
     "featurize": ("t1_hours",),
     "train": ("t1_hours", "model"),
     "embed": ("t1_hours", "model"),
@@ -379,7 +390,7 @@ def _stage_synth(config: RunConfig):
 
 def _stage_label(config: RunConfig):
     stays = read_cohort(_artifact_path(config, "cohort"))
-    kept, excluded = kdigo.apply_exclusions(stays, config.t1_hours, config.t2_days)
+    kept, excluded = kdigo.apply_exclusions(stays, config.t1_hours)
     write_labels(kept, _artifact_path(config, "labels"))
     with open(_artifact_path(config, "exclusions"), "w") as fh:
         fh.write("stay_id,reason\n")
@@ -447,8 +458,9 @@ def _stage_embed(config: RunConfig):
 def _stage_cluster(config: RunConfig):
     ids, X = read_representations(_artifact_path(config, "representations"))
     labels = read_labels(_artifact_path(config, "labels"))
-    case_ids = [sid for sid in ids if labels[sid].is_case]
-    case_rows = np.array([X[ids.index(sid)] for sid in case_ids])
+    is_case = np.array([labels[sid].is_case for sid in ids], dtype=bool)
+    case_ids = [sid for sid, case in zip(ids, is_case) if case]
+    case_rows = X[is_case]
     cc = config.cluster
     cc.check_cases(len(case_ids))
     if cc.method == "tsne":

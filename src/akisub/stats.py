@@ -317,14 +317,13 @@ def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
         if not members[c]:
             raise ArgumentError(f"cluster {c} is empty")
     k = len(cluster_ids)
-    ages = {c: np.array([s.age for s in members[c]]) for c in cluster_ids}
+    ages = [s.age for s in stays]
 
     blocks = []
     for var in CONTINUOUS_REPORT_VARS:
-        per_cluster = []
-        for c in cluster_ids:
-            vals = [_first_day_mean(s, var) for s in members[c]]
-            per_cluster.append(np.array([v for v in vals if v is not None]))
+        day1 = [_first_day_mean(s, var) for s in stays]
+        per_cluster = [np.array([v for v, l in zip(day1, labels) if l == c and v is not None])
+                       for c in cluster_ids]
         cells = [[f"{g.mean():.2f} ({g.std(ddof=1 if len(g) > 1 else 0):.2f})"
                   if len(g) else "-" for g in per_cluster]]
         block = ReportBlock(name=var, kind="continuous", categories=[var], cells=cells)
@@ -339,7 +338,7 @@ def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
                 block.significant_pairs = [(i, j) for i, j, sig
                                            in tukey_hsd(per_cluster) if sig]
             if var != "age":  # the age row carries no age-adjusted p
-                block.adjusted_p = _adjusted_p_continuous(stays, labels, var)
+                block.adjusted_p = _adjusted_p_continuous(day1, labels, ages)
         blocks.append(block)
 
     for var in DISCRETE_REPORT_VARS:
@@ -366,8 +365,7 @@ def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
                 indicator = np.array([1.0 if _discrete_value(s, var) == indicator_cat
                                       else 0.0 for s in stays])
                 try:
-                    block.adjusted_p = ancova_adjust(indicator, labels,
-                                                     [s.age for s in stays])
+                    block.adjusted_p = ancova_adjust(indicator, labels, ages)
                 except (ArgumentError, NumericalRankError):
                     block.adjusted_p = None
         blocks.append(block)
@@ -376,18 +374,14 @@ def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
                          blocks=blocks)
 
 
-def _adjusted_p_continuous(stays, labels, var) -> float | None:
-    vals, groups, ages = [], [], []
-    for s, l in zip(stays, labels):
-        v = _first_day_mean(s, var)
-        if v is not None:
-            vals.append(v)
-            groups.append(l)
-            ages.append(s.age)
+def _adjusted_p_continuous(day1, labels, ages) -> float | None:
+    """Age-adjusted ANCOVA p over the stays whose first-day mean `day1` exists."""
+    present = [i for i, v in enumerate(day1) if v is not None]
+    groups = [labels[i] for i in present]
     if len(set(groups)) < 2:
         return None
     try:
-        return ancova_adjust(vals, groups, ages)
+        return ancova_adjust([day1[i] for i in present], groups, [ages[i] for i in present])
     except (ArgumentError, NumericalRankError):
         return None
 

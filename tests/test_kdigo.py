@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akisub.cohort import EventSeries
-from akisub.errors import ArgumentError, ContractViolationError, InsufficientDataError
+from akisub.errors import ArgumentError, InsufficientDataError
 from akisub import kdigo
 from akisub.kdigo import (AkiLabel, BaselineScr, apply_exclusions, compute_baseline,
-                          detect_aki, egfr_mdrd, stage_aki)
+                          detect_aki, egfr_mdrd)
 from oracles import brute_force_kdigo, exclusions_reference
 from trajgen import random_kdigo_instance
 
@@ -107,34 +107,33 @@ class TestStage:
     def test_ratio_bands(self):
         urine = _urine_flat(0.9)
         scr1 = _series("creatinine", [(1.0, 1.0), (50.0, 1.6)])
-        assert stage_aki(scr1, urine, BASE, (0.0, 168.0)) == 1
+        assert detect_aki(scr1, urine, BASE, (0.0, 168.0)).stage == 1
         scr2 = _series("creatinine", [(1.0, 1.0), (50.0, 2.5)])
-        assert stage_aki(scr2, urine, BASE, (0.0, 168.0)) == 2
+        assert detect_aki(scr2, urine, BASE, (0.0, 168.0)).stage == 2
         scr3 = _series("creatinine", [(1.0, 1.0), (50.0, 3.4)])
-        assert stage_aki(scr3, urine, BASE, (0.0, 168.0)) == 3
+        assert detect_aki(scr3, urine, BASE, (0.0, 168.0)).stage == 3
 
     def test_absolute_rise_to_four(self):
         scr = _series("creatinine", [(1.0, 1.2), (40.0, 4.3)])
-        assert stage_aki(scr, _urine_flat(0.9), BaselineScr(1.2, (1.0, 1.0)),
-                         (0.0, 168.0)) == 3
+        assert detect_aki(scr, _urine_flat(0.9), BaselineScr(1.2, (1.0, 1.0)),
+                          (0.0, 168.0)).stage == 3
 
     def test_urine_bands(self):
         scr = _series("creatinine", [(1.0, 1.0), (100.0, 1.02)])
         low13 = _series("urine_rate", [(t, 0.4) for t in np.arange(20, 34, 1.0)])
-        assert stage_aki(scr, low13, BASE, (0.0, 168.0)) == 2
+        assert detect_aki(scr, low13, BASE, (0.0, 168.0)).stage == 2
         low25 = _series("urine_rate", [(t, 0.25) for t in np.arange(20, 46, 1.0)])
-        assert stage_aki(scr, low25, BASE, (0.0, 168.0)) == 3
+        assert detect_aki(scr, low25, BASE, (0.0, 168.0)).stage == 3
         anuric = _series("urine_rate", [(t, 0.005) for t in np.arange(20, 33, 1.0)])
-        assert stage_aki(scr, anuric, BASE, (0.0, 168.0)) == 3
+        assert detect_aki(scr, anuric, BASE, (0.0, 168.0)).stage == 3
 
     def test_rrt_forces_stage_three(self):
         scr = _series("creatinine", [(1.0, 1.0), (40.0, 1.6)])
-        assert stage_aki(scr, _urine_flat(0.9), BASE, (0.0, 168.0), rrt_flag=True) == 3
+        assert detect_aki(scr, _urine_flat(0.9), BASE, (0.0, 168.0), rrt_flag=True).stage == 3
 
-    def test_contract_violation_on_control(self):
+    def test_control_has_no_stage(self):
         scr = _series("creatinine", [(1.0, 1.0), (40.0, 1.1)])
-        with pytest.raises(ContractViolationError):
-            stage_aki(scr, _urine_flat(0.9), BASE, (0.0, 168.0))
+        assert detect_aki(scr, _urine_flat(0.9), BASE, (0.0, 168.0)).stage is None
 
     def test_monotone_in_scr_peak(self):
         urine = _urine_flat(0.9)
@@ -145,11 +144,11 @@ class TestStage:
             label = detect_aki(_series("creatinine", scr), urine, base, window)
             if not label.is_case:
                 continue
-            s0 = stage_aki(_series("creatinine", scr), urine, base, window)
+            s0 = detect_aki(_series("creatinine", scr), urine, base, window).stage
             # augment with a strictly worse peak just inside the window
             t_new = window[1] - 0.5
             worse = sorted(scr + [(t_new, max(v for _, v in scr) + 5.0)])
-            s1 = stage_aki(_series("creatinine", worse), urine, base, window)
+            s1 = detect_aki(_series("creatinine", worse), urine, base, window).stage
             assert s1 >= s0
 
 
@@ -168,7 +167,7 @@ class TestOracleEquivalence:
         if o_case:
             assert label.onset_offset_hours == pytest.approx(o_onset, abs=1e-12)
             assert label.triggering_rule == o_rule
-            assert stage_aki(scr_s, ur_s, base, window, rrt) == o_stage
+            assert detect_aki(scr_s, ur_s, base, window, rrt).stage == o_stage
 
 
 class TestBaseline:

@@ -5,13 +5,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from akisub import errors
 from akisub.cli import main
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (ARTIFACTS, STAGES, config_from_dict, read_embedding2d,
                            read_labels, read_representations, run_all, run_stage)
 
 
-# each holds one value of the wrong type or shape
+# each holds one value out of its documented range
+OUT_OF_RANGE_CONFIGS = [
+    {"cluster": {"restarts": 0}},
+    {"cluster": {"select_rel_tol": -1}},
+    {"evaluate": {"outer_folds": 1}},
+    {"evaluate": {"inner_folds": 0}},
+    {"cluster": {"perplexity": -1}},
+    {"cluster": {"tsne_iters": -5}},
+    {"cluster": {"k_range": [2.5, 3]}},
+    {"cluster": {"autoencoder_epochs": -3}},
+]
+
+# each holds one value of the wrong type, shape or range, or an unknown key
 MALFORMED_CONFIGS = [
     {"cohort": {"n_stays": "abc"}},
     {"cluster": {"k_range": "x"}},
@@ -24,6 +37,8 @@ MALFORMED_CONFIGS = [
     {"evaluate": {"grid": [{"lr": "x"}]}},
     {"evaluate": {"grid": [{"width": 3}]}},
     [1],
+    {"t2_days": 7},
+    *OUT_OF_RANGE_CONFIGS,
 ]
 
 
@@ -184,6 +199,27 @@ class TestCli:
         assert code == 2
         assert payload["error"] == "config"
         assert "n_stays" in payload["message"]
+
+    @pytest.mark.parametrize("raw", OUT_OF_RANGE_CONFIGS, ids=json.dumps)
+    def test_cli_out_of_range_value_fails_before_synth(self, raw, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**raw, "out_dir": str(out)}))
+        code = main(["--config", str(cfg_path), "synth"])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2
+        assert payload["error"] == "config"
+        assert not out.exists()
+
+    def test_exit_codes_match_error_categories(self):
+        subclasses, todo = set(), [errors.AkisubError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                subclasses.add(sub)
+                todo.append(sub)
+        categories = {sub.category for sub in subclasses}
+        assert categories <= set(errors.EXIT_CODES)
+        assert set(errors.EXIT_CODES) - categories == {"internal"}
 
     def test_cli_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
