@@ -26,60 +26,21 @@ _MACHINE_EPS = 1e-12
 # ---------------------------------------------------------------------------
 
 def pca_project(X: np.ndarray, out_dim: int = 2) -> np.ndarray:
-    """Project onto the top principal directions found by power iteration with
-    deflation; each component's largest-magnitude coordinate is made positive."""
+    """Project onto the top eigenvectors of the covariance; each component's
+    largest-magnitude coordinate is made positive."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2 or d < 2:
         raise ArgumentError(f"pca_project needs at least a 2x2 matrix, got {X.shape}")
+    if not 1 <= out_dim <= d:
+        raise ArgumentError(f"pca_project: out_dim must be in 1..{d}, got {out_dim}")
     Xc = X - X.mean(axis=0)
     cov = Xc.T @ Xc / (n - 1)
     if np.trace(cov) <= _MACHINE_EPS:
         raise DegenerateInputError("pca_project: input has zero variance")
-    components: list[np.ndarray] = []
-    work = cov.copy()
-    rng = np.random.default_rng(0)
-
-    def orthogonalize(vec):
-        for c in components:
-            vec = vec - (c @ vec) * c
-        return vec
-
-    for _ in range(out_dim):
-        v = orthogonalize(rng.standard_normal(d))
-        norm = np.linalg.norm(v)
-        v = v / norm if norm > 0 else _basis_completion(components, d)
-        for _ in range(5000):
-            w = orthogonalize(work @ v)
-            norm = np.linalg.norm(w)
-            if norm <= _MACHINE_EPS * max(1.0, np.abs(work).max()):
-                # remaining spectrum is (numerically) zero: any orthonormal
-                # completion carries ~zero variance
-                v = _basis_completion(components, d)
-                break
-            w /= norm
-            if np.linalg.norm(w - v) < 1e-13 or np.linalg.norm(w + v) < 1e-13:
-                v = w
-                break
-            v = w
-        lam = float(v @ work @ v)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        components.append(v)
-        work = work - lam * np.outer(v, v)
-    return Xc @ np.stack(components).T
-
-
-def _basis_completion(components, d):
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        for c in components:
-            v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return v / norm
-    raise DegenerateInputError("could not complete an orthonormal basis")
+    components = np.linalg.eigh(cov)[1][:, ::-1][:, :out_dim]  # eigh sorts ascending
+    peak = components[np.argmax(np.abs(components), axis=0), np.arange(out_dim)]
+    return Xc @ (components * np.sign(peak))
 
 
 # ---------------------------------------------------------------------------

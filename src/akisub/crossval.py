@@ -169,9 +169,9 @@ def _train_and_score(model_id: str, fold: FoldData, t1_hours: float,
 
     labels_train = {s.stay_id: int(l) for s, l in zip(fold.train_stays, fold.train_labels)}
     labels_test = {s.stay_id: int(l) for s, l in zip(fold.test_stays, fold.test_labels)}
-    train_prep = prepare_stays(fold.train_stays, labels_train, t1_hours, vocab, stats,
+    train_prep = prepare_stays(fold.train_stays, labels_train, tensors, vocab, stats,
                                hyper.max_note_len)
-    test_prep = prepare_stays(fold.test_stays, labels_test, t1_hours, vocab, stats,
+    test_prep = prepare_stays(fold.test_stays, labels_test, tensors, vocab, stats,
                               hyper.max_note_len)
     if model_id == "lstm":
         result = baselines.lstm_baseline_train(train_prep, hyper)

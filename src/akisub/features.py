@@ -305,20 +305,21 @@ def notes_to_bow(stay: IcuStay, vocab: Vocabulary) -> np.ndarray:
     return counts
 
 
-def prepare_stays(stays: list[IcuStay], labels: dict[str, int] | None,
-                  t1_hours: float, vocab: Vocabulary, stats: ScalingStats,
+def prepare_stays(stays: list[IcuStay], labels: dict[str, int],
+                  tensors: dict[str, StayTensor], vocab: Vocabulary, stats: ScalingStats,
                   max_note_len: int = 32):
-    """Bundle scaled tensors, static vectors, and note sequences per stay."""
+    """Bundle scaled tensors, static vectors, and note sequences per stay;
+    `tensors` holds each stay's `bin_events` tensor by stay id."""
     from .memnet import PreparedStay
     prepared = []
     for stay in stays:
-        tensor = apply_scaling(bin_events(stay, t1_hours), stats)
+        tensor = apply_scaling(tensors[stay.stay_id], stats)
         prepared.append(PreparedStay(
             stay_id=stay.stay_id,
             tensor=tensor.values,
             static=static_vector(stay),
             note_seqs=notes_to_sequences(stay, vocab, max_note_len),
-            label=None if labels is None else labels[stay.stay_id],
+            label=labels[stay.stay_id],
         ))
     return prepared
 

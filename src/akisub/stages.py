@@ -1,10 +1,16 @@
 """Stage runner: synth -> label -> featurize -> train -> embed -> cluster ->
 interpret -> evaluate, each idempotent and resumable.
 
+`STAGE_TABLE` declares each stage once, in pipeline order: its body, the files
+of the run directory it reads and writes, and the `RunConfig` fields hashed
+into its manifest. Artifacts are named by their file names, and the stage that
+produces each file is derived from the table.
+
 Every stage writes a manifest (config hash, input/output SHA-256) under
 <out_dir>/manifests/. A stage whose manifest, config hash, inputs, and outputs
-all match is a no-op; a missing prerequisite raises a dependency error naming
-the artifact and the stage that produces it.
+all match is a no-op; a manifest that is not such an object is stale. A missing
+prerequisite raises a dependency error naming the artifact and the stage that
+produces it.
 """
 
 from __future__ import annotations
@@ -23,9 +29,6 @@ from .cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from .errors import ArgumentError, ConfigError, DataError, StageDependencyError
 from .kdigo import AkiLabel
 from .memnet import HyperConfig
-
-STAGES = ("synth", "label", "featurize", "train", "embed", "cluster",
-          "interpret", "evaluate")
 
 MANIFEST_VERSION = 1
 CONFIG_SCHEMA_VERSION = 1
@@ -194,71 +197,6 @@ def load_config(path) -> RunConfig:
     return config_from_dict(raw)
 
 
-# ---------------------------------------------------------------------------
-# artifacts
-# ---------------------------------------------------------------------------
-
-ARTIFACTS = {
-    "cohort": "cohort.jsonl",
-    "labels": "labels.csv",
-    "exclusions": "exclusions.csv",
-    "scaling": "scaling.json",
-    "vocab": "vocab.txt",
-    "stay_values": "stay_values.csv",
-    "stay_mask": "stay_mask.csv",
-    "static": "static.csv",
-    "baseline147": "baseline_features.csv",
-    "bow": "bow.csv",
-    "checkpoint": "checkpoint.json",
-    "loss_history": "loss_history.csv",
-    "representations": "representations.csv",
-    "embedding2d": "embedding2d.csv",
-    "ktable": "ktable.csv",
-    "report_csv": "subtype_report.csv",
-    "report_txt": "subtype_report.txt",
-    "heatmap": "heatmap.csv",
-    "stage_composition": "stage_composition.csv",
-    "metrics": "metrics.csv",
-}
-
-_STAGE_INPUTS = {
-    "synth": (),
-    "label": ("cohort",),
-    "featurize": ("cohort", "labels"),
-    "train": ("cohort", "labels", "scaling", "vocab"),
-    "embed": ("cohort", "labels", "scaling", "vocab", "checkpoint"),
-    "cluster": ("representations", "labels"),
-    "interpret": ("cohort", "labels", "embedding2d"),
-    "evaluate": ("cohort", "labels"),
-}
-
-_STAGE_OUTPUTS = {
-    "synth": ("cohort",),
-    "label": ("labels", "exclusions"),
-    "featurize": ("scaling", "vocab", "stay_values", "stay_mask", "static",
-                  "baseline147", "bow"),
-    "train": ("checkpoint", "loss_history"),
-    "embed": ("representations",),
-    "cluster": ("embedding2d", "ktable"),
-    "interpret": ("report_csv", "report_txt", "heatmap", "stage_composition"),
-    "evaluate": ("metrics",),
-}
-
-_STAGE_PRODUCER = {name: stage for stage, names in _STAGE_OUTPUTS.items()
-                   for name in names}
-
-_STAGE_CONFIG_FIELDS = {
-    "synth": ("cohort", "cohort_path"),
-    "label": ("t1_hours",),
-    "featurize": ("t1_hours",),
-    "train": ("t1_hours", "model"),
-    "embed": ("t1_hours", "model"),
-    "cluster": ("cluster",),
-    "interpret": ("t1_hours",),
-    "evaluate": ("t1_hours", "model", "evaluate"),
-}
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -267,14 +205,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _stage_config_hash(stage: str, config: RunConfig) -> str:
-    payload = {name: config.to_dict()[name] for name in _STAGE_CONFIG_FIELDS[stage]}
-    payload["seed"] = config.seed
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def _artifact_path(config: RunConfig, name: str) -> Path:
-    return Path(config.out_dir) / ARTIFACTS[name]
+def _path(config: RunConfig, filename: str) -> Path:
+    return Path(config.out_dir) / filename
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +306,8 @@ def read_embedding2d(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _load_labeled(config: RunConfig):
-    stays = read_cohort(_artifact_path(config, "cohort"))
-    labels = read_labels(_artifact_path(config, "labels"))
+    stays = read_cohort(_path(config, "cohort.jsonl"))
+    labels = read_labels(_path(config, "labels.csv"))
     labeled = [s for s in stays if s.stay_id in labels]
     return labeled, labels
 
@@ -385,14 +317,14 @@ def _stage_synth(config: RunConfig):
         stays = read_cohort(config.cohort_path)
     else:
         stays = generate_cohort(config.cohort)
-    write_cohort(stays, _artifact_path(config, "cohort"))
+    write_cohort(stays, _path(config, "cohort.jsonl"))
 
 
 def _stage_label(config: RunConfig):
-    stays = read_cohort(_artifact_path(config, "cohort"))
+    stays = read_cohort(_path(config, "cohort.jsonl"))
     kept, excluded = kdigo.apply_exclusions(stays, config.t1_hours)
-    write_labels(kept, _artifact_path(config, "labels"))
-    with open(_artifact_path(config, "exclusions"), "w") as fh:
+    write_labels(kept, _path(config, "labels.csv"))
+    with open(_path(config, "exclusions.csv"), "w") as fh:
         fh.write("stay_id,reason\n")
         for sid, reason in excluded:
             fh.write(f"{sid},{reason}\n")
@@ -405,11 +337,11 @@ def _stage_featurize(config: RunConfig):
     tensors = [features.bin_events(s, config.t1_hours) for s in labeled]
     scaled, scaling = features.impute_and_scale(tensors, split_id="full-cohort")
     vocab = features.build_vocabulary(labeled)
-    write_scaling(scaling, _artifact_path(config, "scaling"))
-    write_vocab(vocab, _artifact_path(config, "vocab"))
-    features.write_stay_tensors(scaled, _artifact_path(config, "stay_values"),
-                                _artifact_path(config, "stay_mask"))
-    with open(_artifact_path(config, "static"), "w") as fh:
+    write_scaling(scaling, _path(config, "scaling.json"))
+    write_vocab(vocab, _path(config, "vocab.txt"))
+    features.write_stay_tensors(scaled, _path(config, "stay_values.csv"),
+                                _path(config, "stay_mask.csv"))
+    with open(_path(config, "static.csv"), "w") as fh:
         fh.write("stay_id," + ",".join(f"s{i:02d}" for i in range(features.STATIC_DIM)) + "\n")
         for s in labeled:
             vec = features.static_vector(s)
@@ -417,31 +349,31 @@ def _stage_featurize(config: RunConfig):
     fill = dict(zip(scaling.variables, scaling.mean))
     features.write_baseline_features(
         [features.summarize_for_baselines(s, config.t1_hours, fill) for s in labeled],
-        _artifact_path(config, "baseline147"))
-    with open(_artifact_path(config, "bow"), "w") as fh:
+        _path(config, "baseline_features.csv"))
+    with open(_path(config, "bow.csv"), "w") as fh:
         fh.write("stay_id," + ",".join(f"t{i:03d}" for i in range(len(vocab))) + "\n")
         for s in labeled:
             bow = features.notes_to_bow(s, vocab)
             fh.write(s.stay_id + "," + ",".join(str(int(x)) for x in bow) + "\n")
 
 
-def _prepared(config: RunConfig, with_labels: bool = True):
+def _prepared(config: RunConfig):
     labeled, labels = _load_labeled(config)
-    scaling = read_scaling(_artifact_path(config, "scaling"))
-    vocab = read_vocab(_artifact_path(config, "vocab"))
-    label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()} \
-        if with_labels else None
+    scaling = read_scaling(_path(config, "scaling.json"))
+    vocab = read_vocab(_path(config, "vocab.txt"))
+    label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()}
     hyper = replace(config.model, memory_size=config.memory_size)
-    prepared = features.prepare_stays(labeled, label_ints, config.t1_hours, vocab,
-                                      scaling, hyper.max_note_len)
+    tensors = {s.stay_id: features.bin_events(s, config.t1_hours) for s in labeled}
+    prepared = features.prepare_stays(labeled, label_ints, tensors, vocab, scaling,
+                                      hyper.max_note_len)
     return labeled, labels, prepared, vocab, hyper
 
 
 def _stage_train(config: RunConfig):
     _, _, prepared, vocab, hyper = _prepared(config)
     result = memnet.train(prepared, hyper, len(vocab))
-    memnet.save_checkpoint(result, _artifact_path(config, "checkpoint"))
-    with open(_artifact_path(config, "loss_history"), "w") as fh:
+    memnet.save_checkpoint(result, _path(config, "checkpoint.json"))
+    with open(_path(config, "loss_history.csv"), "w") as fh:
         fh.write("epoch,mean_loss\n")
         for i, loss in enumerate(result.loss_history):
             fh.write(f"{i},{repr(loss)}\n")
@@ -449,15 +381,15 @@ def _stage_train(config: RunConfig):
 
 def _stage_embed(config: RunConfig):
     labeled, _, prepared, _, _ = _prepared(config)
-    result = memnet.load_checkpoint(_artifact_path(config, "checkpoint"))
+    result = memnet.load_checkpoint(_path(config, "checkpoint.json"))
     rows = memnet.embed_stays(result, prepared)
     write_representations([s.stay_id for s in labeled], rows,
-                          _artifact_path(config, "representations"))
+                          _path(config, "representations.csv"))
 
 
 def _stage_cluster(config: RunConfig):
-    ids, X = read_representations(_artifact_path(config, "representations"))
-    labels = read_labels(_artifact_path(config, "labels"))
+    ids, X = read_representations(_path(config, "representations.csv"))
+    labels = read_labels(_path(config, "labels.csv"))
     is_case = np.array([labels[sid].is_case for sid in ids], dtype=bool)
     case_ids = [sid for sid, case in zip(ids, is_case) if case]
     case_rows = X[is_case]
@@ -475,8 +407,8 @@ def _stage_cluster(config: RunConfig):
                                         restarts=cc.restarts, rel_tol=cc.select_rel_tol)
     assignment = clustering.kmeans(Y, best_k, seed=cc.seed, restarts=cc.restarts)
     write_embedding2d(case_ids, Y, assignment.labels,
-                      _artifact_path(config, "embedding2d"))
-    with open(_artifact_path(config, "ktable"), "w") as fh:
+                      _path(config, "embedding2d.csv"))
+    with open(_path(config, "ktable.csv"), "w") as fh:
         fh.write("k,mcclain_rao,selected\n")
         for k, value in table:
             fh.write(f"{k},{repr(value)},{int(k == best_k)}\n")
@@ -484,19 +416,18 @@ def _stage_cluster(config: RunConfig):
 
 def _stage_interpret(config: RunConfig):
     labeled, labels = _load_labeled(config)
-    ids, _, clusters = read_embedding2d(_artifact_path(config, "embedding2d"))
+    ids, _, clusters = read_embedding2d(_path(config, "embedding2d.csv"))
     by_id = {s.stay_id: s for s in labeled}
     missing = [sid for sid in ids if sid not in by_id]
     if missing:
         raise DataError(f"clustered stays missing from cohort: {missing[:3]}")
     case_stays = [by_id[sid] for sid in ids]
     report = stats.build_subtype_report(case_stays, clusters)
-    stats.write_report_csv(report, _artifact_path(config, "report_csv"))
-    stats.write_report_text(report, _artifact_path(config, "report_txt"))
-    stats.write_heatmap_matrix(report, case_stays, clusters,
-                               _artifact_path(config, "heatmap"))
+    stats.write_report_csv(report, _path(config, "subtype_report.csv"))
+    stats.write_report_text(report, _path(config, "subtype_report.txt"))
+    stats.write_heatmap_matrix(report, _path(config, "heatmap.csv"))
     counts, pct = stats.stage_composition(clusters, [labels[sid] for sid in ids])
-    stats.write_stage_composition(counts, pct, _artifact_path(config, "stage_composition"))
+    stats.write_stage_composition(counts, pct, _path(config, "stage_composition.csv"))
 
 
 def _stage_evaluate(config: RunConfig):
@@ -509,68 +440,79 @@ def _stage_evaluate(config: RunConfig):
                                  n_inner=config.evaluate.inner_folds,
                                  grid=[dict(g) for g in config.evaluate.grid],
                                  seed=config.evaluate.seed)
-    crossval.write_metrics_table(summary, _artifact_path(config, "metrics"))
+    crossval.write_metrics_table(summary, _path(config, "metrics.csv"))
 
 
-_STAGE_BODY = {
-    "synth": _stage_synth,
-    "label": _stage_label,
-    "featurize": _stage_featurize,
-    "train": _stage_train,
-    "embed": _stage_embed,
-    "cluster": _stage_cluster,
-    "interpret": _stage_interpret,
-    "evaluate": _stage_evaluate,
+class Stage(typing.NamedTuple):
+    body: typing.Callable[[RunConfig], None]
+    inputs: tuple[str, ...]         # files in the run directory it reads
+    outputs: tuple[str, ...]        # files in the run directory it writes
+    config_fields: tuple[str, ...]  # RunConfig fields hashed into its manifest, with seed
+
+
+STAGE_TABLE = {
+    "synth": Stage(_stage_synth, (), ("cohort.jsonl",), ("cohort", "cohort_path")),
+    "label": Stage(_stage_label, ("cohort.jsonl",), ("labels.csv", "exclusions.csv"),
+                   ("t1_hours",)),
+    "featurize": Stage(_stage_featurize, ("cohort.jsonl", "labels.csv"),
+                       ("scaling.json", "vocab.txt", "stay_values.csv", "stay_mask.csv",
+                        "static.csv", "baseline_features.csv", "bow.csv"), ("t1_hours",)),
+    "train": Stage(_stage_train, ("cohort.jsonl", "labels.csv", "scaling.json", "vocab.txt"),
+                   ("checkpoint.json", "loss_history.csv"), ("t1_hours", "model")),
+    "embed": Stage(_stage_embed, ("cohort.jsonl", "labels.csv", "scaling.json", "vocab.txt",
+                                  "checkpoint.json"),
+                   ("representations.csv",), ("t1_hours", "model")),
+    "cluster": Stage(_stage_cluster, ("representations.csv", "labels.csv"),
+                     ("embedding2d.csv", "ktable.csv"), ("cluster",)),
+    "interpret": Stage(_stage_interpret, ("cohort.jsonl", "labels.csv", "embedding2d.csv"),
+                       ("subtype_report.csv", "subtype_report.txt", "heatmap.csv",
+                        "stage_composition.csv"), ("t1_hours",)),
+    "evaluate": Stage(_stage_evaluate, ("cohort.jsonl", "labels.csv"), ("metrics.csv",),
+                      ("t1_hours", "model", "evaluate")),
 }
+STAGES = tuple(STAGE_TABLE)
+_PRODUCER = {name: stage for stage, spec in STAGE_TABLE.items() for name in spec.outputs}
 
 
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
 
-def _manifest_path(config: RunConfig, stage: str) -> Path:
-    return Path(config.out_dir) / "manifests" / f"{stage}.json"
-
-
-def _check_inputs(config: RunConfig, stage: str) -> dict[str, str]:
-    hashes = {}
-    for name in _STAGE_INPUTS[stage]:
-        path = _artifact_path(config, name)
-        if not path.exists():
-            producer = _STAGE_PRODUCER[name]
-            raise StageDependencyError(
-                f"stage '{stage}' requires artifact '{ARTIFACTS[name]}' "
-                f"(run stage '{producer}' first)")
-        hashes[ARTIFACTS[name]] = _sha256(path)
-    return hashes
+def _hashes(config: RunConfig, names) -> dict[str, str]:
+    return {name: _sha256(_path(config, name)) for name in names}
 
 
 def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
     """Execute one stage (or return its manifest unchanged if nothing changed)."""
     if stage not in STAGES:
         raise ArgumentError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    spec = STAGE_TABLE[stage]
     config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifests").mkdir(exist_ok=True)
+    mpath = Path(config.out_dir) / "manifests" / f"{stage}.json"
+    mpath.parent.mkdir(parents=True, exist_ok=True)
 
-    input_hashes = _check_inputs(config, stage)
-    config_hash = _stage_config_hash(stage, config)
-    mpath = _manifest_path(config, stage)
+    for name in spec.inputs:
+        if not _path(config, name).exists():
+            raise StageDependencyError(f"stage '{stage}' requires artifact '{name}' "
+                                       f"(run stage '{_PRODUCER[name]}' first)")
+    input_hashes = _hashes(config, spec.inputs)
+    fields = config.to_dict()
+    payload = {name: fields[name] for name in spec.config_fields}
+    payload["seed"] = config.seed
+    config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     if not force and mpath.exists():
         try:
             manifest = json.loads(mpath.read_text())
-        except json.JSONDecodeError:
+        except ValueError:  # not UTF-8 JSON
             manifest = None
-        if manifest and manifest.get("config_hash") == config_hash \
+        # no-op only for a manifest object whose config, inputs and outputs all match
+        if isinstance(manifest, dict) and manifest.get("config_hash") == config_hash \
                 and manifest.get("inputs") == input_hashes \
-                and all(_artifact_path(config, name).exists()
-                        and _sha256(_artifact_path(config, name))
-                        == manifest["outputs"].get(ARTIFACTS[name])
-                        for name in _STAGE_OUTPUTS[stage]):
-            return manifest  # no-op: inputs, config, and outputs all match
+                and all(_path(config, name).exists() for name in spec.outputs) \
+                and manifest.get("outputs") == _hashes(config, spec.outputs):
+            return manifest
 
-    _STAGE_BODY[stage](config)
+    spec.body(config)
 
     manifest = {
         "stage": stage,
@@ -578,8 +520,7 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
         "seed": config.seed,
         "config_hash": config_hash,
         "inputs": input_hashes,
-        "outputs": {ARTIFACTS[name]: _sha256(_artifact_path(config, name))
-                    for name in _STAGE_OUTPUTS[stage]},
+        "outputs": _hashes(config, spec.outputs),
     }
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
@@ -592,6 +533,6 @@ def run_all(config: RunConfig, force: bool = False) -> list[dict]:
     for stage in STAGES:
         manifests.append(run_stage(stage, config, force=force))
         if stage == "label":
-            labels = read_labels(_artifact_path(config, "labels"))
+            labels = read_labels(_path(config, "labels.csv"))
             config.cluster.check_cases(sum(lab.is_case for lab in labels.values()))
     return manifests

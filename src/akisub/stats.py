@@ -261,6 +261,7 @@ class ReportBlock:
     kind: str                                # "continuous" | "discrete"
     categories: list[str] = field(default_factory=list)
     cells: list[list[str]] = field(default_factory=list)   # per category x cluster
+    cluster_means: list[float] = field(default_factory=list)  # continuous: per cluster
     unadjusted_p: float | None = None
     test_name: str | None = None
     adjusted_p: float | None = None
@@ -324,9 +325,11 @@ def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
         day1 = [_first_day_mean(s, var) for s in stays]
         per_cluster = [np.array([v for v, l in zip(day1, labels) if l == c and v is not None])
                        for c in cluster_ids]
-        cells = [[f"{g.mean():.2f} ({g.std(ddof=1 if len(g) > 1 else 0):.2f})"
-                  if len(g) else "-" for g in per_cluster]]
-        block = ReportBlock(name=var, kind="continuous", categories=[var], cells=cells)
+        means = [g.mean() if len(g) else np.nan for g in per_cluster]
+        cells = [[f"{m:.2f} ({g.std(ddof=1 if len(g) > 1 else 0):.2f})"
+                  if len(g) else "-" for m, g in zip(means, per_cluster)]]
+        block = ReportBlock(name=var, kind="continuous", categories=[var], cells=cells,
+                            cluster_means=means)
         if k >= 2 and all(len(g) >= 2 for g in per_cluster):
             pooled = np.concatenate(per_cluster)
             route = normality_route(pooled)
@@ -451,29 +454,21 @@ def write_report_text(report: SubtypeReport, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_heatmap_matrix(report: SubtypeReport, stays, clusters, path,
-                         alpha: float = 0.05) -> None:
+def write_heatmap_matrix(report: SubtypeReport, path, alpha: float = 0.05) -> None:
     """z-scored per-cluster means of the significant continuous variables."""
-    labels = np.asarray(clusters)
-    cluster_ids = sorted(np.unique(labels).tolist())
     rows = []
     names = []
     for block in report.blocks:
         if block.kind != "continuous" or block.unadjusted_p is None \
                 or block.unadjusted_p >= alpha:
             continue
-        means = []
-        for c in cluster_ids:
-            vals = [_first_day_mean(s, block.name)
-                    for s, l in zip(stays, labels) if l == c]
-            vals = [v for v in vals if v is not None]
-            means.append(np.mean(vals) if vals else np.nan)
-        means = np.asarray(means)
+        means = np.asarray(block.cluster_means)
         sd = means.std()
         rows.append((means - means.mean()) / sd if sd > 0 else means * 0.0)
         names.append(block.name)
+    cols = ",".join(f"cluster_{i}" for i in range(len(report.cluster_sizes)))
     with open(path, "w") as fh:
-        fh.write("variable," + ",".join(f"cluster_{c}" for c in cluster_ids) + "\n")
+        fh.write(f"variable,{cols}\n")
         for name, row in zip(names, rows):
             fh.write(name + "," + ",".join(f"{v:.4f}" for v in row) + "\n")
 

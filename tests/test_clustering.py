@@ -68,6 +68,25 @@ class TestPca:
         dy = np.sqrt(((Y[:, None] - Y[None]) ** 2).sum(-1))
         assert np.max(np.abs(dx - dy)) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_svd_oracle_with_sign_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((40 + 10 * seed, 6)) @ np.diag([5.0, 3.0, 1.5, 1.0, 0.5, 0.1])
+        Y = pca_project(X, 2)
+        Xc = X - X.mean(axis=0)
+        want = Xc @ np.linalg.svd(Xc, full_matrices=False)[2][:2].T
+        for j in range(2):
+            assert min(np.max(np.abs(Y[:, j] - sign * want[:, j])) for sign in (1, -1)) < 1e-9
+        # the components, recovered from the projection: each one's largest-magnitude
+        # coordinate is positive
+        W = np.linalg.lstsq(Xc, Y, rcond=None)[0]
+        assert all(W[np.argmax(np.abs(W[:, j])), j] > 0 for j in range(2))
+
+    @pytest.mark.parametrize("out_dim", [0, 4])
+    def test_out_dim_outside_input_rejected(self, out_dim):
+        with pytest.raises(ArgumentError):
+            pca_project(np.random.default_rng(6).standard_normal((5, 3)), out_dim)
+
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateInputError):
             pca_project(np.ones((5, 3)))

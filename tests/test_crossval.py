@@ -84,6 +84,27 @@ class TestNestedCv:
                       grid=grid, seed=1)
         assert [r.auc for r in a.records] == [r.auc for r in b.records]
 
+    def test_neural_inner_tuning_fits_every_grid_point(self, labeled, monkeypatch):
+        stays, labels = labeled
+        grid = [{"lr": 0.005}, {"lr": 0.02}]
+        n_outer, n_inner = 2, 2
+        fit = baselines.lstm_baseline_train
+        fitted_lrs = []
+
+        def recording(prepared, hyper):
+            fitted_lrs.append(hyper.lr)
+            return fit(prepared, hyper)
+
+        monkeypatch.setattr(baselines, "lstm_baseline_train", recording)
+        a = nested_cv(stays, labels, ["lstm"], 24, FAST_HYPER, n_outer=n_outer,
+                      n_inner=n_inner, grid=grid, seed=1)
+        # per outer fold: every grid point on every inner fold, then the outer fit
+        assert len(fitted_lrs) == n_outer * (len(grid) * n_inner + 1)
+        assert set(fitted_lrs) <= {g["lr"] for g in grid}
+        b = nested_cv(stays, labels, ["lstm"], 24, FAST_HYPER, n_outer=n_outer,
+                      n_inner=n_inner, grid=grid, seed=1)
+        assert a.records == b.records
+
     def test_neural_models_run_on_small_cohort(self, labeled):
         stays, labels = labeled
         summary = nested_cv(stays, labels, ["lstm", "hielstm", "memnet"], 24,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 from akisub import errors
 from akisub.cli import main
 from akisub.errors import ConfigError, DataError, StageDependencyError
-from akisub.stages import (ARTIFACTS, STAGES, config_from_dict, read_embedding2d,
-                           read_labels, read_representations, run_all, run_stage)
+from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
+                           read_embedding2d, read_labels, read_representations, run_all,
+                           run_stage)
 
 
 # each holds one value out of its documented range
@@ -75,7 +77,7 @@ class TestFullPipeline:
 
     def test_all_artifacts_exist(self, pipeline_run):
         out, _, _ = pipeline_run
-        for filename in ARTIFACTS.values():
+        for filename in (name for spec in STAGE_TABLE.values() for name in spec.outputs):
             assert (out / filename).exists(), filename
 
     def test_evaluate_table_written(self, pipeline_run):
@@ -117,6 +119,20 @@ class TestFullPipeline:
         after = hashlib.sha256((out / "cohort.jsonl").read_bytes()).hexdigest()
         assert before == after
         assert manifests[0]["outputs"]["cohort.jsonl"] == after
+
+
+def test_stage_table_invariants():
+    assert STAGES == ("synth", "label", "featurize", "train", "embed", "cluster",
+                      "interpret", "evaluate")
+    assert STAGES == tuple(STAGE_TABLE)
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    produced = set()
+    for stage, spec in STAGE_TABLE.items():
+        assert set(spec.inputs) <= produced, stage  # made by an earlier stage
+        assert not produced & set(spec.outputs), stage  # one producer per file
+        assert len(set(spec.outputs)) == len(spec.outputs), stage
+        assert set(spec.config_fields) <= run_fields, stage
+        produced |= set(spec.outputs)
 
 
 class TestDependsAndErrors:
@@ -236,13 +252,30 @@ class TestCli:
         shutil.copytree(out, run_dir)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**config.to_dict(), "out_dir": str(run_dir)}))
-        checkpoint = run_dir / ARTIFACTS["checkpoint"]
+        checkpoint = run_dir / "checkpoint.json"
         checkpoint.write_text(checkpoint.read_text()[:4096])
         code = main(["--config", str(cfg_path), "embed"])
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 4
         assert payload["error"] == "parse"
         assert "checkpoint.json" in payload["message"]
+
+    @pytest.mark.parametrize("stage,corrupt", [
+        ("synth", lambda manifest: [1]),
+        ("synth", lambda manifest: "x"),
+        ("label", lambda manifest: {k: v for k, v in manifest.items() if k != "outputs"}),
+    ], ids=["synth-list", "synth-string", "label-without-outputs"])
+    def test_cli_malformed_manifest_is_stale(self, stage, corrupt, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"seed": 3, "out_dir": str(tmp_path / "run"),
+                                        "cohort": {"n_stays": 25, "case_fraction": 0.3}}))
+        for name in ("synth", "label"):
+            assert main(["--config", str(cfg_path), name]) == 0
+        mpath = tmp_path / "run" / "manifests" / f"{stage}.json"
+        valid = json.loads(mpath.read_text())
+        mpath.write_text(json.dumps(corrupt(valid)))
+        assert main(["--config", str(cfg_path), stage]) == 0
+        assert json.loads(mpath.read_text()) == valid
 
     def test_cli_seed_and_out_overrides(self, tmp_path, capsys):
         out_a = tmp_path / "a"

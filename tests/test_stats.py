@@ -319,11 +319,34 @@ class TestSubtypeReport:
         report = build_subtype_report(case_stays, clusters)
         stats.write_report_csv(report, tmp_path / "report.csv")
         stats.write_report_text(report, tmp_path / "report.txt")
-        stats.write_heatmap_matrix(report, case_stays, clusters, tmp_path / "heat.csv")
+        stats.write_heatmap_matrix(report, tmp_path / "heat.csv")
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines[0].startswith("variable,category,cluster_0")
         heat = (tmp_path / "heat.csv").read_text().splitlines()
         assert any(row.startswith("creatinine") for row in heat)
+
+    def test_heatmap_rows_are_z_scored_cluster_means(self, planted, tmp_path):
+        from oracles import first_day_mean_reference
+        case_stays, _, clusters = planted
+        report = build_subtype_report(case_stays, clusters)
+        stats.write_heatmap_matrix(report, tmp_path / "heat.csv")
+        header, *rows = (tmp_path / "heat.csv").read_text().splitlines()
+        assert header == "variable,cluster_0,cluster_1,cluster_2"
+        significant = [b.name for b in report.blocks if b.kind == "continuous"
+                       and b.unadjusted_p is not None and b.unadjusted_p < 0.05]
+        assert "creatinine" in significant
+        assert [row.split(",")[0] for row in rows] == significant
+        for row in rows:
+            var, *cells = row.split(",")
+            means = []
+            for c in range(3):
+                day1 = [float(s.age) if var == "age"
+                        else first_day_mean_reference(s, var, egfr_mdrd)
+                        for s, l in zip(case_stays, clusters) if l == c]
+                means.append(np.mean([v for v in day1 if v is not None]))
+            means = np.array(means)
+            z = (means - means.mean()) / means.std()
+            assert [float(x) for x in cells] == pytest.approx(z, abs=5.1e-5), var
 
     def test_empty_cluster_rejected(self, planted):
         case_stays, _, _ = planted
