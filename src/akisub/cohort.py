@@ -14,12 +14,18 @@ Cohort files are JSON Lines with a versioned header record; see
 In memory, each `EventSeries` holds its measurements column-wise: `points` is
 one C-contiguous (n, 2) float64 array whose column 0 holds the offsets (hours
 from admission) and column 1 the values; an empty series has shape (0, 2).
-`read_cohort` parses all series of a stay into one such buffer and hands each
-series a row-slice view of it.
+`read_cohort` parses all series of a stay into one read-only buffer and hands
+each series a row-slice view of it.
+
+`read_cohort` keeps its last parse, keyed by the SHA-256 of the file's bytes:
+reading a file whose content matches returns a new list of the same `IcuStay`
+objects without parsing again. The stays are therefore shared between readers
+and must not be mutated.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -541,6 +547,7 @@ def _parse_series(groups: tuple[dict, ...]) -> list[dict[str, EventSeries]]:
     bounds = list(accumulate(map(len, lists), initial=0))
     buf = np.fromiter(chain.from_iterable(chain.from_iterable(lists)), np.float64,
                       2 * bounds[-1]).reshape(-1, 2)
+    buf.flags.writeable = False  # the parse is shared by every reader of the file
     views = (buf[a:b] for a, b in zip(bounds, bounds[1:]))
     return [{v: EventSeries(v, next(views)) for v in group} for group in groups]
 
@@ -572,28 +579,64 @@ def write_cohort(stays: list[IcuStay], path) -> None:
             fh.write(json.dumps(_stay_to_record(stay), sort_keys=True) + "\n")
 
 
+def file_sha256(path) -> str:
+    """Hex SHA-256 of the bytes of the file at `path`."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+_last_parse: tuple[str, list[IcuStay]] | None = None  # (content SHA-256, stays)
+
+
 def read_cohort(path) -> list[IcuStay]:
-    """Parse and validate a cohort file; any malformed or invalid stay record raises
-    `ParseError` naming its line."""
-    path = Path(path)
-    stays = []
-    with path.open() as fh:
+    """The stays of a cohort file, parsed once per content: see the module docstring."""
+    global _last_parse
+    digest, kept = file_sha256(path), _last_parse
+    if kept is None or kept[0] != digest:
+        _last_parse = kept = None  # free the old parse first; a failed parse keeps nothing
+        kept = _last_parse = (digest, _parse_cohort(Path(path)))
+    return list(kept[1])
+
+
+def _parse_cohort(path: Path) -> list[IcuStay]:
+    """Parse and validate a cohort file. A malformed header (line 1) or stay record,
+    or a repeated stay_id, raises `ParseError` naming its line; a stay count other
+    than the header's `n_stays` raises naming both counts."""
+    stays, first_line = [], {}
+    n_stays = None
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line and lineno > 1:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
+            except ValueError as e:  # invalid JSON or not UTF-8
+                raise ParseError(f"{path}: line {lineno}: invalid JSON "
+                                 f"({getattr(e, 'msg', e)})") from e
             if lineno == 1:
-                if rec.get("format") != COHORT_FORMAT:
+                if not isinstance(rec, dict) or rec.get("format") != COHORT_FORMAT:
                     raise ParseError(f"{path}: line 1: missing cohort header")
+                n_stays = rec.get("n_stays")
+                if rec.get("version") != COHORT_VERSION or type(n_stays) is not int:
+                    raise ParseError(f"{path}: line 1: the header needs version "
+                                     f"{COHORT_VERSION} and an integer n_stays, got {rec}")
                 continue
             try:
                 stay = _record_to_stay(rec)
                 stay.validate()
+                if stay.stay_id in first_line:
+                    raise DataError(f"duplicate stay_id {stay.stay_id!r}, "
+                                    f"first on line {first_line[stay.stay_id]}")
             except (KeyError, TypeError, ValueError, AttributeError, DataError) as e:
                 raise ParseError(f"{path}: line {lineno}: malformed stay record ({e})") from e
+            first_line[stay.stay_id] = lineno
             stays.append(stay)
+    if n_stays is None:
+        raise ParseError(f"{path}: line 1: missing cohort header")
+    if len(stays) != n_stays:
+        raise ParseError(f"{path}: header says {n_stays} stays, file holds {len(stays)}")
     return stays

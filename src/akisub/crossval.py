@@ -24,7 +24,6 @@ from .cohort import IcuStay
 from .errors import FoldError, MetricError
 from .features import (StayTensor, build_vocabulary, fit_scaling, bin_events,
                        prepare_stays, notes_to_bow, summarize_for_baselines)
-from .kdigo import AkiLabel
 from .memnet import HyperConfig
 from .metrics import MetricRecord, auc, precision_recall
 

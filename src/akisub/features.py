@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import (CHART_VARIABLES, COMORBIDITY_FLAGS, ETHNICITIES, LAB_VARIABLES,
-                     MED_FLAGS, SEXES, TIME_VARIABLES, IcuStay)
+from .cohort import (CHART_VARIABLES, COMORBIDITY_FLAGS, ETHNICITIES, MED_FLAGS, SEXES,
+                     TIME_VARIABLES, IcuStay)
 from .errors import ArgumentError, ImputationError, SchemaError
 
 SUB_WINDOW_HOURS = 2.0

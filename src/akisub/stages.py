@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, crossval, features, kdigo, memnet, stats
-from .cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
+from .cohort import CohortConfig, file_sha256, generate_cohort, read_cohort, write_cohort
 from .errors import ArgumentError, ConfigError, DataError, StageDependencyError
 from .kdigo import AkiLabel
 from .memnet import HyperConfig
@@ -195,14 +195,6 @@ def load_config(path) -> RunConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e.msg})") from e
     return config_from_dict(raw)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _path(config: RunConfig, filename: str) -> Path:
@@ -479,7 +471,7 @@ _PRODUCER = {name: stage for stage, spec in STAGE_TABLE.items() for name in spec
 # ---------------------------------------------------------------------------
 
 def _hashes(config: RunConfig, names) -> dict[str, str]:
-    return {name: _sha256(_path(config, name)) for name in names}
+    return {name: file_sha256(_path(config, name)) for name in names}
 
 
 def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
@@ -499,6 +491,10 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
     fields = config.to_dict()
     payload = {name: fields[name] for name in spec.config_fields}
     payload["seed"] = config.seed
+    if "cohort_path" in spec.config_fields and config.cohort_path:
+        if not Path(config.cohort_path).is_file():
+            raise ConfigError(f"cohort_path {config.cohort_path!r} is not a file")
+        payload["cohort_sha256"] = file_sha256(config.cohort_path)  # the file, not its name
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     if not force and mpath.exists():
         try:

@@ -255,3 +255,100 @@ class TestReadValidation:
         path = self._write_with(tmp_path, [[0.0, 1.0], [5, 1.25]])
         stays = read_cohort(path)
         assert stays[1].lab_series["creatinine"].points.tolist() == [[0.0, 1.0], [5.0, 1.25]]
+
+    def _three_stay_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_cohort(generate_cohort(CohortConfig(n_stays=3, seed=4)), path)
+        return path, path.read_text().splitlines()
+
+    def test_file_cut_at_line_boundary_rejected(self, tmp_path):
+        path, lines = self._three_stay_lines(tmp_path)
+        path.write_text("\n".join(lines[:3]) + "\n")
+        with pytest.raises(ParseError, match="header says 3 stays, file holds 2"):
+            read_cohort(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="line 1: missing cohort header"):
+            read_cohort(path)
+
+    def test_repeated_stay_line_rejected(self, tmp_path):
+        path, lines = self._three_stay_lines(tmp_path)
+        header = json.loads(lines[0])
+        header["n_stays"] = 4
+        path.write_text("\n".join([json.dumps(header)] + lines[1:] + [lines[2]]) + "\n")
+        with pytest.raises(ParseError, match="line 5: .*duplicate stay_id .*first on line 3"):
+            read_cohort(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("version", 2), ("version", None), ("n_stays", "3"), ("n_stays", True),
+        ("n_stays", None),
+    ])
+    def test_bad_header_rejected(self, tmp_path, field, value):
+        path, lines = self._three_stay_lines(tmp_path)
+        header = json.loads(lines[0])
+        header[field] = value
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ParseError, match="line 1: the header needs version 1 and an "
+                                             "integer n_stays"):
+            read_cohort(path)
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[1]\n")
+        with pytest.raises(ParseError, match="line 1: missing cohort header"):
+            read_cohort(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path, lines = self._three_stay_lines(tmp_path)
+        path.write_bytes(("\n".join(lines[:2]) + "\n").encode() + b'{"x": "\xff"}\n')
+        with pytest.raises(ParseError, match="line 3: invalid JSON"):
+            read_cohort(path)
+
+
+class TestReadCache:
+    """`read_cohort` keeps its last parse, keyed by the content of the file."""
+
+    def test_rewritten_file_reads_new_content(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = generate_cohort(CohortConfig(n_stays=3, seed=1))
+        second = generate_cohort(CohortConfig(n_stays=3, seed=2))
+        write_cohort(first, path)
+        assert read_cohort(path) == first
+        write_cohort(second, path)
+        assert read_cohort(path) == second
+
+    def test_same_content_at_another_path_is_a_hit(self, tmp_path):
+        write_cohort(generate_cohort(CohortConfig(n_stays=2, seed=3)), tmp_path / "a.jsonl")
+        (tmp_path / "b.jsonl").write_bytes((tmp_path / "a.jsonl").read_bytes())
+        a, b = read_cohort(tmp_path / "a.jsonl"), read_cohort(tmp_path / "b.jsonl")
+        assert a is not b
+        assert all(x is y for x, y in zip(a, b, strict=True))
+
+    def test_changing_the_returned_list_changes_no_later_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        stays = generate_cohort(CohortConfig(n_stays=3, seed=5))
+        write_cohort(stays, path)
+        first = read_cohort(path)
+        first.append(first[0])
+        del first[1]
+        assert read_cohort(path) == stays
+
+    def test_points_are_read_only(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_cohort(generate_cohort(CohortConfig(n_stays=1, seed=6)), path)
+        points = read_cohort(path)[0].lab_series["creatinine"].points
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 1] = 99.0
+
+    def test_failed_read_keeps_nothing(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"stay_id": "x"}\n')
+        for _ in range(2):
+            with pytest.raises(ParseError, match="header"):
+                read_cohort(bad)
+        good = tmp_path / "good.jsonl"
+        stays = generate_cohort(CohortConfig(n_stays=2, seed=7))
+        write_cohort(stays, good)
+        assert read_cohort(good) == stays

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from akisub import errors
+from akisub import cohort, errors
 from akisub.cli import main
+from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
                            read_embedding2d, read_labels, read_representations, run_all,
@@ -119,6 +120,38 @@ class TestFullPipeline:
         after = hashlib.sha256((out / "cohort.jsonl").read_bytes()).hexdigest()
         assert before == after
         assert manifests[0]["outputs"]["cohort.jsonl"] == after
+
+
+def test_changed_external_cohort_reruns_synth(tmp_path):
+    external = tmp_path / "external.jsonl"
+    write_cohort(generate_cohort(CohortConfig(n_stays=5, seed=1)), external)
+    config = dataclasses.replace(small_config(tmp_path / "run"), cohort_path=str(external))
+    first = run_stage("synth", config)
+    write_cohort(generate_cohort(CohortConfig(n_stays=7, seed=1)), external)
+    second = run_stage("synth", config)
+    assert second["config_hash"] != first["config_hash"]
+    assert len(read_cohort(tmp_path / "run" / "cohort.jsonl")) == 7
+
+
+def test_cli_missing_external_cohort_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cohort_path": str(tmp_path / "absent.jsonl"),
+                               "out_dir": str(tmp_path / "run")}))
+    assert main(["--config", str(cfg), "synth"]) == errors.EXIT_CODES["config"]
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
+    parse, parsed = cohort._parse_cohort, []
+    monkeypatch.setattr(cohort, "_last_parse", None)
+    monkeypatch.setattr(cohort, "_parse_cohort", lambda path: parsed.append(path) or parse(path))
+    config = small_config(tmp_path, seed=12)
+    config.model = dataclasses.replace(config.model, epochs=0)
+    run_all(config)
+    assert parsed == [tmp_path / "cohort.jsonl"]
+    # no stage mutated the shared stays
+    assert read_cohort(tmp_path / "cohort.jsonl") == parse(tmp_path / "cohort.jsonl")
+    assert len(parsed) == 1
 
 
 def test_stage_table_invariants():
