@@ -1,14 +1,14 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
 Tensors are immutable value wrappers around numpy arrays. Operations executed
-while a Tape is active are recorded as nodes (operands, output, local backward
-rule) in forward order; `backward` replays the tape once in reverse and
-accumulates gradients keyed by Tensor identity.
+while a Tape is active are recorded in forward order, each as one
+`(inputs, output, backward_fn)` tuple; `backward` replays the tape once in
+reverse and accumulates gradients keyed by Tensor identity. The process has one
+stack of open tapes (the innermost records), so recording is single-threaded.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,13 +18,7 @@ from .errors import ArgumentError, DimensionError
 
 EPS = 1e-12
 
-_local = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_local, "stack"):
-        _local.stack = []
-    return _local.stack
+_TAPES: list[Tape] = []  # open tapes, innermost last
 
 
 class Tensor:
@@ -56,27 +50,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class TapeNode:
-    __slots__ = ("inputs", "output", "backward_fn")
-
-    def __init__(self, inputs: Sequence[Tensor], output: Tensor, backward_fn: Callable):
-        self.inputs = tuple(inputs)
-        self.output = output
-        self.backward_fn = backward_fn
-
-
 class Tape:
-    """Append-only record of primitive applications. Single-owner during recording."""
+    """Append-only record of primitive applications, one tuple per application."""
 
     def __init__(self):
-        self.nodes: list[TapeNode] = []
+        self.nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
         return False
 
@@ -84,21 +69,16 @@ class Tape:
         return len(self.nodes)
 
 
-def _active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 def recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on `inputs` would be recorded: a tape is active and an input
     requires grad. Primitives that cache for their backward check this first."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
 
 
-def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
+def _record(inputs: tuple[Tensor, ...], out: Tensor, backward_fn: Callable) -> Tensor:
     if recording(inputs):
         out.requires_grad = True
-        _active_tape().nodes.append(TapeNode(inputs, out, backward_fn))
+        _TAPES[-1].nodes.append((inputs, out, backward_fn))
     return out
 
 
@@ -199,13 +179,6 @@ def tanh(a) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
     return _record((a,), out, lambda g: (g * (1.0 - y * y),))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    out = Tensor(y)
-    return _record((a,), out, lambda g: (g * y,))
 
 
 def log(a) -> Tensor:
@@ -312,12 +285,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     if loss.data.shape != ():
         raise ArgumentError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
-        g_out = grads.get(node.output)
+    for inputs, output, backward_fn in reversed(tape.nodes):
+        g_out = grads.get(output)
         if g_out is None:
             continue
-        in_grads = node.backward_fn(g_out)
-        for tensor, g in zip(node.inputs, in_grads):
+        for tensor, g in zip(inputs, backward_fn(g_out)):
             if g is None or not tensor.requires_grad:
                 continue
             have = grads.get(tensor)

@@ -3,8 +3,11 @@ and cluster-count selection by the McClain-Rao index.
 
 t-SNE is the exact O(n^2) formulation: per-point Gaussian bandwidths solved by
 bisection to match the target perplexity, symmetrized affinities, Student-t
-low-dimensional kernel, and gradient descent with early exaggeration and
-momentum (0.5 before iteration 250, 0.8 after; learning rate n/12 by default).
+low-dimensional kernel, and gradient descent with momentum 0.5 and the
+affinities exaggerated by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS
+iterations, then momentum 0.8; the learning rate is n/12. It returns the (n, 2)
+layout alone. `select_k` returns the k-means clustering of the k it chooses,
+with the McClain-Rao table.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .autodiff import Tape, Tensor, backward
 from .errors import ArgumentError, DegenerateInputError
 
 _MACHINE_EPS = 1e-12
+EARLY_EXAGGERATION = 12.0
+EXAGGERATION_ITERS = 250
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +114,6 @@ def autoencoder_embed(X: np.ndarray, bottleneck: int = 2, epochs: int = 400,
 # t-SNE
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TsneResult:
-    embedding: np.ndarray
-    kl_history: list[float]
-
-
 def _conditional_affinities(D_row: np.ndarray, beta: float) -> np.ndarray:
     p = np.exp(-D_row * beta)
     s = p.sum()
@@ -146,9 +145,8 @@ def _solve_bandwidths(D: np.ndarray, perplexity: float) -> np.ndarray:
 
 
 def tsne_embed(X: np.ndarray, perplexity: float = 30.0, iters: int = 1000,
-               seed: int = 0, early_exaggeration: float = 12.0,
-               exaggeration_iters: int = 250, learning_rate: float | None = None,
-               ) -> TsneResult:
+               seed: int = 0) -> np.ndarray:
+    """The (n, 2) t-SNE layout of the rows of `X`."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n <= 3 * perplexity:
@@ -160,22 +158,18 @@ def tsne_embed(X: np.ndarray, perplexity: float = 30.0, iters: int = 1000,
     P = (cond + cond.T) / (2.0 * n)
     P = np.maximum(P, _MACHINE_EPS)
 
-    if learning_rate is None:
-        learning_rate = n / 12.0
+    learning_rate = n / 12.0
     rng = np.random.default_rng(seed)
     Y = 1e-4 * rng.standard_normal((n, 2))
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
-    kl_history: list[float] = []
     for it in range(iters):
-        exaggerate = early_exaggeration if it < exaggeration_iters else 1.0
-        momentum = 0.5 if it < exaggeration_iters else 0.8
+        exaggerate = EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0
+        momentum = 0.5 if it < EXAGGERATION_ITERS else 0.8
         ysq = (Y * Y).sum(axis=1)
         num = 1.0 / (1.0 + np.maximum(ysq[:, None] + ysq[None, :] - 2.0 * Y @ Y.T, 0.0))
         np.fill_diagonal(num, 0.0)
         Q = np.maximum(num / num.sum(), _MACHINE_EPS)
-        kl = float(np.sum(P * np.log(P / Q)))
-        kl_history.append(kl)
         PQ = (exaggerate * P - Q) * num
         grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
         # per-coordinate adaptive gains, as in the reference implementation
@@ -184,7 +178,7 @@ def tsne_embed(X: np.ndarray, perplexity: float = 30.0, iters: int = 1000,
         gains = np.maximum(gains, 0.01)
         velocity = momentum * velocity - learning_rate * gains * grad
         Y = Y + velocity
-    return TsneResult(embedding=Y, kl_history=kl_history)
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +268,15 @@ def mcclain_rao(X: np.ndarray, labels: np.ndarray) -> float:
 
 
 def select_k(X: np.ndarray, k_range, seed: int = 0, restarts: int = 10,
-             rel_tol: float = 0.40) -> tuple[int, list[tuple[int, float]]]:
+             rel_tol: float = 0.40) -> tuple[ClusterAssignment, list[tuple[int, float]]]:
     """Run kmeans for each k and pick the cluster count by the McClain-Rao index.
 
     The index keeps decreasing when compact clusters are over-split (about 10%
     per extra k on tight blobs, more on t-SNE layouts), so the smallest k whose
     index lies within `rel_tol` of the minimum is returned (rel_tol=0 gives the
     raw argmin). Merging genuinely distinct clusters roughly doubles the index,
-    so the parsimony tolerance does not mask true structure. The full
-    (k, index) table comes back for reporting.
+    so the parsimony tolerance does not mask true structure. The clustering of
+    the chosen k comes back with the full (k, index) table, for reporting.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -290,13 +284,11 @@ def select_k(X: np.ndarray, k_range, seed: int = 0, restarts: int = 10,
     n = len(X)
     if ks[0] < 2 or ks[-1] > n - 1:
         raise ArgumentError(f"k range {ks} outside [2, {n - 1}]")
-    table = []
-    for k in ks:
-        assignment = kmeans(X, k, seed=seed, restarts=restarts)
-        table.append((k, mcclain_rao(X, assignment.labels)))
+    fits = [kmeans(X, k, seed=seed, restarts=restarts) for k in ks]
+    table = [(k, mcclain_rao(X, fit.labels)) for k, fit in zip(ks, fits)]
     floor = min(v for _, v in table)
-    best_k = next(k for k, v in table if v <= floor * (1.0 + rel_tol))
-    return best_k, table
+    best = next(i for i, (_, v) in enumerate(table) if v <= floor * (1.0 + rel_tol))
+    return fits[best], table
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -36,7 +36,6 @@ from . import nn
 from .autodiff import Tape, Tensor, backward
 from .errors import ArgumentError, DimensionError, ParseError, TrainingError
 
-REPRESENTATION_DIM = 144
 INFER_BATCH = 256
 
 

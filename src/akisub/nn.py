@@ -1,4 +1,5 @@
-"""Neural building blocks on top of the autodiff tape: LSTM layers, init, Adam.
+"""Neural building blocks on top of the autodiff tape: LSTM layers, init, and
+`Adam`, the one optimiser every trained model uses.
 
 `lstm_sequence` runs a whole LSTM layer over a padded batch of sequences as one
 tape primitive. Rows are stably sorted by length, so the rows still running at
@@ -171,64 +172,22 @@ def lstm_sequence(x, lengths, params: LstmParams) -> Tensor:
     return ad._record(inputs, Tensor(out), bwd)
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moments; step counter k counts completed updates."""
-
-    m: np.ndarray
-    s: np.ndarray
-    k: int = 0
-
-    @classmethod
-    def zeros_like(cls, param: Tensor) -> "AdamState":
-        return cls(m=np.zeros_like(param.data), s=np.zeros_like(param.data), k=0)
-
-
-def adam_step(param: Tensor, grad, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              name: str = "") -> tuple[Tensor, AdamState]:
-    """Bias-corrected Adam update; returns the new parameter and `state`, whose
-    moments are updated in place.
-
-    Each expression keeps the operand order of the textbook form
-    m = beta1*m + (1-beta1)*g, s = beta2*s + ((1-beta2)*g)*g,
-    p - lr*m_hat / (sqrt(s_hat) + eps), so the result is the same to the bit; only
-    three temporaries are allocated."""
-    if lr <= 0:
-        raise OptimizationError(f"adam_step: lr must be positive, got {lr}")
-    g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
-    if g.shape != param.data.shape:
-        raise DimensionError(f"adam_step: grad {g.shape} vs param {param.data.shape}")
-    if not np.all(np.isfinite(g)):
-        raise OptimizationError(f"adam_step: non-finite gradient for parameter '{name or 'unnamed'}'")
-    state.k += 1
-    k = state.k
-    scaled_g = np.multiply(1.0 - beta1, g)
-    state.m *= beta1
-    state.m += scaled_g
-    np.multiply(1.0 - beta2, g, out=scaled_g)
-    scaled_g *= g
-    state.s *= beta2
-    state.s += scaled_g
-    denom = np.divide(state.s, 1.0 - beta2 ** k)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step = np.divide(state.m, 1.0 - beta1 ** k)
-    np.multiply(lr, step, out=step)
-    step /= denom
-    new_data = np.subtract(param.data, step, out=step)
-    return Tensor(new_data, requires_grad=param.requires_grad), state
-
-
 class Adam:
-    """Adam over a dict of named parameters. Missing gradients leave a parameter untouched."""
+    """Bias-corrected Adam over a dict of named parameters.
+
+    Each parameter keeps its own moments and update count; a parameter without a
+    gradient is left untouched. The moments are updated in place, and each
+    expression keeps the operand order of the textbook form
+    m = beta1*m + (1-beta1)*g, s = beta2*s + ((1-beta2)*g)*g,
+    p - lr*m_hat / (sqrt(s_hat) + eps), so the result is the same to the bit; a
+    step allocates three temporaries per parameter."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.states: dict[str, AdamState] = {}
+        if lr <= 0:
+            raise OptimizationError(f"Adam: lr must be positive, got {lr}")
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # name -> (m, s)
+        self.updates: dict[str, int] = {}
 
     def step(self, params: dict[str, Tensor], grads: dict[Tensor, np.ndarray]) -> dict[str, Tensor]:
         new_params = {}
@@ -237,11 +196,27 @@ class Adam:
             if g is None:
                 new_params[name] = p
                 continue
-            state = self.states.get(name)
-            if state is None:
-                state = AdamState.zeros_like(p)
-            new_p, new_state = adam_step(p, g, state, self.lr, self.beta1, self.beta2,
-                                         self.eps, name=name)
-            self.states[name] = new_state
-            new_params[name] = new_p
+            if g.shape != p.data.shape:
+                raise DimensionError(f"Adam: grad {g.shape} vs param '{name}' {p.data.shape}")
+            if not np.all(np.isfinite(g)):
+                raise OptimizationError(f"Adam: non-finite gradient for parameter '{name}'")
+            if name not in self.moments:
+                self.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            m, s = self.moments[name]
+            k = self.updates[name] = self.updates.get(name, 0) + 1
+            scaled_g = np.multiply(1.0 - self.beta1, g)
+            m *= self.beta1
+            m += scaled_g
+            np.multiply(1.0 - self.beta2, g, out=scaled_g)
+            scaled_g *= g
+            s *= self.beta2
+            s += scaled_g
+            denom = np.divide(s, 1.0 - self.beta2 ** k)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step = np.divide(m, 1.0 - self.beta1 ** k)
+            np.multiply(self.lr, step, out=step)
+            step /= denom
+            new_params[name] = Tensor(np.subtract(p.data, step, out=step),
+                                      requires_grad=p.requires_grad)
         return new_params

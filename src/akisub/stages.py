@@ -15,7 +15,6 @@ produces it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import typing
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import clustering, crossval, features, kdigo, memnet, stats
 from .cohort import CohortConfig, file_sha256, generate_cohort, read_cohort, write_cohort
-from .errors import ArgumentError, ConfigError, DataError, StageDependencyError
+from .errors import ArgumentError, ConfigError, DataError, ParseError, StageDependencyError
 from .kdigo import AkiLabel
 from .memnet import HyperConfig
 
@@ -205,9 +204,37 @@ def _path(config: RunConfig, filename: str) -> Path:
 # label / feature IO helpers
 # ---------------------------------------------------------------------------
 
+LABEL_COLUMNS = ["stay_id", "is_case", "onset_hours", "stage", "rule"]
+EMBEDDING_COLUMNS = ["stay_id", "x", "y", "cluster"]
+
+
+def _representation_columns(width: int) -> list[str]:
+    return ["stay_id"] + [f"v{i:03d}" for i in range(width)]
+
+
+def _csv_rows(path, header):
+    """Yield (line number, fields) per row of a CSV artifact. ParseError names the line
+    unless line 1 is `header`, or `header(n)` for its n fields, and every row is as wide."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            found = fh.readline().rstrip("\n").split(",")
+            want = header(len(found)) if callable(header) else header
+            if found != want:
+                raise ParseError(f"{path}: line 1: header must be {','.join(want)!r}, "
+                                 f"got {','.join(found)!r}")
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.rstrip("\n").split(",")
+                if len(fields) != len(want):
+                    raise ParseError(f"{path}: line {lineno}: {len(fields)} fields, "
+                                     f"expected {len(want)}")
+                yield lineno, fields
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def write_labels(kept: list[tuple], path) -> None:
     with open(path, "w") as fh:
-        fh.write("stay_id,is_case,onset_hours,stage,rule\n")
+        fh.write(",".join(LABEL_COLUMNS) + "\n")
         for stay, label in kept:
             onset = repr(label.onset_offset_hours) if label.is_case else ""
             stage = str(label.stage) if label.stage is not None else ""
@@ -217,15 +244,18 @@ def write_labels(kept: list[tuple], path) -> None:
 
 def read_labels(path) -> dict[str, AkiLabel]:
     out: dict[str, AkiLabel] = {}
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            is_case = row["is_case"] == "1"
-            out[row["stay_id"]] = AkiLabel(
-                is_case=is_case,
-                onset_offset_hours=float(row["onset_hours"]) if row["onset_hours"] else None,
-                stage=int(row["stage"]) if row["stage"] else None,
-                triggering_rule=row["rule"] or None,
-            )
+    try:
+        for lineno, (sid, is_case, onset, stage, rule) in _csv_rows(path, LABEL_COLUMNS):
+            if is_case not in ("0", "1"):
+                raise ValueError(f"is_case must be 0 or 1, got {is_case!r}")
+            if stage not in ("", "1", "2", "3"):
+                raise ValueError(f"stage must be 1, 2, 3 or empty, got {stage!r}")
+            out[sid] = AkiLabel(is_case=is_case == "1",
+                                onset_offset_hours=float(onset) if onset else None,
+                                stage=int(stage) if stage else None,
+                                triggering_rule=rule or None)
+    except ValueError as e:
+        raise ParseError(f"{path}: line {lineno}: {e}") from None
     return out
 
 
@@ -238,13 +268,17 @@ def write_scaling(scaling: features.ScalingStats, path) -> None:
 
 
 def read_scaling(path) -> features.ScalingStats:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return features.ScalingStats(split_id=payload["split_id"],
-                                 mean=np.array(payload["mean"]),
-                                 vmin=np.array(payload["vmin"]),
-                                 vmax=np.array(payload["vmax"]),
-                                 variables=tuple(payload["variables"]))
+    """ParseError unless `path` holds the scaling of features.TIME_VARIABLES."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+        arrays = {key: np.array(payload[key], dtype=np.float64)
+                  for key in ("mean", "vmin", "vmax")}
+        if tuple(payload["variables"]) != features.TIME_VARIABLES or \
+                any(a.shape != (len(features.TIME_VARIABLES),) for a in arrays.values()):
+            raise ValueError("expected mean, vmin and vmax of the time variables in order")
+        return features.ScalingStats(split_id=payload["split_id"], **arrays)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"{path}: malformed scaling ({type(e).__name__}: {e})") from None
 
 
 def write_vocab(vocab: features.Vocabulary, path) -> None:
@@ -258,38 +292,38 @@ def read_vocab(path) -> features.Vocabulary:
 
 def write_representations(stay_ids, matrix: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        fh.write("stay_id," + ",".join(f"v{i:03d}" for i in range(matrix.shape[1])) + "\n")
+        fh.write(",".join(_representation_columns(matrix.shape[1])) + "\n")
         for sid, row in zip(stay_ids, matrix):
             fh.write(sid + "," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
 def read_representations(path) -> tuple[list[str], np.ndarray]:
     ids, rows = [], []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            ids.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+    try:
+        for lineno, (sid, *values) in _csv_rows(path, lambda n: _representation_columns(n - 1)):
+            ids.append(sid)
+            rows.append([float(x) for x in values])
+    except ValueError as e:
+        raise ParseError(f"{path}: line {lineno}: {e}") from None
     return ids, np.array(rows)
 
 
 def write_embedding2d(stay_ids, Y: np.ndarray, clusters: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        fh.write("stay_id,x,y,cluster\n")
+        fh.write(",".join(EMBEDDING_COLUMNS) + "\n")
         for sid, (x, y), c in zip(stay_ids, Y, clusters):
             fh.write(f"{sid},{repr(float(x))},{repr(float(y))},{int(c)}\n")
 
 
 def read_embedding2d(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     ids, pts, clusters = [], [], []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            sid, x, y, c = line.rstrip("\n").split(",")
+    try:
+        for lineno, (sid, x, y, c) in _csv_rows(path, EMBEDDING_COLUMNS):
             ids.append(sid)
             pts.append((float(x), float(y)))
             clusters.append(int(c))
+    except ValueError as e:
+        raise ParseError(f"{path}: line {lineno}: {e}") from None
     return ids, np.array(pts), np.array(clusters)
 
 
@@ -372,8 +406,12 @@ def _stage_train(config: RunConfig):
 
 
 def _stage_embed(config: RunConfig):
-    labeled, _, prepared, _, _ = _prepared(config)
+    labeled, _, prepared, vocab, _ = _prepared(config)
     result = memnet.load_checkpoint(_path(config, "checkpoint.json"))
+    n_rows = len(result.params["word_emb"].data)
+    if len(vocab) != n_rows:
+        raise ParseError(f"{_path(config, 'vocab.txt')}: {len(vocab)} tokens for the "
+                         f"checkpoint's {n_rows} word_emb rows")
     rows = memnet.embed_stays(result, prepared)
     write_representations([s.stay_id for s in labeled], rows,
                           _path(config, "representations.csv"))
@@ -382,6 +420,9 @@ def _stage_embed(config: RunConfig):
 def _stage_cluster(config: RunConfig):
     ids, X = read_representations(_path(config, "representations.csv"))
     labels = read_labels(_path(config, "labels.csv"))
+    missing = [sid for sid in ids if sid not in labels]
+    if missing:
+        raise DataError(f"represented stays missing from labels.csv: {missing[:3]}")
     is_case = np.array([labels[sid].is_case for sid in ids], dtype=bool)
     case_ids = [sid for sid, case in zip(ids, is_case) if case]
     case_rows = X[is_case]
@@ -389,21 +430,19 @@ def _stage_cluster(config: RunConfig):
     cc.check_cases(len(case_ids))
     if cc.method == "tsne":
         Y = clustering.tsne_embed(case_rows, perplexity=cc.perplexity,
-                                  iters=cc.tsne_iters, seed=cc.seed).embedding
+                                  iters=cc.tsne_iters, seed=cc.seed)
     elif cc.method == "pca":
         Y = clustering.pca_project(case_rows, 2)
     else:
         Y = clustering.autoencoder_embed(case_rows, epochs=cc.autoencoder_epochs,
                                          seed=cc.seed).embedding
-    best_k, table = clustering.select_k(Y, cc.k_range, seed=cc.seed,
-                                        restarts=cc.restarts, rel_tol=cc.select_rel_tol)
-    assignment = clustering.kmeans(Y, best_k, seed=cc.seed, restarts=cc.restarts)
-    write_embedding2d(case_ids, Y, assignment.labels,
-                      _path(config, "embedding2d.csv"))
+    best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed,
+                                      restarts=cc.restarts, rel_tol=cc.select_rel_tol)
+    write_embedding2d(case_ids, Y, best.labels, _path(config, "embedding2d.csv"))
     with open(_path(config, "ktable.csv"), "w") as fh:
         fh.write("k,mcclain_rao,selected\n")
         for k, value in table:
-            fh.write(f"{k},{repr(value)},{int(k == best_k)}\n")
+            fh.write(f"{k},{repr(value)},{int(k == len(best.centroids))}\n")
 
 
 def _stage_interpret(config: RunConfig):

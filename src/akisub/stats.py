@@ -1,7 +1,7 @@
 """Hypothesis tests and the per-cluster interpretation report.
 
 Implements Pearson chi-square, one-way ANOVA, Kruskal-Wallis with tie
-correction, Tukey HSD via an embedded studentized-range table (alpha = 0.05),
+correction, Tukey HSD via an embedded studentized-range table (ALPHA = 0.05),
 and age-adjusted ANCOVA as a nested linear-model F-test. Continuous variables
 are routed to ANOVA when their pooled sample looks normal by moment thresholds
 (|skewness| < 1 and |excess kurtosis| < 2) and to Kruskal-Wallis otherwise.
@@ -20,6 +20,8 @@ from .errors import ArgumentError, DataError, NumericalRankError
 from .kdigo import AkiLabel, egfr_mdrd
 from .metrics import _midranks
 
+ALPHA = 0.05  # the significance level of every test; the Tukey table embeds only it
+
 
 @dataclass
 class TestResult:
@@ -27,7 +29,6 @@ class TestResult:
     p_value: float
     dof: float
     test_name: str
-    pairwise: list[tuple[int, int, bool]] | None = None
 
 
 def chi2_sf(x: float, dof: float) -> float:
@@ -150,7 +151,7 @@ _Q_TABLE = {
 
 
 def q_critical(k: int, dof: float) -> float:
-    """alpha=0.05 studentized-range critical value, linearly interpolated on dof
+    """ALPHA studentized-range critical value, linearly interpolated on dof
     (on 1/dof beyond the last finite table row)."""
     if k not in _Q_TABLE:
         raise ArgumentError(f"studentized-range table covers 2..10 groups, got k={k}")
@@ -168,11 +169,9 @@ def q_critical(k: int, dof: float) -> float:
     raise ArgumentError(f"dof {dof} outside table range")
 
 
-def tukey_hsd(groups, alpha: float = 0.05) -> list[tuple[int, int, bool]]:
+def tukey_hsd(groups) -> list[tuple[int, int, bool]]:
     """All-pairs comparison after ANOVA; pair (i, j) is significant when the
-    studentized statistic exceeds the alpha=0.05 critical value."""
-    if alpha != 0.05:
-        raise ArgumentError("only alpha=0.05 critical values are embedded")
+    studentized statistic exceeds the ALPHA critical value."""
     arrays = _group_arrays(groups)
     if any(len(g) < 2 for g in arrays):
         raise ArgumentError("tukey_hsd needs every group to have n >= 2")
@@ -305,8 +304,7 @@ def _discrete_categories(var: str) -> list[str]:
     return ["yes", "no"]
 
 
-def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
-                         ) -> SubtypeReport:
+def build_subtype_report(stays: list[IcuStay], clusters) -> SubtypeReport:
     """Tables-3/4-shaped summary: per-cluster descriptive statistics with
     unadjusted p (routed test) and age-adjusted ANCOVA p per variable block."""
     labels = np.asarray(clusters)
@@ -337,7 +335,7 @@ def build_subtype_report(stays: list[IcuStay], clusters, alpha: float = 0.05,
                 else kruskal_wallis(per_cluster)
             block.unadjusted_p = result.p_value
             block.test_name = result.test_name
-            if result.p_value < alpha:
+            if result.p_value < ALPHA:
                 block.significant_pairs = [(i, j) for i, j, sig
                                            in tukey_hsd(per_cluster) if sig]
             if var != "age":  # the age row carries no age-adjusted p
@@ -454,13 +452,13 @@ def write_report_text(report: SubtypeReport, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_heatmap_matrix(report: SubtypeReport, path, alpha: float = 0.05) -> None:
+def write_heatmap_matrix(report: SubtypeReport, path) -> None:
     """z-scored per-cluster means of the significant continuous variables."""
     rows = []
     names = []
     for block in report.blocks:
         if block.kind != "continuous" or block.unadjusted_p is None \
-                or block.unadjusted_p >= alpha:
+                or block.unadjusted_p >= ALPHA:
             continue
         means = np.asarray(block.cluster_means)
         sd = means.std()

@@ -409,6 +409,17 @@ def first_day_mean_reference(stay, var: str, egfr):
 
 
 # ---------------------------------------------------------------------------
+# a test-only tape primitive
+# ---------------------------------------------------------------------------
+
+def exp(a) -> Tensor:
+    """e**a, recorded on the active tape; the package itself needs no exp."""
+    a = ad.as_tensor(a)
+    y = np.exp(a.data)
+    return ad._record((a,), Tensor(y), lambda g: (g * y,))
+
+
+# ---------------------------------------------------------------------------
 # out-of-place Adam
 # ---------------------------------------------------------------------------
 
@@ -572,6 +583,35 @@ def pairwise_auc(scores, labels) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def tsne_kl_reference(X, Y, perplexity: float) -> float:
+    """KL(P || Q) of the 2-D layout `Y` of the rows of `X`, summed over pairs i != j.
+
+    P symmetrizes Gaussian conditionals whose entropy is log(perplexity), each
+    precision found by bisection on its logarithm; Q is the normalized Student-t
+    kernel on `Y`."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    n = len(X)
+    off = ~np.eye(n, dtype=bool)
+    D = ((X[:, None] - X[None]) ** 2).sum(axis=-1)
+    cond = np.zeros((n, n))
+    for i in range(n):
+        d = D[i, off[i]]
+        lo, hi = -50.0, 50.0  # log precision
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            p = np.exp(-(d - d.min()) * np.exp(mid))
+            p /= p.sum()
+            entropy = -np.sum(p[p > 0] * np.log(p[p > 0]))
+            lo, hi = (mid, hi) if entropy > np.log(perplexity) else (lo, mid)
+        cond[i, off[i]] = p
+    P = (cond + cond.T) / (2.0 * n)
+    kernel = 1.0 / (1.0 + ((Y[:, None] - Y[None]) ** 2).sum(axis=-1))
+    Q = kernel[off] / kernel[off].sum()
+    P = P[off]
+    keep = P > 0
+    return float(np.sum(P[keep] * np.log(P[keep] / Q[keep])))
 
 
 def best_two_partition_inertia(points) -> float:

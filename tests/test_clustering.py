@@ -8,7 +8,7 @@ from akisub.clustering import (adjusted_rand_index, autoencoder_embed,
                                mcclain_rao, pca_project, select_k, tsne_embed)
 from akisub.errors import ArgumentError, DegenerateInputError
 from oracles import best_two_partition_inertia, finite_difference_grads, \
-    max_relative_error, pca_reconstruction_error
+    max_relative_error, pca_reconstruction_error, tsne_kl_reference
 
 
 def silhouette(X, labels):
@@ -137,22 +137,23 @@ class TestTsne:
         rng = np.random.default_rng(8)
         X, labels = blobs(rng, 40, [np.r_[np.zeros(9), 8.0], np.r_[8.0, np.zeros(9)],
                                     np.r_[np.zeros(4), 8.0, np.zeros(5)]], scale=0.8)
-        result = tsne_embed(X, perplexity=20.0, iters=500, seed=0)
-        assert silhouette(result.embedding, labels) >= 0.6
+        Y = tsne_embed(X, perplexity=20.0, iters=500, seed=0)
+        assert Y.shape == (len(X), 2)
+        assert silhouette(Y, labels) >= 0.6
 
     def test_kl_decreases_and_nonnegative(self):
         rng = np.random.default_rng(9)
         X, _ = blobs(rng, 35, [np.zeros(5), np.full(5, 6.0)], scale=1.0)
-        result = tsne_embed(X, perplexity=15.0, iters=400, seed=1)
-        assert result.kl_history[-1] < result.kl_history[0]
-        assert all(kl >= 0.0 for kl in result.kl_history)
+        Y = tsne_embed(X, perplexity=15.0, iters=400, seed=1)
+        Y0 = 1e-4 * np.random.default_rng(1).standard_normal((len(X), 2))  # seeded start
+        kl0, kl = (tsne_kl_reference(X, layout, 15.0) for layout in (Y0, Y))
+        assert 0.0 <= kl < kl0
 
     def test_duplicated_points_stay_close(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((120, 6))
         X[71] = X[17]
-        result = tsne_embed(X, perplexity=25.0, iters=500, seed=3)
-        Y = result.embedding
+        Y = tsne_embed(X, perplexity=25.0, iters=500, seed=3)
         dup = np.linalg.norm(Y[71] - Y[17])
         d = np.sqrt(((Y[:, None] - Y[None]) ** 2).sum(-1))
         all_pairs = d[np.triu_indices(len(Y), k=1)]
@@ -229,14 +230,17 @@ class TestSelectK:
         X, _ = blobs(rng, 60, [np.zeros(2), np.array([9.0, 0.0]), np.array([0.0, 9.0])],
                      scale=0.7)
         best, table = select_k(X, range(2, 7), seed=0)
-        assert best == 3
+        assert len(best.centroids) == 3
         assert [k for k, _ in table] == [2, 3, 4, 5, 6]
+        # the winning clustering is the one kmeans gives for that k
+        again = kmeans(X, 3, seed=0)
+        assert np.array_equal(best.labels, again.labels) and best.inertia == again.inertia
 
     def test_singleton_range(self):
         rng = np.random.default_rng(18)
         X = rng.standard_normal((30, 2))
         best, table = select_k(X, [2], seed=0)
-        assert best == 2 and len(table) == 1
+        assert len(best.centroids) == 2 and len(table) == 1
 
     def test_empty_range_rejected(self):
         with pytest.raises(ArgumentError):

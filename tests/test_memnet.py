@@ -266,7 +266,7 @@ class TestFuseAndPredict:
     def test_default_dims_give_144(self):
         hyper = HyperConfig()
         hyper.validate()
-        assert hyper.representation_dim == memnet.REPRESENTATION_DIM == 144
+        assert hyper.representation_dim == 144
         rng = np.random.default_rng(0)
         params = init_params(rng, hyper, vocab_size=30, feature_dim=21, static_dim=20)
         _, v = forward_batch(params, [one_stay(2, hyper, d=21)], hyper)

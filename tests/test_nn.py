@@ -167,57 +167,72 @@ def test_lstm_sequence_shape_mismatch():
 
 def test_adam_zero_gradient_is_identity():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    state = nn.AdamState.zeros_like(p)
-    p2, s2 = nn.adam_step(p, np.zeros(3), state, lr=0.1)
+    opt = nn.Adam(lr=0.1)
+    p2 = opt.step({"p": p}, {p: np.zeros(3)})["p"]
     assert np.array_equal(p2.data, p.data)
-    assert s2.k == 1
-    assert np.all(s2.s >= 0)
+    assert opt.updates["p"] == 1
+    assert np.all(opt.moments["p"][1] >= 0)
 
 
 def test_adam_single_step_hand_value():
     p = Tensor(np.array([0.0]), requires_grad=True)
-    state = nn.AdamState.zeros_like(p)
-    p2, _ = nn.adam_step(p, np.array([1.0]), state, lr=0.01, beta1=0.9, beta2=0.999)
+    p2 = nn.Adam(lr=0.01, beta1=0.9, beta2=0.999).step({"p": p}, {p: np.array([1.0])})["p"]
     # bias-corrected m_hat/sqrt(s_hat) = 1 -> delta = -lr
     assert p2.data[0] == pytest.approx(-0.01, rel=1e-6)
 
 
 def test_adam_constant_gradient_limit():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    state = nn.AdamState.zeros_like(p)
-    prev = p.data.copy()
+    params = {"p": Tensor(np.array([0.0]), requires_grad=True)}
+    opt = nn.Adam(lr=0.01)
+    prev = params["p"].data.copy()
     step_size = None
     for _ in range(400):
-        p, state = nn.adam_step(p, np.array([2.5]), state, lr=0.01)
-        step_size = prev - p.data
-        prev = p.data.copy()
+        params = opt.step(params, {params["p"]: np.array([2.5])})
+        step_size = prev - params["p"].data
+        prev = params["p"].data.copy()
     assert step_size[0] == pytest.approx(0.01, rel=1e-3)  # approaches lr * sign(g)
 
 
 def test_adam_rejects_nonfinite_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(OptimizationError, match="badparam"):
-        nn.adam_step(p, np.array([np.nan]), nn.AdamState.zeros_like(p), lr=0.01,
-                     name="badparam")
+        nn.Adam(lr=0.01).step({"badparam": p}, {p: np.array([np.nan])})
+
+
+def test_adam_rejects_bad_lr_and_shape():
+    with pytest.raises(OptimizationError, match="lr must be positive"):
+        nn.Adam(lr=0.0)
+    p = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(DimensionError, match="'w'"):
+        nn.Adam(lr=0.01).step({"w": p}, {p: np.zeros(4)})
+
+
+def test_adam_skips_a_parameter_without_gradient():
+    a, b = (Tensor(np.ones(2), requires_grad=True) for _ in range(2))
+    opt = nn.Adam(lr=0.1)
+    out = opt.step({"a": a, "b": b}, {a: np.ones(2)})
+    assert out["b"] is b and "b" not in opt.updates and opt.updates["a"] == 1
 
 
 def test_adam_in_place_matches_out_of_place_reference_bitwise():
     rng = np.random.default_rng(5)
     shape = (7, 12)
-    p = Tensor(rng.normal(size=shape), requires_grad=True)
-    state = nn.AdamState.zeros_like(p)
-    m_state, s_state = state.m, state.s
-    ref_p, ref_m, ref_s = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    params = {"p": Tensor(rng.normal(size=shape), requires_grad=True)}
+    opt = nn.Adam(lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+    ref_p, ref_m, ref_s = params["p"].data.copy(), np.zeros(shape), np.zeros(shape)
     for k in range(20):
         g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=shape)
-        p, state = nn.adam_step(p, g, state, lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+        params = opt.step(params, {params["p"]: g})
         ref_p, ref_m, ref_s = adam_step_reference(ref_p, g, ref_m, ref_s, k, lr=0.003,
                                                   beta1=0.85, beta2=0.995, eps=1e-7)
-        assert state.k == k + 1
-        assert p.data.tobytes() == ref_p.tobytes()
-        assert state.m.tobytes() == ref_m.tobytes()
-        assert state.s.tobytes() == ref_s.tobytes()
-    assert state.m is m_state and state.s is s_state  # moments updated in place
+        m, s = opt.moments["p"]
+        if k == 0:
+            first_m, first_s = m, s
+        assert opt.updates["p"] == k + 1
+        assert params["p"].data.tobytes() == ref_p.tobytes()
+        assert m.tobytes() == ref_m.tobytes()
+        assert s.tobytes() == ref_s.tobytes()
+    assert m is first_m and s is first_s  # moments updated in place
 
 
 def test_adam_optimizer_converges_on_quadratic():

@@ -1,0 +1,91 @@
+"""Every top-level function and class of `akisub` is referenced by a module of
+`akisub` or by a file of the benchmark under `bench/`; code that only tests call
+belongs in `tests/oracles.py`."""
+
+import ast
+from pathlib import Path
+
+import akisub
+
+SRC = Path(akisub.__file__).parent
+BENCH = SRC.parents[1] / "bench"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree: ast.Module, own: str | None, package) -> set[tuple[str, str]]:
+    """(module, name) pairs of `package` that `tree` references: names imported
+    from a package module, `alias.attr` where `alias` is a package module, and,
+    when `tree` is package module `own`, its own top-level names used outside
+    their own definition."""
+    aliases, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:  # absolute: only `akisub` and its modules count
+                if module.split(".")[0] != "akisub":
+                    continue
+                module = module[len("akisub."):]
+            for alias in node.names:
+                if module:
+                    found.add((module, alias.name))
+                else:  # `from . import x` or `from akisub import x`
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and aliases.get(node.value.id) in package:
+            found.add((aliases[node.value.id], node.attr))
+    if own is not None:
+        for stmt in tree.body:
+            defined = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            found |= {(own, node.id) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and node.id != defined}
+    return found
+
+
+def unreferenced(package: dict[str, str], others: list[str], targets) -> list[str]:
+    """`module.name` of each top-level function or class of `package` (module name
+    to source) that no package module and no source in `others` references;
+    `targets` holds (module, attribute path) pairs that count as references."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    defined = {(name, stmt.name) for name, tree in trees.items()
+               for stmt in tree.body if isinstance(stmt, DEFINITIONS)}
+    used = {(module, path.split(".")[0]) for module, path in targets}
+    for name, tree in trees.items():
+        used |= references(tree, name, package)
+    for source in others:
+        used |= references(ast.parse(source), None, package)
+    return sorted(f"{module}.{name}" for module, name in defined - used)
+
+
+def tracer_targets(source: str) -> list[tuple[str, str]]:
+    """(module, attribute path) of each entry of the tracer's TARGETS literal."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["TARGETS"]:
+            return [entry[:2] for entry in ast.literal_eval(stmt.value)]
+    raise AssertionError("no TARGETS literal in the tracer")
+
+
+def test_every_definition_is_referenced():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for path in sorted(BENCH.rglob("*.py"))]
+    targets = tracer_targets((BENCH / "tracer.py").read_text())
+    assert targets and unreferenced(package, others, targets) == []
+
+
+def test_checker_on_planted_source():
+    package = {
+        "a": ("def used(): pass\n"
+              "def by_alias(): pass\n"
+              "def traced(): pass\n"
+              "def only_itself(): return only_itself()\n"
+              "class Inner: pass\n"
+              "def outer(x: Inner): return used\n"
+              "def dead(): pass\n"),
+        "b": ("from . import a as x\n"
+              "from .a import outer\n"
+              "def run(): return x.by_alias(), outer\n"),
+    }
+    others = ["from akisub import b\nimport akisub\nb.run()\nfrom numpy import dead\n"]
+    assert unreferenced(package, others, [("a", "traced.attr")]) == \
+        ["a.dead", "a.only_itself"]
+    assert unreferenced(package, [], [("a", "traced")]) == ["a.dead", "a.only_itself", "b.run"]

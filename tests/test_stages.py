@@ -60,6 +60,14 @@ def small_config(out_dir, seed=11):
     })
 
 
+def _edit_row(text: str, row: int, edit) -> str:
+    """`text` with the fields of CSV line `row` (0 is the header) replaced by
+    `edit(fields)`."""
+    lines = text.split("\n")
+    lines[row] = ",".join(edit(lines[row].split(",")))
+    return "\n".join(lines)
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -292,6 +300,55 @@ class TestCli:
         assert code == 4
         assert payload["error"] == "parse"
         assert "checkpoint.json" in payload["message"]
+
+    @pytest.mark.parametrize("stage,name,corrupt,category,needle", [
+        ("cluster", "labels.csv", lambda t: _edit_row(t, 1, lambda f: [f[0], "x", *f[2:]]),
+         "parse", "labels.csv: line 2: is_case must be 0 or 1, got 'x'"),
+        ("cluster", "labels.csv", lambda t: t.replace("is_case", "case", 1),
+         "parse", "labels.csv: line 1: header"),
+        ("cluster", "labels.csv", lambda t: _edit_row(t, 1, lambda f: [*f[:3], "0", f[4]]),
+         "parse", "labels.csv: line 2: stage must be 1, 2, 3 or empty, got '0'"),
+        ("cluster", "labels.csv", lambda t: _edit_row(t, 1, lambda f: [*f[:2], "?", *f[3:]]),
+         "parse", "labels.csv: line 2: could not convert"),
+        ("cluster", "representations.csv", lambda t: _edit_row(t, 2, lambda f: f[:-1]),
+         "parse", "representations.csv: line 3: 20 fields, expected 21"),
+        ("cluster", "representations.csv", lambda t: _edit_row(t, 1, lambda f: [f[0], "?", *f[2:]]),
+         "parse", "representations.csv: line 2: could not convert"),
+        ("cluster", "representations.csv", lambda t: _edit_row(t, 1, lambda f: ["S_X", *f[1:]]),
+         "data", "'S_X'"),
+        ("interpret", "embedding2d.csv", lambda t: _edit_row(t, 1, lambda f: f[:3]),
+         "parse", "embedding2d.csv: line 2: 3 fields, expected 4"),
+        ("interpret", "embedding2d.csv", lambda t: _edit_row(t, 1, lambda f: [*f[:3], "a"]),
+         "parse", "embedding2d.csv: line 2: invalid literal"),
+        ("interpret", "embedding2d.csv", lambda t: "", "parse", "embedding2d.csv: line 1"),
+        ("embed", "scaling.json", lambda t: "{}", "parse", "scaling.json: malformed scaling"),
+        ("embed", "scaling.json", lambda t: t.replace('"creatinine", ', "", 1),
+         "parse", "scaling.json: malformed scaling (ValueError"),
+        ("embed", "vocab.txt", lambda t: "<pad>\n",
+         "parse", "vocab.txt: 1 tokens for the checkpoint's"),
+    ], ids=["labels-is-case", "labels-header", "labels-stage", "labels-onset", "reps-short-row",
+            "reps-cell", "reps-unknown-stay", "emb-short-row", "emb-cluster", "emb-empty",
+            "scaling-empty", "scaling-variables", "vocab-size"])
+    def test_cli_malformed_artifact_exit_code_and_json(self, pipeline_run, tmp_path, capsys,
+                                                       stage, name, corrupt, category, needle):
+        out, config, _ = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config.to_dict(), "out_dir": str(run_dir)}))
+        path = run_dir / name
+        path.write_text(corrupt(path.read_text()))
+        code = main(["--config", str(cfg_path), stage])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (code, payload["error"]) == (4, category)
+        assert needle in payload["message"]
+
+    @pytest.mark.parametrize("reader", [read_labels, read_representations, read_embedding2d])
+    def test_reader_rejects_non_utf8(self, reader, tmp_path):
+        path = tmp_path / "artifact.csv"
+        path.write_bytes(b"stay_id,\xff\n")
+        with pytest.raises(errors.ParseError, match="not UTF-8"):
+            reader(path)
 
     @pytest.mark.parametrize("stage,corrupt", [
         ("synth", lambda manifest: [1]),
