@@ -42,18 +42,19 @@ def resolve_config(args) -> RunConfig:
         config = load_config(args.config)
     else:
         config = config_from_dict({})
-    if args.seed is not None:
+    if args.seed is not None or args.t1 is not None:
         raw = config.to_dict()
         raw.pop("schema_version")
-        raw["seed"] = args.seed
-        for section in ("cohort", "model", "cluster", "evaluate"):
-            raw[section]["seed"] = args.seed
+        if args.seed is not None:
+            raw["seed"] = args.seed
+            for section in ("cohort", "model", "cluster", "evaluate"):
+                raw[section]["seed"] = args.seed
+        if args.t1 is not None:
+            raw["t1_hours"] = args.t1
+            del raw["model"]["memory_size"]  # derived from t1_hours again
         config = config_from_dict(raw)
     if args.out is not None:
         config.out_dir = args.out
-    if args.t1 is not None:
-        config.t1_hours = args.t1
-    config.validate()
     return config
 
 

@@ -5,9 +5,10 @@ t-SNE is the exact O(n^2) formulation: per-point Gaussian bandwidths solved by
 bisection to match the target perplexity, symmetrized affinities, Student-t
 low-dimensional kernel, and gradient descent with momentum 0.5 and the
 affinities exaggerated by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS
-iterations, then momentum 0.8; the learning rate is n/12. It returns the (n, 2)
-layout alone. `select_k` returns the k-means clustering of the k it chooses,
-with the McClain-Rao table.
+iterations, then momentum 0.8; the learning rate is n/12. All three embedders
+(`pca_project`, `autoencoder_embed`, `tsne_embed`) return the (n, 2) layout
+alone. `select_k` returns the k-means clustering of the k it chooses, with the
+McClain-Rao table.
 """
 
 from __future__ import annotations
@@ -52,24 +53,12 @@ def pca_project(X: np.ndarray, out_dim: int = 2) -> np.ndarray:
 # autoencoder
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AutoencoderResult:
-    embedding: np.ndarray
-    params: dict[str, Tensor]
-    loss_history: list[float]
-    reconstruction_error: float
+def _encode(params, X: Tensor) -> Tensor:
+    return ad.add(ad.matmul(X, params["w_enc"]), params["b_enc"])
 
 
-def _autoencoder_forward(params, X: Tensor, activation: str):
-    code = ad.add(ad.matmul(X, params["w_enc"]), params["b_enc"])
-    if activation == "tanh":
-        code = ad.tanh(code)
-    recon = ad.add(ad.matmul(code, params["w_dec"]), params["b_dec"])
-    return code, recon
-
-
-def autoencoder_loss(params, X: Tensor, activation: str = "linear") -> Tensor:
-    _, recon = _autoencoder_forward(params, X, activation)
+def autoencoder_loss(params, X: Tensor) -> Tensor:
+    recon = ad.add(ad.matmul(_encode(params, X), params["w_dec"]), params["b_dec"])
     diff = ad.sub(recon, X)
     return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), 1.0 / X.data.size)
 
@@ -84,30 +73,22 @@ def init_autoencoder_params(rng, d: int, bottleneck: int) -> dict[str, Tensor]:
 
 
 def autoencoder_embed(X: np.ndarray, bottleneck: int = 2, epochs: int = 400,
-                      lr: float = 0.01, seed: int = 0,
-                      activation: str = "linear") -> AutoencoderResult:
-    """Symmetric single-hidden-layer autoencoder trained on the squared
-    reconstruction loss; returns the bottleneck activations."""
+                      lr: float = 0.01, seed: int = 0) -> np.ndarray:
+    """The (n, bottleneck) code of a linear single-hidden-layer autoencoder trained
+    on the squared reconstruction loss of the centred rows of `X`."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2 or d < 2:
         raise ArgumentError(f"autoencoder_embed needs at least a 2x2 matrix, got {X.shape}")
-    mean = X.mean(axis=0)
-    Xc = Tensor(X - mean)
+    Xc = Tensor(X - X.mean(axis=0))
     rng = np.random.default_rng(seed)
     params = init_autoencoder_params(rng, d, bottleneck)
     opt = nn.Adam(lr=lr)
-    history = []
     for _ in range(epochs):
         with Tape() as tape:
-            loss = autoencoder_loss(params, Xc, activation)
-        grads = backward(tape, loss)
-        params = opt.step(params, grads)
-        history.append(loss.item())
-    code, recon = _autoencoder_forward(params, Xc, activation)
-    err = float(((recon.data - Xc.data) ** 2).mean())
-    return AutoencoderResult(embedding=code.data, params=params,
-                             loss_history=history, reconstruction_error=err)
+            loss = autoencoder_loss(params, Xc)
+        params = opt.step(params, backward(tape, loss))
+    return _encode(params, Xc).data
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Nested cross-validated evaluation with patient-grouped stratified folds.
 
 The outer loop estimates performance; the inner loop tunes on the outer
-training split only. For the logistic-regression models (`lr`, `lr_bow`) it
-always chooses the L2 penalty from `LR_L2_GRID`, on the design rows the outer
-fold has already built: each inner fold refits only the standardisation, and
-the rows keep the outer training split's imputation means. Every LR fit,
-inner or outer, is one `baselines.lr_train` call, which solves the penalised
-objective to convergence (or raises OptimizationError). For the neural
-models it tunes over the declared `HyperConfig` overrides and is skipped when
-that grid has at most one point.
-Every fitted statistic (scaling, vocabulary) is derived from the training side
-of its fold only; a split-id guard asserts this at scoring time.
+training split only. Each split, outer or inner, is built once as a `FoldData`
+that carries the scaling and vocabulary fitted on its training side; every
+model and grid candidate of the split reads those, so no fitted statistic
+sees the split's test side. One loop, `_select`, makes every inner-CV choice:
+the candidate with the best mean inner AUC, the first one on ties.
+For the logistic-regression models (`lr`, `lr_bow`) the inner loop always
+chooses the L2 penalty from `LR_L2_GRID`, on the design rows the outer fold has
+already built: each inner fold refits only the standardisation, and the rows
+keep the outer training split's imputation means. Every LR fit, inner or
+outer, is one `baselines.lr_train` call, which solves the penalised objective
+to convergence (or raises OptimizationError). For the neural models it tunes
+over the declared `HyperConfig` overrides and is skipped when that grid has
+at most one point.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 from . import baselines, memnet
 from .cohort import IcuStay
 from .errors import FoldError, MetricError
-from .features import (StayTensor, build_vocabulary, fit_scaling, bin_events,
-                       prepare_stays, notes_to_bow, summarize_for_baselines)
+from .features import (ScalingStats, StayTensor, Vocabulary, build_vocabulary,
+                       fit_scaling, bin_events, prepare_stays, notes_to_bow,
+                       summarize_for_baselines)
 from .memnet import HyperConfig
 from .metrics import MetricRecord, auc, precision_recall
 
@@ -85,28 +89,40 @@ def grouped_stratified_folds(stays: list[IcuStay], labels: dict[str, int],
 
 @dataclass
 class FoldData:
+    """One split, with the scaling and vocabulary fitted on its training side."""
+
     train_stays: list[IcuStay]
     test_stays: list[IcuStay]
     train_labels: np.ndarray
     test_labels: np.ndarray
-    split_id: str
+    scaling: ScalingStats
+    vocab: Vocabulary
+
+    def inner_folds(self, n_inner: int, seed: int) -> np.ndarray:
+        """Fold id per training stay for the inner loop."""
+        labels = {s.stay_id: int(l) for s, l in zip(self.train_stays, self.train_labels)}
+        return grouped_stratified_folds(self.train_stays, labels, n_inner, seed)
 
 
-def _fold_data(stays, labels, fold_of, fold, split_id) -> FoldData:
-    train = [s for s, f in zip(stays, fold_of) if f != fold]
-    test = [s for s, f in zip(stays, fold_of) if f == fold]
+def _fold_data(stays: list[IcuStay], labels: np.ndarray, fold_of: np.ndarray, fold: int,
+               split_id: str, tensors: dict[str, StayTensor]) -> FoldData:
+    """The split that holds out fold `fold`; `labels` is aligned with `stays`."""
+    held_out = fold_of == fold
+    train = [s for s, h in zip(stays, held_out) if not h]
     return FoldData(
-        train_stays=train, test_stays=test,
-        train_labels=np.array([labels[s.stay_id] for s in train]),
-        test_labels=np.array([labels[s.stay_id] for s in test]),
-        split_id=split_id,
+        train_stays=train, test_stays=[s for s, h in zip(stays, held_out) if h],
+        train_labels=labels[~held_out], test_labels=labels[held_out],
+        scaling=fit_scaling([tensors[s.stay_id] for s in train], split_id),
+        vocab=build_vocabulary(train),
     )
 
 
-def _fit_fold_scaling(fold: FoldData, tensors: dict[str, StayTensor]):
-    stats = fit_scaling([tensors[s.stay_id] for s in fold.train_stays], fold.split_id)
-    assert stats.split_id == fold.split_id, "scaling fitted outside its fold"
-    return stats
+def _select(candidates, inner_folds, score):
+    """The candidate with the best mean `score(candidate, inner_fold)` over the
+    inner folds, the first one on ties. `inner_folds` yields each fold once, and
+    every candidate is scored on it before the next is built."""
+    aucs = np.array([[score(c, inner) for c in candidates] for inner in inner_folds])
+    return candidates[int(np.argmax([np.mean(column) for column in aucs.T]))]
 
 
 def _standardize(X_fit: np.ndarray, X_apply: np.ndarray):
@@ -117,92 +133,70 @@ def _standardize(X_fit: np.ndarray, X_apply: np.ndarray):
     return (X_fit - mu) / sd, (X_apply - mu) / sd
 
 
-def _select_l2(X: np.ndarray, y: np.ndarray, inner_folds: np.ndarray,
-               n_inner: int) -> float:
-    """The LR_L2_GRID entry with the best mean AUC over the inner folds of X."""
-    scores = np.zeros((len(LR_L2_GRID), n_inner))
-    for k in range(n_inner):
-        held_out = inner_folds == k
-        X_fit, X_held = _standardize(X[~held_out], X[held_out])
-        for g, l2 in enumerate(LR_L2_GRID):
-            params = baselines.lr_train(X_fit, y[~held_out], l2=l2)
-            scores[g, k] = auc(baselines.lr_predict(params, X_held), y[held_out])
-    return LR_L2_GRID[int(np.argmax(scores.mean(axis=1)))]
-
-
-def _lr_train_and_score(model_id: str, fold: FoldData, t1_hours: float,
-                        tensors: dict[str, StayTensor], n_inner: int,
+def _lr_train_and_score(model_id: str, fold: FoldData, t1_hours: float, n_inner: int,
                         seed: int) -> np.ndarray:
     """Choose l2 by inner CV on the fold's training rows, fit on them, score the test split.
 
     The design rows are summarised once per outer fold; missing statistics are
     filled with the outer training split's means, in the inner folds too.
     """
-    stats = _fit_fold_scaling(fold, tensors)
-    fill = dict(zip(stats.variables, stats.mean))
-    vocab = build_vocabulary(fold.train_stays) if model_id == "lr_bow" else None
+    fill = dict(zip(fold.scaling.variables, fold.scaling.mean))
 
     def design(stays):
         X = np.stack([summarize_for_baselines(s, t1_hours, fill).values
                       for s in stays])
-        if vocab is not None:
-            X = np.hstack([X, np.stack([notes_to_bow(s, vocab) for s in stays])])
+        if model_id == "lr_bow":
+            X = np.hstack([X, np.stack([notes_to_bow(s, fold.vocab) for s in stays])])
         return X
 
-    X_train = design(fold.train_stays)
-    labels = {s.stay_id: int(l) for s, l in zip(fold.train_stays, fold.train_labels)}
-    inner_folds = grouped_stratified_folds(fold.train_stays, labels, n_inner, seed)
-    l2 = _select_l2(X_train, fold.train_labels, inner_folds, n_inner)
+    def score(l2, inner):
+        X_fit, X_held, y_fit, y_held = inner
+        return auc(baselines.lr_predict(baselines.lr_train(X_fit, y_fit, l2=l2), X_held),
+                   y_held)
+
+    X_train, y = design(fold.train_stays), fold.train_labels
+    fold_of = fold.inner_folds(n_inner, seed)
+    inner = ((*_standardize(X_train[fold_of != k], X_train[fold_of == k]),
+              y[fold_of != k], y[fold_of == k]) for k in range(n_inner))
+    l2 = _select(LR_L2_GRID, inner, score)
     X_train, X_test = _standardize(X_train, design(fold.test_stays))
-    params = baselines.lr_train(X_train, fold.train_labels, l2=l2)
+    params = baselines.lr_train(X_train, y, l2=l2)
     return baselines.lr_predict(params, X_test)
 
 
-def _train_and_score(model_id: str, fold: FoldData, t1_hours: float,
-                     hyper: HyperConfig, tensors: dict[str, StayTensor]) -> np.ndarray:
+def _train_and_score(model_id: str, fold: FoldData, hyper: HyperConfig,
+                     tensors: dict[str, StayTensor]) -> np.ndarray:
     """Fit a neural model on the fold's training split only and score its test split."""
-    stats = _fit_fold_scaling(fold, tensors)
-    vocab = build_vocabulary(fold.train_stays)
-    hyper = replace(hyper, memory_size=int(t1_hours / 2))
-    hyper.validate()
+    def prepare(stays, labels):
+        return prepare_stays(stays, {s.stay_id: int(l) for s, l in zip(stays, labels)},
+                             tensors, fold.vocab, fold.scaling, hyper.max_note_len)
 
-    labels_train = {s.stay_id: int(l) for s, l in zip(fold.train_stays, fold.train_labels)}
-    labels_test = {s.stay_id: int(l) for s, l in zip(fold.test_stays, fold.test_labels)}
-    train_prep = prepare_stays(fold.train_stays, labels_train, tensors, vocab, stats,
-                               hyper.max_note_len)
-    test_prep = prepare_stays(fold.test_stays, labels_test, tensors, vocab, stats,
-                              hyper.max_note_len)
+    train_prep = prepare(fold.train_stays, fold.train_labels)
+    test_prep = prepare(fold.test_stays, fold.test_labels)
     if model_id == "lstm":
         result = baselines.lstm_baseline_train(train_prep, hyper)
         return baselines.lstm_baseline_predict(result, test_prep)
     if model_id == "hielstm":
-        result = baselines.hielstm_only_train(train_prep, hyper, len(vocab))
+        result = baselines.hielstm_only_train(train_prep, hyper, len(fold.vocab))
         return baselines.hielstm_only_predict(result, test_prep)
     if model_id == "memnet":
-        result = memnet.train(train_prep, hyper, len(vocab))
+        result = memnet.train(train_prep, hyper, len(fold.vocab))
         return memnet.predict_stays(result, test_prep)
     raise MetricError(f"unknown model id {model_id!r}; expected one of {MODEL_IDS}")
 
 
-def _tune(model_id: str, fold: FoldData, t1_hours: float, hyper: HyperConfig,
+def _tune(model_id: str, fold: FoldData, hyper: HyperConfig,
           tensors: dict[str, StayTensor], grid: list[dict], n_inner: int,
           seed: int) -> HyperConfig:
     """Inner CV of a neural model over hyperparameter overrides; returns the winning config."""
-    if len(grid) <= 1:
-        return replace(hyper, **grid[0]) if grid else hyper
-    labels = {s.stay_id: int(l) for s, l in zip(fold.train_stays, fold.train_labels)}
-    inner_folds = grouped_stratified_folds(fold.train_stays, labels, n_inner, seed)
-    mean_aucs = []
-    for overrides in grid:
-        candidate = replace(hyper, **overrides)
-        scores = []
-        for k in range(n_inner):
-            inner = _fold_data(fold.train_stays, labels, inner_folds, k,
-                               split_id=f"{fold.split_id}-inner{k}")
-            preds = _train_and_score(model_id, inner, t1_hours, candidate, tensors)
-            scores.append(auc(preds, inner.test_labels))
-        mean_aucs.append(float(np.mean(scores)))
-    return replace(hyper, **grid[int(np.argmax(mean_aucs))])
+    candidates = [replace(hyper, **overrides) for overrides in grid] or [hyper]
+    if len(candidates) == 1:
+        return candidates[0]
+    fold_of = fold.inner_folds(n_inner, seed)
+    inner = (_fold_data(fold.train_stays, fold.train_labels, fold_of, k,
+                        f"{fold.scaling.split_id}-inner{k}", tensors) for k in range(n_inner))
+    return _select(candidates, inner, lambda candidate, split: auc(
+        _train_and_score(model_id, split, candidate, tensors), split.test_labels))
 
 
 @dataclass
@@ -240,21 +234,19 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
     """
     grid = grid or []
     fold_of = grouped_stratified_folds(stays, labels, n_outer, seed)
+    y = np.array([labels[s.stay_id] for s in stays])
     # binning is a pure per-stay transform: once per call, not per fold and model
     tensors = {s.stay_id: bin_events(s, t1_hours) for s in stays}
     records = []
     for fold_idx in range(n_outer):
-        fold = _fold_data(stays, labels, fold_of, fold_idx,
-                          split_id=f"outer{fold_idx}-train")
+        fold = _fold_data(stays, y, fold_of, fold_idx, f"outer{fold_idx}-train", tensors)
         inner_seed = seed + 1000 + fold_idx
         for model_id in models:
             if model_id in LR_MODELS:
-                preds = _lr_train_and_score(model_id, fold, t1_hours, tensors,
-                                            n_inner, inner_seed)
+                preds = _lr_train_and_score(model_id, fold, t1_hours, n_inner, inner_seed)
             else:
-                chosen = _tune(model_id, fold, t1_hours, hyper, tensors, grid,
-                               n_inner, inner_seed)
-                preds = _train_and_score(model_id, fold, t1_hours, chosen, tensors)
+                chosen = _tune(model_id, fold, hyper, tensors, grid, n_inner, inner_seed)
+                preds = _train_and_score(model_id, fold, chosen, tensors)
             pr = precision_recall(preds, fold.test_labels)
             records.append(MetricRecord(model_id=model_id, fold_id=fold_idx,
                                         auc=auc(preds, fold.test_labels),

@@ -87,6 +87,8 @@ class EvaluateConfig:
             if m not in crossval.MODEL_IDS:
                 raise ConfigError(f"unknown model {m!r}; expected one of "
                                   f"{crossval.MODEL_IDS}")
+        if any("memory_size" in overrides for overrides in self.grid):
+            raise ConfigError("'evaluate.grid' cannot set memory_size: t1_hours sets it")
         _check_minimums("evaluate.", self, outer_folds=2, inner_folds=2)
 
 
@@ -102,22 +104,26 @@ class RunConfig:
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
 
     def validate(self):
-        if self.t1_hours not in (24, 48):
-            raise ConfigError(f"t1_hours must be 24 or 48, got {self.t1_hours}")
+        windows = _window_count(self.t1_hours)
+        if self.model.memory_size != windows:
+            raise ConfigError(f"'model.memory_size' is the {windows} two-hour windows of "
+                              f"t1_hours {self.t1_hours}, got {self.model.memory_size!r}")
         self.cohort.validate()
-        model = replace(self.model, memory_size=self.memory_size)
-        model.validate()
+        self.model.validate()
         self.cluster.validate()
         self.evaluate.validate()
-
-    @property
-    def memory_size(self) -> int:
-        return int(self.t1_hours / 2)
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["schema_version"] = CONFIG_SCHEMA_VERSION
         return d
+
+
+def _window_count(t1_hours) -> int:
+    """The model's memory size: the 2-hour windows of a 24- or 48-hour window."""
+    if t1_hours not in (24, 48):
+        raise ConfigError(f"t1_hours must be 24 or 48, got {t1_hours}")
+    return features.bin_count(t1_hours)
 
 
 # what a value of each scalar field type may be; a bool is not a number here
@@ -168,7 +174,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     cfg = replace(
         top,
         cohort=section("cohort", CohortConfig, n_stays=300, seed=top.seed),
-        model=section("model", HyperConfig, seed=top.seed),
+        model=section("model", HyperConfig, seed=top.seed,
+                      memory_size=_window_count(top.t1_hours)),
         cluster=section("cluster", ClusterConfig, seed=top.seed),
         evaluate=section("evaluate", EvaluateConfig, seed=top.seed),
     )
@@ -388,16 +395,15 @@ def _prepared(config: RunConfig):
     scaling = read_scaling(_path(config, "scaling.json"))
     vocab = read_vocab(_path(config, "vocab.txt"))
     label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()}
-    hyper = replace(config.model, memory_size=config.memory_size)
     tensors = {s.stay_id: features.bin_events(s, config.t1_hours) for s in labeled}
     prepared = features.prepare_stays(labeled, label_ints, tensors, vocab, scaling,
-                                      hyper.max_note_len)
-    return labeled, labels, prepared, vocab, hyper
+                                      config.model.max_note_len)
+    return labeled, labels, prepared, vocab
 
 
 def _stage_train(config: RunConfig):
-    _, _, prepared, vocab, hyper = _prepared(config)
-    result = memnet.train(prepared, hyper, len(vocab))
+    _, _, prepared, vocab = _prepared(config)
+    result = memnet.train(prepared, config.model, len(vocab))
     memnet.save_checkpoint(result, _path(config, "checkpoint.json"))
     with open(_path(config, "loss_history.csv"), "w") as fh:
         fh.write("epoch,mean_loss\n")
@@ -406,7 +412,7 @@ def _stage_train(config: RunConfig):
 
 
 def _stage_embed(config: RunConfig):
-    labeled, _, prepared, vocab, _ = _prepared(config)
+    labeled, _, prepared, vocab = _prepared(config)
     result = memnet.load_checkpoint(_path(config, "checkpoint.json"))
     n_rows = len(result.params["word_emb"].data)
     if len(vocab) != n_rows:
@@ -435,7 +441,7 @@ def _stage_cluster(config: RunConfig):
         Y = clustering.pca_project(case_rows, 2)
     else:
         Y = clustering.autoencoder_embed(case_rows, epochs=cc.autoencoder_epochs,
-                                         seed=cc.seed).embedding
+                                         seed=cc.seed)
     best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed,
                                       restarts=cc.restarts, rel_tol=cc.select_rel_tol)
     write_embedding2d(case_ids, Y, best.labels, _path(config, "embedding2d.csv"))
@@ -464,9 +470,8 @@ def _stage_interpret(config: RunConfig):
 def _stage_evaluate(config: RunConfig):
     labeled, labels = _load_labeled(config)
     label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()}
-    hyper = replace(config.model, memory_size=config.memory_size)
     summary = crossval.nested_cv(labeled, label_ints, list(config.evaluate.models),
-                                 config.t1_hours, hyper,
+                                 config.t1_hours, config.model,
                                  n_outer=config.evaluate.outer_folds,
                                  n_inner=config.evaluate.inner_folds,
                                  grid=[dict(g) for g in config.evaluate.grid],

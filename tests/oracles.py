@@ -560,13 +560,19 @@ def planted_stage(subtype: int) -> int:
     return {1: 1, 2: 3, 3: 2}[subtype]
 
 
-def pca_reconstruction_error(X: np.ndarray, out_dim: int = 2) -> float:
-    """Mean squared reconstruction error of the PCA projection (optimal linear)."""
+def linear_decoder_error(X: np.ndarray, code: np.ndarray) -> float:
+    """Mean squared error of the least-squares affine decoder from `code` back to
+    the centred rows of `X`: the best any linear decoder of that code reaches."""
     X = np.asarray(X, dtype=np.float64)
     Xc = X - X.mean(axis=0)
-    Y = pca_project(X, out_dim)
-    comps, *_ = np.linalg.lstsq(Y, Xc, rcond=None)
-    return float(((Xc - Y @ comps) ** 2).mean())
+    A = np.column_stack([code, np.ones(len(code))])
+    weights, *_ = np.linalg.lstsq(A, Xc, rcond=None)
+    return float(((Xc - A @ weights) ** 2).mean())
+
+
+def pca_reconstruction_error(X: np.ndarray, out_dim: int = 2) -> float:
+    """Mean squared reconstruction error of the PCA projection (optimal linear)."""
+    return linear_decoder_error(X, pca_project(X, out_dim))
 
 
 def pairwise_auc(scores, labels) -> float:

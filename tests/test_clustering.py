@@ -8,7 +8,7 @@ from akisub.clustering import (adjusted_rand_index, autoencoder_embed,
                                mcclain_rao, pca_project, select_k, tsne_embed)
 from akisub.errors import ArgumentError, DegenerateInputError
 from oracles import best_two_partition_inertia, finite_difference_grads, \
-    max_relative_error, pca_reconstruction_error, tsne_kl_reference
+    linear_decoder_error, max_relative_error, pca_reconstruction_error, tsne_kl_reference
 
 
 def silhouette(X, labels):
@@ -104,10 +104,10 @@ class TestAutoencoder:
         params = init_autoencoder_params(rng, 4, 2)
 
         def loss_fn(ps):
-            return autoencoder_loss(ps, X, "tanh").item()
+            return autoencoder_loss(ps, X).item()
 
         with Tape() as tape:
-            loss = autoencoder_loss(params, X, "tanh")
+            loss = autoencoder_loss(params, X)
         analytic = backward(tape, loss)
         numeric = finite_difference_grads(loss_fn, params)
         for name, p in params.items():
@@ -116,20 +116,20 @@ class TestAutoencoder:
     def test_epochs_zero_gives_initialized_bottleneck(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((7, 3))
-        result = autoencoder_embed(X, epochs=0, seed=9)
-        assert result.embedding.shape == (7, 2)
+        code = autoencoder_embed(X, epochs=0, seed=9)
+        assert code.shape == (7, 2)
         params = init_autoencoder_params(np.random.default_rng(9), 3, 2)
         expected = (X - X.mean(0)) @ params["w_enc"].data + params["b_enc"].data
-        assert np.allclose(result.embedding, expected)
+        assert np.allclose(code, expected)
 
     def test_linear_autoencoder_bounded_below_by_pca(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((40, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2])
-        result = autoencoder_embed(X, epochs=800, lr=0.02, seed=0, activation="linear")
+        err = linear_decoder_error(X, autoencoder_embed(X, epochs=800, lr=0.02, seed=0))
         pca_err = pca_reconstruction_error(X, 2)
-        assert result.reconstruction_error >= pca_err - 1e-9
+        assert err >= pca_err - 1e-9
         # and training actually approaches the optimum
-        assert result.reconstruction_error < 2.0 * pca_err + 1e-9
+        assert err < 2.0 * pca_err + 1e-9
 
 
 class TestTsne:

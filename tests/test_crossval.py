@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -142,6 +144,27 @@ class TestNestedCv:
         # every stay is summarised once per outer fold, never again per inner fold
         assert calls["summaries"] == n_outer * len(stays)
         assert calls["fits"] == n_outer * (1 + len(LR_L2_GRID) * n_inner)
+
+    @pytest.mark.parametrize("models, grid, fits", [
+        (list(crossval.MODEL_IDS), [], 3),  # once per outer fold
+        (["lstm"], [{"lr": 0.005}, {"lr": 0.02}], 18),  # and once per inner fold
+    ])
+    def test_each_split_fits_scaling_and_vocabulary_once(self, labeled, monkeypatch,
+                                                         models, grid, fits):
+        stays, labels = labeled
+        calls = {"fit_scaling": 0, "build_vocabulary": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(crossval, name, counting(name, getattr(crossval, name)))
+        nested_cv(stays, labels, models, 24, replace(FAST_HYPER, epochs=0), n_outer=3,
+                  n_inner=5, grid=grid, seed=0)
+        assert calls == {"fit_scaling": fits, "build_vocabulary": fits}
 
 
 @pytest.fixture(scope="module")

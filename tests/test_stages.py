@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from akisub import cohort, errors
-from akisub.cli import main
+from akisub.cli import build_parser, main, resolve_config
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
@@ -25,6 +25,8 @@ OUT_OF_RANGE_CONFIGS = [
     {"cluster": {"tsne_iters": -5}},
     {"cluster": {"k_range": [2.5, 3]}},
     {"cluster": {"autoencoder_epochs": -3}},
+    {"model": {"memory_size": 7}},  # t1_hours sets it
+    {"evaluate": {"grid": [{"memory_size": 6}]}},
 ]
 
 # each holds one value of the wrong type, shape or range, or an unknown key
@@ -45,10 +47,10 @@ MALFORMED_CONFIGS = [
 ]
 
 
-def small_config(out_dir, seed=11):
+def small_config(out_dir, seed=11, t1_hours=24):
     return config_from_dict({
         "seed": seed,
-        "t1_hours": 24,
+        "t1_hours": t1_hours,
         "out_dir": str(out_dir),
         "cohort": {"n_stays": 120, "case_fraction": 0.3},
         "model": {"emb_dim": 16, "top_hidden": 16, "bottom_hidden": 12,
@@ -147,6 +149,16 @@ def test_cli_missing_external_cohort_exit_code(tmp_path, capsys):
                                "out_dir": str(tmp_path / "run")}))
     assert main(["--config", str(cfg), "synth"]) == errors.EXIT_CODES["config"]
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_48_hour_window_runs_through_embed(tmp_path):
+    config = small_config(tmp_path, t1_hours=48)
+    assert config.model.memory_size == 24
+    for stage in STAGES[:STAGES.index("embed") + 1]:
+        run_stage(stage, config)
+    ids, X = read_representations(tmp_path / "representations.csv")
+    assert set(ids) == set(read_labels(tmp_path / "labels.csv"))
+    assert X.shape == (len(ids), 16 + 4) and np.isfinite(X).all()
 
 
 def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
@@ -366,6 +378,10 @@ class TestCli:
         mpath.write_text(json.dumps(corrupt(valid)))
         assert main(["--config", str(cfg_path), stage]) == 0
         assert json.loads(mpath.read_text()) == valid
+
+    def test_cli_t1_override_derives_memory_size(self):
+        config = resolve_config(build_parser().parse_args(["--t1", "48", "synth"]))
+        assert (config.t1_hours, config.model.memory_size) == (48, 24)
 
     def test_cli_seed_and_out_overrides(self, tmp_path, capsys):
         out_a = tmp_path / "a"
