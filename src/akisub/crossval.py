@@ -18,6 +18,7 @@ at most one point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,7 +97,10 @@ class FoldData:
     train_labels: np.ndarray
     test_labels: np.ndarray
     scaling: ScalingStats
-    vocab: Vocabulary
+
+    @functools.cached_property  # built on first read: the `lr` model reads none
+    def vocab(self) -> Vocabulary:
+        return build_vocabulary(self.train_stays)
 
     def inner_folds(self, n_inner: int, seed: int) -> np.ndarray:
         """Fold id per training stay for the inner loop."""
@@ -113,7 +117,6 @@ def _fold_data(stays: list[IcuStay], labels: np.ndarray, fold_of: np.ndarray, fo
         train_stays=train, test_stays=[s for s, h in zip(stays, held_out) if h],
         train_labels=labels[~held_out], test_labels=labels[held_out],
         scaling=fit_scaling([tensors[s.stay_id] for s in train], split_id),
-        vocab=build_vocabulary(train),
     )
 
 

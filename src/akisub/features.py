@@ -1,6 +1,9 @@
 """Feature extraction: binned/imputed/scaled stay tensors, static vectors,
 the 147-entry summary vector for classical baselines, and note encodings.
 
+No stage persists the stay tensors: train, embed and evaluate rebuild them
+from the cohort with `prepare_stays`.
+
 Fixed layouts
 -------------
 Stay tensor columns follow `cohort.TIME_VARIABLES` (8 chart + 13 lab series,

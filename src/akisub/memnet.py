@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tape, Tensor, backward
-from .errors import ArgumentError, DimensionError, ParseError, TrainingError
+from .errors import ArgumentError, ConfigError, DimensionError, ParseError, TrainingError
 
 INFER_BATCH = 256
 
@@ -57,14 +57,14 @@ class HyperConfig:
     def validate(self):
         for name in ("memory_size", "emb_dim", "bottom_hidden", "top_hidden",
                      "word_emb_dim", "static_proj_dim", "hops", "batch_size",
-                     "max_note_len"):
-            if getattr(self, name) <= 0:
-                raise ArgumentError(f"HyperConfig.{name} must be positive")
-        if self.lr <= 0 or self.epochs < 0:
-            raise ArgumentError("lr must be positive and epochs non-negative")
+                     "max_note_len", "lr"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"'model.{name}' must be > 0, got {getattr(self, name)!r}")
+        if not self.epochs >= 0:
+            raise ConfigError(f"'model.epochs' must be >= 0, got {self.epochs!r}")
         if self.top_hidden != self.emb_dim:
-            raise ArgumentError("top_hidden must equal emb_dim so the query matches "
-                                "the memory embedding")
+            raise ConfigError(f"'model.top_hidden' must equal 'model.emb_dim' ({self.emb_dim}), "
+                              f"the width of the memory embedding, got {self.top_hidden!r}")
 
     @property
     def representation_dim(self) -> int:
@@ -331,7 +331,7 @@ def load_checkpoint(path) -> TrainResult:
                                .reshape(record["shape"]), requires_grad=True)
                   for name, record in payload["tensors"].items()}
         loss_history = payload["loss_history"]
-    except (KeyError, TypeError, ValueError, AttributeError, ArgumentError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
         raise ParseError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from None
     found = {name: t.shape for name, t in params.items()}
     if found != expected:

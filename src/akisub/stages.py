@@ -83,10 +83,10 @@ class EvaluateConfig:
     seed: int = 0
 
     def validate(self):
-        for m in self.models:
-            if m not in crossval.MODEL_IDS:
-                raise ConfigError(f"unknown model {m!r}; expected one of "
-                                  f"{crossval.MODEL_IDS}")
+        if not self.models or len(set(self.models)) < len(self.models) \
+                or not set(self.models) <= set(crossval.MODEL_IDS):
+            raise ConfigError(f"'evaluate.models' must be one or more distinct models of "
+                              f"{crossval.MODEL_IDS}, got {list(self.models)!r}")
         if any("memory_size" in overrides for overrides in self.grid):
             raise ConfigError("'evaluate.grid' cannot set memory_size: t1_hours sets it")
         _check_minimums("evaluate.", self, outer_folds=2, inner_folds=2)
@@ -109,9 +109,11 @@ class RunConfig:
             raise ConfigError(f"'model.memory_size' is the {windows} two-hour windows of "
                               f"t1_hours {self.t1_hours}, got {self.model.memory_size!r}")
         self.cohort.validate()
-        self.model.validate()
         self.cluster.validate()
         self.evaluate.validate()
+        for hyper in (self.model, *(replace(self.model, **g) for g in self.evaluate.grid)):
+            _check_scalars("model.", hyper)
+            hyper.validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -186,8 +188,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         cfg.cohort.subtype_mixture = tuple(cfg.cohort.subtype_mixture)
         cfg.evaluate.models = tuple(cfg.evaluate.models)
         cfg.evaluate.grid = tuple(dict(g) for g in cfg.evaluate.grid)
-        for overrides in cfg.evaluate.grid:
-            _check_scalars("evaluate.grid.", replace(cfg.model, **overrides))
         cfg.validate()
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed config value: {e}") from None
@@ -293,7 +293,13 @@ def write_vocab(vocab: features.Vocabulary, path) -> None:
 
 
 def read_vocab(path) -> features.Vocabulary:
-    tokens = Path(path).read_text().splitlines()
+    try:
+        tokens = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    if tokens[:1] != [features.PAD_TOKEN] or "" in tokens or len(set(tokens)) < len(tokens):
+        raise ParseError(f"{path}: expected distinct non-empty tokens, {features.PAD_TOKEN} "
+                         f"first")
     return features.Vocabulary(tokens=tuple(tokens))
 
 
@@ -367,27 +373,14 @@ def _stage_featurize(config: RunConfig):
     labeled, _ = _load_labeled(config)
     if not labeled:
         raise DataError("no labeled stays to featurize")
-    tensors = [features.bin_events(s, config.t1_hours) for s in labeled]
-    scaled, scaling = features.impute_and_scale(tensors, split_id="full-cohort")
-    vocab = features.build_vocabulary(labeled)
+    scaling = features.fit_scaling([features.bin_events(s, config.t1_hours) for s in labeled],
+                                   split_id="full-cohort")
     write_scaling(scaling, _path(config, "scaling.json"))
-    write_vocab(vocab, _path(config, "vocab.txt"))
-    features.write_stay_tensors(scaled, _path(config, "stay_values.csv"),
-                                _path(config, "stay_mask.csv"))
-    with open(_path(config, "static.csv"), "w") as fh:
-        fh.write("stay_id," + ",".join(f"s{i:02d}" for i in range(features.STATIC_DIM)) + "\n")
-        for s in labeled:
-            vec = features.static_vector(s)
-            fh.write(s.stay_id + "," + ",".join(repr(float(x)) for x in vec) + "\n")
+    write_vocab(features.build_vocabulary(labeled), _path(config, "vocab.txt"))
     fill = dict(zip(scaling.variables, scaling.mean))
     features.write_baseline_features(
         [features.summarize_for_baselines(s, config.t1_hours, fill) for s in labeled],
         _path(config, "baseline_features.csv"))
-    with open(_path(config, "bow.csv"), "w") as fh:
-        fh.write("stay_id," + ",".join(f"t{i:03d}" for i in range(len(vocab))) + "\n")
-        for s in labeled:
-            bow = features.notes_to_bow(s, vocab)
-            fh.write(s.stay_id + "," + ",".join(str(int(x)) for x in bow) + "\n")
 
 
 def _prepared(config: RunConfig):
@@ -491,8 +484,7 @@ STAGE_TABLE = {
     "label": Stage(_stage_label, ("cohort.jsonl",), ("labels.csv", "exclusions.csv"),
                    ("t1_hours",)),
     "featurize": Stage(_stage_featurize, ("cohort.jsonl", "labels.csv"),
-                       ("scaling.json", "vocab.txt", "stay_values.csv", "stay_mask.csv",
-                        "static.csv", "baseline_features.csv", "bow.csv"), ("t1_hours",)),
+                       ("scaling.json", "vocab.txt", "baseline_features.csv"), ("t1_hours",)),
     "train": Stage(_stage_train, ("cohort.jsonl", "labels.csv", "scaling.json", "vocab.txt"),
                    ("checkpoint.json", "loss_history.csv"), ("t1_hours", "model")),
     "embed": Stage(_stage_embed, ("cohort.jsonl", "labels.csv", "scaling.json", "vocab.txt",

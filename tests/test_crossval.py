@@ -148,6 +148,7 @@ class TestNestedCv:
     @pytest.mark.parametrize("models, grid, fits", [
         (list(crossval.MODEL_IDS), [], 3),  # once per outer fold
         (["lstm"], [{"lr": 0.005}, {"lr": 0.02}], 18),  # and once per inner fold
+        (["lr"], [], 3),  # which builds no vocabulary
     ])
     def test_each_split_fits_scaling_and_vocabulary_once(self, labeled, monkeypatch,
                                                          models, grid, fits):
@@ -164,7 +165,9 @@ class TestNestedCv:
             monkeypatch.setattr(crossval, name, counting(name, getattr(crossval, name)))
         nested_cv(stays, labels, models, 24, replace(FAST_HYPER, epochs=0), n_outer=3,
                   n_inner=5, grid=grid, seed=0)
-        assert calls == {"fit_scaling": fits, "build_vocabulary": fits}
+        # every model but lr reads the split's vocabulary
+        vocabularies = fits if set(models) - {"lr"} else 0
+        assert calls == {"fit_scaling": fits, "build_vocabulary": vocabularies}
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ from akisub.cli import build_parser, main, resolve_config
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
-                           read_embedding2d, read_labels, read_representations, run_all,
-                           run_stage)
+                           read_embedding2d, read_labels, read_representations, read_vocab,
+                           run_all, run_stage)
 
 
 # each holds one value out of its documented range
@@ -27,6 +27,12 @@ OUT_OF_RANGE_CONFIGS = [
     {"cluster": {"autoencoder_epochs": -3}},
     {"model": {"memory_size": 7}},  # t1_hours sets it
     {"evaluate": {"grid": [{"memory_size": 6}]}},
+    {"model": {"epochs": -1}},
+    {"model": {"emb_dim": 8}},  # top_hidden must match it
+    {"evaluate": {"grid": [{"lr": -1}]}},
+    {"evaluate": {"grid": [{"top_hidden": 64}]}},
+    {"evaluate": {"models": []}},
+    {"evaluate": {"models": ["lr", "lr"]}},
 ]
 
 # each holds one value of the wrong type, shape or range, or an unknown key
@@ -338,9 +344,13 @@ class TestCli:
          "parse", "scaling.json: malformed scaling (ValueError"),
         ("embed", "vocab.txt", lambda t: "<pad>\n",
          "parse", "vocab.txt: 1 tokens for the checkpoint's"),
+        ("train", "vocab.txt", lambda t: "", "parse", "vocab.txt: expected distinct"),
+        ("train", "vocab.txt", lambda t: t + t.split("\n")[1] + "\n",
+         "parse", "vocab.txt: expected distinct"),
     ], ids=["labels-is-case", "labels-header", "labels-stage", "labels-onset", "reps-short-row",
             "reps-cell", "reps-unknown-stay", "emb-short-row", "emb-cluster", "emb-empty",
-            "scaling-empty", "scaling-variables", "vocab-size"])
+            "scaling-empty", "scaling-variables", "vocab-size", "vocab-empty",
+            "vocab-duplicate"])
     def test_cli_malformed_artifact_exit_code_and_json(self, pipeline_run, tmp_path, capsys,
                                                        stage, name, corrupt, category, needle):
         out, config, _ = pipeline_run
@@ -355,7 +365,8 @@ class TestCli:
         assert (code, payload["error"]) == (4, category)
         assert needle in payload["message"]
 
-    @pytest.mark.parametrize("reader", [read_labels, read_representations, read_embedding2d])
+    @pytest.mark.parametrize("reader", [read_labels, read_representations, read_embedding2d,
+                                        read_vocab])
     def test_reader_rejects_non_utf8(self, reader, tmp_path):
         path = tmp_path / "artifact.csv"
         path.write_bytes(b"stay_id,\xff\n")
