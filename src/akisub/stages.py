@@ -294,12 +294,12 @@ def write_vocab(vocab: features.Vocabulary, path) -> None:
 
 def read_vocab(path) -> features.Vocabulary:
     try:
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        tokens = Path(path).read_bytes().decode("utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
     if tokens[:1] != [features.PAD_TOKEN] or "" in tokens or len(set(tokens)) < len(tokens):
-        raise ParseError(f"{path}: expected distinct non-empty tokens, {features.PAD_TOKEN} "
-                         f"first")
+        raise ParseError(f"{path}: expected distinct non-empty tokens, one per line, "
+                         f"{features.PAD_TOKEN} first")
     return features.Vocabulary(tokens=tuple(tokens))
 
 

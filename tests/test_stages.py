@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from akisub import cohort, errors
+from akisub import cohort, errors, features
 from akisub.cli import build_parser, main, resolve_config
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
                            read_embedding2d, read_labels, read_representations, read_vocab,
-                           run_all, run_stage)
+                           run_all, run_stage, write_vocab)
 
 
 # each holds one value out of its documented range
@@ -372,6 +372,11 @@ class TestCli:
         path.write_bytes(b"stay_id,\xff\n")
         with pytest.raises(errors.ParseError, match="not UTF-8"):
             reader(path)
+
+    def test_vocab_round_trips_tokens_with_other_line_breaks(self, tmp_path):
+        vocab = features.Vocabulary(tokens=("<pad>", "a\u2028b", "c\x85", "d\re"))
+        write_vocab(vocab, tmp_path / "vocab.txt")
+        assert read_vocab(tmp_path / "vocab.txt") == vocab
 
     @pytest.mark.parametrize("stage,corrupt", [
         ("synth", lambda manifest: [1]),
