@@ -118,8 +118,15 @@ class ClinicalNote:
     tokens: list[str]
 
     def validate(self):
+        """Tokens are non-empty strings without whitespace, so `vocab.txt`, one token
+        per line, holds each of them as one token."""
         if not self.tokens:
             raise DataError("note with empty token list")
+        for token in self.tokens:
+            if not isinstance(token, str):
+                raise DataError(f"note token {token!r} is not a string")
+            if token.split() != [token]:
+                raise DataError(f"note token {token!r} is empty or holds whitespace")
         if self.offset_hours < 0:
             raise DataError(f"note with negative offset {self.offset_hours}")
 
@@ -190,6 +197,31 @@ class CohortConfig:
 
 
 # ---------------------------------------------------------------------------
+# scalar draws
+# ---------------------------------------------------------------------------
+#
+# The generator draws one scalar at a time, where `Generator.choice` and
+# `Generator.uniform` spend most of their time checking arguments. The forms
+# below consume the same stream and return the same values as those calls.
+
+def _cdf(p) -> np.ndarray:
+    """The normalised cumulative weights `Generator.choice(..., p=p)` builds."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _pick(rng, cdf: np.ndarray) -> int:
+    """`rng.choice(len(cdf), p=p)` for `cdf = _cdf(p)`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _uniform(rng, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)`."""
+    return lo + (hi - lo) * rng.random()
+
+
+# ---------------------------------------------------------------------------
 # archetype tables
 # ---------------------------------------------------------------------------
 
@@ -247,6 +279,7 @@ _ETHNICITY_P = {
     3: (0.25, 0.54, 0.17, 0.04),
     0: (0.35, 0.40, 0.15, 0.10),
 }
+_ETHNICITY_CDF = {arche: _cdf(p) for arche, p in _ETHNICITY_P.items()}
 # flags by archetype (diuretics, nsaid, radiocontrast, angiotensin): the
 # post-surgical archetype is medication-light, the severe archetype is
 # diuretic/angiotensin-heavy, the contrast-injury archetype is contrast-heavy
@@ -276,11 +309,13 @@ _COMORBIDITY_P = {
 _MISMATCH_CONTROL_P = 0.35
 _PROFILE_MIMIC_CONTROL_P = 0.10
 _MIMIC_PROFILE_P = (0.595, 0.088, 0.317)
+_MIMIC_PROFILE_CDF = _cdf(_MIMIC_PROFILE_P)
 # every note of a case holds exactly this many marker tokens from its archetype
 # pool; unremarkable notes hold one (sometimes two) markers from a random pool
 # chosen once per stay
 _CASE_MARKERS_PER_NOTE = {1: 1, 2: 5, 3: 2}
 _CONTROL_MARKERS_PER_NOTE = ((1, 2), (0.8, 0.2))
+_CONTROL_MARKERS_CDF = _cdf(_CONTROL_MARKERS_PER_NOTE[1])
 _RISK_TOKEN_P = 0.02               # shared flavor tokens, same rate for everyone
 _REPEAT_STAY_P = 0.07              # chance a stay belongs to the previous patient
 _MISSING_P = 0.15                  # observation-window dropout per measurement
@@ -300,6 +335,7 @@ _FILLER_TOKENS = (
 # filler usage follows a Zipf profile, like real note text
 _FILLER_WEIGHTS = 1.0 / np.arange(1, len(_FILLER_TOKENS) + 1) ** 1.6
 _FILLER_WEIGHTS /= _FILLER_WEIGHTS.sum()
+_FILLER_CDF = _cdf(_FILLER_WEIGHTS)
 
 _RISK_TOKENS = ("oliguria", "hypotension", "sepsis", "nephrotoxic", "rising", "bolus")
 
@@ -326,7 +362,7 @@ def note_token_universe(vocab_size: int) -> tuple[str, ...]:
 def generate_cohort(config: CohortConfig) -> list[IcuStay]:
     """Deterministically generate `config.n_stays` synthetic ICU stays."""
     config.validate()
-    mixture = config.normalized_mixture()
+    mixture = _cdf(config.normalized_mixture())
     tokens = note_token_universe(config.vocab_size)
     extra_fillers = tokens[len(_BASE_TOKENS):]
 
@@ -348,7 +384,7 @@ def generate_cohort(config: CohortConfig) -> list[IcuStay]:
             stay_no = 1
 
         is_case = rng.random() < config.case_fraction
-        subtype = int(1 + rng.choice(3, p=mixture)) if is_case else None
+        subtype = 1 + _pick(rng, mixture) if is_case else None
         profile, note_arche = _draw_flavor(rng, is_case, subtype)
 
         if demo is None:
@@ -370,20 +406,20 @@ def _draw_flavor(rng, is_case, subtype):
         return subtype, subtype
     u = rng.random()
     if u < _MISMATCH_CONTROL_P:
-        profile = int(1 + rng.choice(3, p=_MIMIC_PROFILE_P))
+        profile = 1 + _pick(rng, _MIMIC_PROFILE_CDF)
         others = [a for a in (1, 2, 3) if a != profile]
         return profile, others[int(rng.integers(2))]
     if u < _MISMATCH_CONTROL_P + _PROFILE_MIMIC_CONTROL_P:
-        return int(1 + rng.choice(3, p=_MIMIC_PROFILE_P)), None
+        return 1 + _pick(rng, _MIMIC_PROFILE_CDF), None
     return 0, None
 
 
 def _draw_demographics(rng, arche: int) -> dict:
     mean, sd = _AGE[arche]
-    age = float(np.clip(rng.normal(mean, sd), 21.0, 92.0))
+    age = min(max(rng.normal(mean, sd), 21.0), 92.0)
     sex = "male" if rng.random() < _MALE_P[arche] else "female"
-    ethnicity = ETHNICITIES[int(rng.choice(4, p=_ETHNICITY_P[arche]))]
-    weight = float(np.clip(rng.normal(82.0, 14.0), 45.0, 160.0))
+    ethnicity = ETHNICITIES[_pick(rng, _ETHNICITY_CDF[arche])]
+    weight = min(max(rng.normal(82.0, 14.0), 45.0), 160.0)
     meds = {n: int(rng.random() < p) for n, p in zip(MED_FLAGS, _MED_P[arche])}
     como = {n: int(rng.random() < p) for n, p in zip(COMORBIDITY_FLAGS, _COMORBIDITY_P[arche])}
     return {"age": age, "sex": sex, "ethnicity": ethnicity, "weight_kg": weight,
@@ -400,8 +436,8 @@ def _level(rng, var: str, arche: int) -> float:
         b_sd = _URINE_BETWEEN_SD[arche]
         lo, hi = 0.55, 4.0
     level = rng.normal(mean, b_sd)
-    level = float(np.clip(level, mean - 2.5 * b_sd, mean + 2.5 * b_sd))
-    return float(np.clip(level, lo, hi))
+    level = min(max(level, mean - 2.5 * b_sd), mean + 2.5 * b_sd)
+    return min(max(level, lo), hi)
 
 
 def _noisy(rng, level: float, sd: float, clamp: float | None, scale: float,
@@ -434,7 +470,7 @@ def _generate_stay(rng, config, stay_id, patient_id, demo, is_case, subtype,
         for j in range(int(OBS_HORIZON_HOURS / 2)):
             if rng.random() < _MISSING_P:
                 continue
-            t = 2.0 * j + rng.uniform(0.1, 1.9)
+            t = 2.0 * j + _uniform(rng, 0.1, 1.9)
             pts.append((float(t), _noisy(rng, level, o_sd, None, scale, lo, hi)))
         series = EventSeries(var, pts)
         (chart if var in CHART_VARIABLES else labs)[var] = series
@@ -451,9 +487,9 @@ def _generate_stay(rng, config, stay_id, patient_id, demo, is_case, subtype,
 def _scr_series(rng, profile, is_case, subtype, scale) -> EventSeries:
     base = _level(rng, "creatinine", profile)
     if is_case:
-        ratio = rng.uniform(*_SCR_RAMP_RATIO[subtype])
-        onset = rng.uniform(*_ONSET_RANGE)
-        ramp = rng.uniform(*_RAMP_DURATION)
+        ratio = _uniform(rng, *_SCR_RAMP_RATIO[subtype])
+        onset = _uniform(rng, *_ONSET_RANGE)
+        ramp = _uniform(rng, *_RAMP_DURATION)
     pts = []
     t = 1.0
     while t < STAY_HORIZON_HOURS:
@@ -473,8 +509,8 @@ def _urine_series(rng, profile, is_case, subtype, scale) -> EventSeries:
     base = _level(rng, "urine_rate", profile)
     dip = None
     if is_case and subtype == 3:
-        start = rng.uniform(55.0, 135.0)
-        dip = (start, start + rng.uniform(*_DIP_DURATION), rng.uniform(*_DIP_LEVEL))
+        start = _uniform(rng, 55.0, 135.0)
+        dip = (start, start + _uniform(rng, *_DIP_DURATION), _uniform(rng, *_DIP_LEVEL))
     pts = []
     t = 1.0
     while t < STAY_HORIZON_HOURS:
@@ -499,8 +535,7 @@ def _generate_notes(rng, note_arche, extra_fillers) -> list[ClinicalNote]:
         if note_arche:
             n_markers = _CASE_MARKERS_PER_NOTE[note_arche]
         else:
-            counts, probs = _CONTROL_MARKERS_PER_NOTE
-            n_markers = int(rng.choice(counts, p=probs))
+            n_markers = _CONTROL_MARKERS_PER_NOTE[0][_pick(rng, _CONTROL_MARKERS_CDF)]
         n_tok = int(rng.integers(max(8, n_markers + 4), 17))
         toks = [pool[int(rng.integers(len(pool)))] for _ in range(n_markers)]
         for _ in range(n_tok - n_markers):
@@ -510,8 +545,7 @@ def _generate_notes(rng, note_arche, extra_fillers) -> list[ClinicalNote]:
             elif extra_fillers and u > 0.99:
                 toks.append(extra_fillers[int(rng.integers(len(extra_fillers)))])
             else:
-                toks.append(_FILLER_TOKENS[int(rng.choice(len(_FILLER_TOKENS),
-                                                          p=_FILLER_WEIGHTS))])
+                toks.append(_FILLER_TOKENS[_pick(rng, _FILLER_CDF)])
         toks = [toks[i] for i in rng.permutation(len(toks))]
         notes.append(ClinicalNote(float(off), toks))
     return notes

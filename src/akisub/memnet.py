@@ -27,6 +27,7 @@ model and the HieLSTM-only baseline extend the note encoder `init_hielstm`.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,16 +274,26 @@ def embed_stays(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format (versioned JSON with named tensors)
+# checkpoint format (versioned npz: one array per parameter and a JSON `meta`)
 # ---------------------------------------------------------------------------
+#
+# `save_checkpoint` writes one uncompressed npz archive. Each parameter is a
+# float64 `<name>.npy` member, stored under its `init_params` name with its
+# bytes as trained, so a load gives the trained values bit for bit. The member
+# `meta.npy` is a 0-d unicode array holding the sorted-key JSON of `format`,
+# `version`, `hyper` (every `HyperConfig` field), `vocab_size`, `feature_dim`
+# and `static_dim` (the sizes `init_params` takes) and `loss_history`. Zip
+# entries carry the fixed 1980 timestamp of `zipfile.ZipInfo`, so one result
+# always gives the same bytes. `load_checkpoint` reads without unpickling and
+# accepts exactly the members and shapes `init_params` gives for `meta`.
 
 CHECKPOINT_FORMAT = "akisub-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(result: TrainResult, path) -> None:
     params = result.params
-    payload = {
+    meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "hyper": result.hyper.__dict__,
@@ -290,53 +301,78 @@ def save_checkpoint(result: TrainResult, path) -> None:
         "static_dim": params["W_static"].shape[0],
         "feature_dim": params["A"].shape[0],
         "loss_history": result.loss_history,
-        "tensors": {name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
-                    for name, t in params.items()},
     }
-    # json.dumps runs the C encoder; json.dump would stream through the Python one
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **{name: t.data for name, t in params.items()},
+                 meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
 class _ZeroDraws:
-    """Generator stand-in for `init_params` when only the shapes are wanted."""
+    """Generator stand-in for `init_params` when only the shapes are wanted. Each draw
+    is a writable zero-stride view of one float, so a recorded size allocates nothing,
+    however large; a size that is not a non-negative int raises as `np.zeros` does."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.zeros(size)
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        return np.lib.stride_tricks.as_strided(np.zeros(1), shape, (0,) * len(shape),
+                                               writeable=True)
+
+
+def _read_members(path) -> dict:
+    """Every member of the npz archive at `path`, by name; any file that is not an
+    npz archive of arrays a load without unpickling can read raises ParseError."""
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("an npy array, not an npz archive")
+            with archive:
+                return {name: archive[name] for name in archive.files}
+        # zipfile raises RuntimeError for encrypted or unsupported entries and
+        # OSError for a seek past a damaged offset
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError) as e:
+            raise ParseError(f"{path}: not a readable npz archive "
+                             f"({type(e).__name__}: {e})") from None
 
 
 def load_checkpoint(path) -> TrainResult:
-    """Read a `save_checkpoint` file; content it could not have written, tensors that
-    do not fit the recorded model and non-finite values included, raises ParseError."""
+    """Read a `save_checkpoint` file; content it could not have written (a damaged
+    archive, a member that is not a float64 parameter of the recorded model or
+    `meta`, or non-finite values) raises ParseError."""
+    members = _read_members(path)
+    meta = members.pop("meta", None)
+    if not (isinstance(meta, np.ndarray) and meta.shape == () and meta.dtype.kind == "U"):
+        raise ParseError(f"{path}: no 0-d string member 'meta'")
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise ParseError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT \
-            or payload.get("version") != CHECKPOINT_VERSION:
+        meta = json.loads(meta.item())
+    except ValueError as e:
+        raise ParseError(f"{path}: 'meta' is not valid JSON ({e})") from None
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT \
+            or meta.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: not an {CHECKPOINT_FORMAT} file of version "
                          f"{CHECKPOINT_VERSION}")
     try:
-        hyper = HyperConfig(**payload["hyper"])
-        lacking = sorted(hyper.__dict__.keys() - payload["hyper"].keys())
+        hyper = HyperConfig(**meta["hyper"])
+        lacking = sorted(hyper.__dict__.keys() - meta["hyper"].keys())
         if lacking:
             raise ValueError(f"hyper lacks {lacking}")
         hyper.validate()
-        sizes = [payload[key] for key in ("vocab_size", "feature_dim", "static_dim")]
+        sizes = [meta[key] for key in ("vocab_size", "feature_dim", "static_dim")]
         expected = {name: t.shape
                     for name, t in init_params(_ZeroDraws(), hyper, *sizes).items()}
-        params = {name: Tensor(np.array(record["values"], dtype=np.float64)
-                               .reshape(record["shape"]), requires_grad=True)
-                  for name, record in payload["tensors"].items()}
-        loss_history = payload["loss_history"]
+        loss_history = meta["loss_history"]
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
         raise ParseError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from None
-    found = {name: t.shape for name, t in params.items()}
-    if found != expected:
-        raise ParseError(f"{path}: tensor shapes {found} do not fit the recorded "
-                         f"model, which has {expected}")
-    if not all(np.isfinite(t.data).all() for t in params.values()):
+    found = {name: getattr(a, "shape", type(a).__name__) for name, a in members.items()}
+    wrong = sorted(name for name in found.keys() | expected.keys()
+                   if found.get(name) != expected.get(name))
+    if wrong:
+        raise ParseError(f"{path}: members {({n: found.get(n) for n in wrong})} do not fit "
+                         f"the recorded model, which has {({n: expected.get(n) for n in wrong})}")
+    if any(a.dtype != np.float64 for a in members.values()):
+        raise ParseError(f"{path}: tensor values must be float64")
+    if not all(np.isfinite(a).all() for a in members.values()):
         raise ParseError(f"{path}: tensor values must be finite numbers")
+    params = {name: Tensor(members[name], requires_grad=True) for name in expected}
     return TrainResult(params=params, loss_history=loss_history, hyper=hyper)

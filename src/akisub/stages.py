@@ -397,7 +397,7 @@ def _prepared(config: RunConfig):
 def _stage_train(config: RunConfig):
     _, _, prepared, vocab = _prepared(config)
     result = memnet.train(prepared, config.model, len(vocab))
-    memnet.save_checkpoint(result, _path(config, "checkpoint.json"))
+    memnet.save_checkpoint(result, _path(config, "checkpoint.npz"))
     with open(_path(config, "loss_history.csv"), "w") as fh:
         fh.write("epoch,mean_loss\n")
         for i, loss in enumerate(result.loss_history):
@@ -406,7 +406,7 @@ def _stage_train(config: RunConfig):
 
 def _stage_embed(config: RunConfig):
     labeled, _, prepared, vocab = _prepared(config)
-    result = memnet.load_checkpoint(_path(config, "checkpoint.json"))
+    result = memnet.load_checkpoint(_path(config, "checkpoint.npz"))
     n_rows = len(result.params["word_emb"].data)
     if len(vocab) != n_rows:
         raise ParseError(f"{_path(config, 'vocab.txt')}: {len(vocab)} tokens for the "
@@ -486,9 +486,9 @@ STAGE_TABLE = {
     "featurize": Stage(_stage_featurize, ("cohort.jsonl", "labels.csv"),
                        ("scaling.json", "vocab.txt", "baseline_features.csv"), ("t1_hours",)),
     "train": Stage(_stage_train, ("cohort.jsonl", "labels.csv", "scaling.json", "vocab.txt"),
-                   ("checkpoint.json", "loss_history.csv"), ("t1_hours", "model")),
+                   ("checkpoint.npz", "loss_history.csv"), ("t1_hours", "model")),
     "embed": Stage(_stage_embed, ("cohort.jsonl", "labels.csv", "scaling.json", "vocab.txt",
-                                  "checkpoint.json"),
+                                  "checkpoint.npz"),
                    ("representations.csv",), ("t1_hours", "model")),
     "cluster": Stage(_stage_cluster, ("representations.csv", "labels.csv"),
                      ("embedding2d.csv", "ktable.csv"), ("cluster",)),

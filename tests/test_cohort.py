@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akisub.cohort import (CHART_VARIABLES, LAB_VARIABLES, CohortConfig, EventSeries,
-                           IcuStay, generate_cohort, note_token_universe, read_cohort,
-                           write_cohort)
+from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, CohortConfig,
+                           EventSeries, IcuStay, _cdf, _pick, _uniform, generate_cohort,
+                           note_token_universe, read_cohort, write_cohort)
 from akisub.errors import ConfigError, DataError, ParseError
 from akisub.kdigo import apply_exclusions
 from oracles import planted_stage
@@ -147,6 +147,21 @@ class TestRoundTrip:
             "bbe74e4ac7812286478747dc856f07b7b2c1142c10733a44d97fa25fcd2902b9"
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_scalar_draws_match_generator_methods(seed):
+    """`_pick` and `_uniform` return what `Generator.choice` and `Generator.uniform`
+    return, and leave the generator in the same state."""
+    fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for p in ((0.595, 0.088, 0.317), (0.8, 0.2), (0.35, 0.40, 0.15, 0.10), _FILLER_WEIGHTS):
+        cdf = _cdf(p)
+        for _ in range(200):
+            assert _pick(fast, cdf) == reference.choice(len(p), p=p)
+    for lo, hi in ((0.1, 1.9), (55.0, 135.0), (1.60, 1.78), (0.34, 0.42)):
+        for _ in range(200):
+            assert _uniform(fast, lo, hi) == reference.uniform(lo, hi)
+    assert fast.random() == reference.random()
+
+
 def _all_series(stays):
     return [s for stay in stays
             for s in list(stay.chart_series.values()) + list(stay.lab_series.values())]
@@ -239,6 +254,24 @@ class TestReadValidation:
     def test_malformed_series_names_line(self, tmp_path, series_json):
         path = self._write_with(tmp_path, series_json)
         with pytest.raises(ParseError, match="line 3"):
+            read_cohort(path)
+
+    @pytest.mark.parametrize("token, message", [
+        ("", "'' is empty or holds whitespace"),
+        ("a\nb", r"'a\\nb' is empty or holds whitespace"),
+        ("a b", "'a b' is empty or holds whitespace"),
+        ("\u2028", r"'\\u2028' is empty or holds whitespace"),
+        (7, "7 is not a string"),
+    ])
+    def test_unsafe_note_token_names_line(self, tmp_path, token, message):
+        path = tmp_path / "c.jsonl"
+        write_cohort(generate_cohort(CohortConfig(n_stays=2, seed=1)), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["notes"][0]["tokens"][1] = token
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 3: .*note token {message}"):
             read_cohort(path)
 
     def test_invalid_stay_fields_rejected(self, tmp_path):

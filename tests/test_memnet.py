@@ -1,5 +1,8 @@
 import hashlib
 import json
+import pickle
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ MICRO = HyperConfig(memory_size=4, emb_dim=8, bottom_hidden=5, top_hidden=8,
                     lr=0.05, epochs=0, max_note_len=6, seed=0)
 VOCAB = 12
 # SHA-256 of the checkpoint TestCheckpoint.test_file_bytes_are_pinned writes
-CHECKPOINT_SHA256 = "9a93958536ef92616fe5e51af32cc9641104fe71844a7ba71f6aedab3af53973"
+CHECKPOINT_SHA256 = "477fe68cfecff7a38a54e40cad27cf22d27e7deb76a4824c6d3c89aa2ef05f6d"
 
 
 def micro_params(seed=0, hyper=MICRO):
@@ -380,12 +383,15 @@ class TestEmbed:
         hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 1})
         batch = micro_batch(41, n=4)
         result = train(batch, hyper, vocab_size=VOCAB)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         memnet.save_checkpoint(result, path)
         loaded = memnet.load_checkpoint(path)
-        assert params_checksum(loaded.params) == params_checksum(result.params)
+        assert list(loaded.params) == list(result.params)
+        for name, t in result.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data), name
         assert loaded.hyper == result.hyper
-        assert np.allclose(embed_stays(loaded, batch), embed_stays(result, batch))
+        assert loaded.loss_history == result.loss_history
+        assert np.array_equal(embed_stays(loaded, batch), embed_stays(result, batch))
 
     def test_empty_input_rejected(self):
         result = TrainResult(micro_params(42), [], MICRO)
@@ -427,67 +433,123 @@ class TestSharedLoopParity:
 @pytest.fixture
 def checkpoint(tmp_path):
     hyper = HyperConfig(**{**MICRO.__dict__, "epochs": 1})
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     memnet.save_checkpoint(train(micro_batch(41, n=4), hyper, vocab_size=VOCAB), path)
     return path
 
 
+def read_members(path) -> dict:
+    """Every member of a checkpoint archive; `meta` decoded from its JSON."""
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files}
+    members["meta"] = json.loads(members["meta"].item())
+    return members
+
+
+def write_members(path, members: dict) -> None:
+    """An npz archive of `members`: a dict is stored as its JSON string, bytes as a raw
+    zip member under the name given, anything else as an npy member (pickled if it
+    holds objects)."""
+    arrays = {name: np.array(json.dumps(v)) if isinstance(v, dict) else v
+              for name, v in members.items() if not isinstance(v, bytes)}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with zipfile.ZipFile(path, "a") as zf:
+        for name, v in members.items():
+            if isinstance(v, bytes):
+                zf.writestr(name, v)
+
+
+def _set_flat(array, index, value):
+    array.flat[index] = value
+
+
+def _pickled_nulls(array):
+    out = array.astype(object)
+    out.flat[0] = None
+    return out
+
+
+PARAM_NAMES = tuple(micro_params())
+
 BAD_CHECKPOINTS = {
-    "format": lambda p: p.update(format="other"),
-    "version": lambda p: p.update(version=2),
-    "missing_hyper": lambda p: p.pop("hyper"),
-    "missing_vocab_size": lambda p: p.pop("vocab_size"),
-    "missing_static_dim": lambda p: p.pop("static_dim"),
-    "missing_feature_dim": lambda p: p.pop("feature_dim"),
-    "missing_loss_history": lambda p: p.pop("loss_history"),
-    "missing_tensors": lambda p: p.pop("tensors"),
-    "tensors_not_object": lambda p: p.update(tensors=[]),
-    "unknown_hyper_field": lambda p: p["hyper"].update(width=3),
-    "missing_hyper_field": lambda p: p["hyper"].pop("hops"),
-    "invalid_hyper": lambda p: p["hyper"].update(hops=0),
-    "string_size": lambda p: p.update(vocab_size="12"),
-    "missing_values": lambda p: p["tensors"]["A"].pop("values"),
-    "short_values": lambda p: p["tensors"]["A"]["values"].pop(),
-    "ragged_values": lambda p: p["tensors"]["B"].update(values=[[0.0] * 8, [0.0]]),
-    "text_values": lambda p: p["tensors"]["H"]["values"].__setitem__(0, "x"),
-    "null_value": lambda p: p["tensors"]["H"]["values"].__setitem__(0, None),
-    "nan_value": lambda p: p["tensors"]["w_out"]["values"].__setitem__(1, float("nan")),
-    "infinite_value": lambda p: p["tensors"]["A"]["values"].__setitem__(2, float("inf")),
-    "text_shape": lambda p: p["tensors"]["A"].update(shape="3x8"),
-    "reshaped_tensor": lambda p: p["tensors"]["A"].update(shape=[8, 3]),
-    "missing_tensor": lambda p: p["tensors"].pop("H"),
-    "extra_tensor": lambda p: p["tensors"].update(extra={"shape": [1], "values": [0.0]}),
-    "hyper_disagrees": lambda p: p["hyper"].update(emb_dim=6, top_hidden=6),
-    "vocab_size_disagrees": lambda p: p.update(vocab_size=VOCAB + 1),
-    "feature_dim_disagrees": lambda p: p.update(feature_dim=4),
-    "static_dim_disagrees": lambda p: p.update(static_dim=19),
+    "format": lambda m: m["meta"].update(format="other"),
+    "version": lambda m: m["meta"].update(version=1),
+    "missing_hyper": lambda m: m["meta"].pop("hyper"),
+    "missing_vocab_size": lambda m: m["meta"].pop("vocab_size"),
+    "missing_static_dim": lambda m: m["meta"].pop("static_dim"),
+    "missing_feature_dim": lambda m: m["meta"].pop("feature_dim"),
+    "missing_loss_history": lambda m: m["meta"].pop("loss_history"),
+    "missing_tensors": lambda m: [m.pop(name) for name in PARAM_NAMES],
+    "tensors_not_object": lambda m: m.update({"A.npy": json.dumps(m.pop("A").tolist()).encode()}),
+    "unknown_hyper_field": lambda m: m["meta"]["hyper"].update(width=3),
+    "missing_hyper_field": lambda m: m["meta"]["hyper"].pop("hops"),
+    "invalid_hyper": lambda m: m["meta"]["hyper"].update(hops=0),
+    "string_size": lambda m: m["meta"].update(vocab_size="12"),
+    "huge_vocab_size": lambda m: m["meta"].update(vocab_size=10**12),
+    "missing_values": lambda m: m.update(A=np.zeros(0)),
+    "short_values": lambda m: m.update(A=m["A"].ravel()[:-1]),
+    "ragged_values": lambda m: m.update(B=np.array([np.zeros(8), np.zeros(1)], dtype=object)),
+    "text_values": lambda m: m.update(H=m["H"].astype(str)),
+    "null_value": lambda m: m.update(H=_pickled_nulls(m["H"])),
+    "nan_value": lambda m: _set_flat(m["w_out"], 1, np.nan),
+    "infinite_value": lambda m: _set_flat(m["A"], 2, np.inf),
+    "text_shape": lambda m: m.update(A=m["A"].ravel()),
+    "reshaped_tensor": lambda m: m.update(A=m["A"].reshape(8, 3)),
+    "missing_tensor": lambda m: m.pop("H"),
+    "extra_tensor": lambda m: m.update(extra=np.zeros(1)),
+    "hyper_disagrees": lambda m: m["meta"]["hyper"].update(emb_dim=6, top_hidden=6),
+    "vocab_size_disagrees": lambda m: m["meta"].update(vocab_size=VOCAB + 1),
+    "feature_dim_disagrees": lambda m: m["meta"].update(feature_dim=4),
+    "static_dim_disagrees": lambda m: m["meta"].update(static_dim=19),
+    "object_member": lambda m: m.update(meta=np.array(m["meta"], dtype=object)),
+    "extra_member": lambda m: m.update({"notes.txt": b"trained on seed 0"}),
+    "missing_meta": lambda m: m.pop("meta"),
+    "meta_not_json": lambda m: m.update(meta=np.array("{not json")),
+    "meta_not_string": lambda m: m.update(meta=np.zeros(())),
+    "single_precision": lambda m: m.update(H=m["H"].astype(np.float32)),
 }
+
+
+def _no_unpickling(*args, **kwargs):
+    raise AssertionError("the checkpoint loader unpickled data")
 
 
 class TestCheckpoint:
     def test_file_bytes_are_pinned(self, tmp_path):
         """The file written for fixed tensors, byte for byte: how it is encoded may
-        change, the text may not."""
+        change, the bytes may not."""
         params = {}
         for name, t in micro_params().items():
             codes = np.arange(t.data.size) * 37 % 101 - 50
             params[name] = Tensor((codes / 7.0).reshape(t.shape))
         result = TrainResult(params=params, loss_history=[0.75, 1 / 3, 1e-300],
                              hyper=MICRO)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         memnet.save_checkpoint(result, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
 
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        result = TrainResult(micro_params(), [0.5], MICRO)
+        written = []
+        for now in (1.0e9, 1.7e9 + 2.0):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            monkeypatch.setattr(time, "localtime", lambda secs=None, now=now: time.gmtime(now))
+            path = tmp_path / f"ckpt{len(written)}.npz"
+            memnet.save_checkpoint(result, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
     def test_records_model_sizes_from_tensor_shapes(self, checkpoint):
-        payload = json.loads(checkpoint.read_text())
-        assert (payload["vocab_size"], payload["feature_dim"], payload["static_dim"]) \
-            == (VOCAB, 3, 20)
+        meta = read_members(checkpoint)["meta"]
+        assert (meta["vocab_size"], meta["feature_dim"], meta["static_dim"]) == (VOCAB, 3, 20)
+        assert (meta["format"], meta["version"]) == ("akisub-checkpoint", 2)
 
     @pytest.mark.parametrize("kept", [0.0, 0.5, 0.999])
-    def test_truncated_json_is_a_parse_error(self, checkpoint, kept):
-        text = checkpoint.read_text()
-        checkpoint.write_text(text[:int(kept * len(text))])
-        with pytest.raises(ParseError, match="not valid JSON"):
+    def test_truncated_file_is_a_parse_error(self, checkpoint, kept):
+        data = checkpoint.read_bytes()
+        checkpoint.write_bytes(data[:int(kept * len(data))])
+        with pytest.raises(ParseError, match="not a readable npz archive"):
             memnet.load_checkpoint(checkpoint)
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b"null"])
@@ -496,10 +558,26 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             memnet.load_checkpoint(checkpoint)
 
+    def test_npy_array_is_a_parse_error(self, checkpoint):
+        with open(checkpoint, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(ParseError, match="not an npz archive"):
+            memnet.load_checkpoint(checkpoint)
+
     @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
-    def test_malformed_content_is_a_parse_error(self, checkpoint, case):
-        payload = json.loads(checkpoint.read_text())
-        BAD_CHECKPOINTS[case](payload)
-        checkpoint.write_text(json.dumps(payload))
+    def test_malformed_content_is_a_parse_error(self, checkpoint, case, monkeypatch):
+        members = read_members(checkpoint)
+        BAD_CHECKPOINTS[case](members)
+        write_members(checkpoint, members)
+        monkeypatch.setattr(pickle, "load", _no_unpickling)
+        monkeypatch.setattr(pickle, "loads", _no_unpickling)
         with pytest.raises(ParseError):
             memnet.load_checkpoint(checkpoint)
+
+    def test_unchanged_members_load(self, checkpoint):
+        """`write_members` itself writes a checkpoint the loader accepts."""
+        before = memnet.load_checkpoint(checkpoint)
+        write_members(checkpoint, read_members(checkpoint))
+        after = memnet.load_checkpoint(checkpoint)
+        assert all(np.array_equal(after.params[n].data, before.params[n].data)
+                   for n in PARAM_NAMES)

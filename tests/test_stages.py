@@ -311,13 +311,13 @@ class TestCli:
         shutil.copytree(out, run_dir)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**config.to_dict(), "out_dir": str(run_dir)}))
-        checkpoint = run_dir / "checkpoint.json"
-        checkpoint.write_text(checkpoint.read_text()[:4096])
+        checkpoint = run_dir / "checkpoint.npz"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:4096])
         code = main(["--config", str(cfg_path), "embed"])
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 4
         assert payload["error"] == "parse"
-        assert "checkpoint.json" in payload["message"]
+        assert "checkpoint.npz" in payload["message"]
 
     @pytest.mark.parametrize("stage,name,corrupt,category,needle", [
         ("cluster", "labels.csv", lambda t: _edit_row(t, 1, lambda f: [f[0], "x", *f[2:]]),
