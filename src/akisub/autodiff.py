@@ -3,12 +3,15 @@
 Tensors are immutable value wrappers around numpy arrays. Operations executed
 while a Tape is active are recorded in forward order, each as one
 `(inputs, output, backward_fn)` tuple; `backward` replays the tape once in
-reverse and accumulates gradients keyed by Tensor identity. The process has one
-stack of open tapes (the innermost records), so recording is single-threaded.
+reverse, emptying it as it goes, and accumulates gradients keyed by Tensor
+identity. Each thread has its own stack of open tapes (the innermost records),
+so threads record and back-propagate independently: an op is recorded only on
+a tape opened by the thread that runs it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +21,15 @@ from .errors import ArgumentError, DimensionError
 
 EPS = 1e-12
 
-_TAPES: list[Tape] = []  # open tapes, innermost last
+
+class _OpenTapes(threading.local):
+    """The calling thread's open tapes, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_OPEN = _OpenTapes()
 
 
 class Tensor:
@@ -57,11 +68,11 @@ class Tape:
         self.nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _OPEN.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
+        popped = _OPEN.stack.pop()
         assert popped is self
         return False
 
@@ -70,15 +81,16 @@ class Tape:
 
 
 def recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op on `inputs` would be recorded: a tape is active and an input
-    requires grad. Primitives that cache for their backward check this first."""
-    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+    """Whether an op on `inputs` would be recorded: the calling thread has an open
+    tape and an input requires grad. Primitives that cache for their backward
+    check this first."""
+    return bool(_OPEN.stack) and any(t.requires_grad for t in inputs)
 
 
 def _record(inputs: tuple[Tensor, ...], out: Tensor, backward_fn: Callable) -> Tensor:
     if recording(inputs):
         out.requires_grad = True
-        _TAPES[-1].nodes.append((inputs, out, backward_fn))
+        _OPEN.stack[-1].nodes.append((inputs, out, backward_fn))
     return out
 
 
@@ -277,16 +289,21 @@ def cross_entropy(p, y) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse-accumulate d(loss)/d(tensor) for every tensor recorded on `tape`.
+    """Reverse-accumulate d(loss)/d(tensor) over the nodes recorded on `tape`.
 
-    Returns a dict keyed by Tensor identity; look up parameters directly.
-    The gradient of the loss w.r.t. itself is 1.
+    The tape is consumed: each node is popped, and so freed, as it is replayed,
+    and the gradient of each node's output is dropped once passed to its inputs.
+    Returns a dict keyed by Tensor identity that holds the gradients of the leaves
+    (tensors no node of the tape produced, such as parameters; look them up
+    directly) and of `loss`, which is 1 with respect to itself.
     """
     if loss.data.shape != ():
         raise ArgumentError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
-    for inputs, output, backward_fn in reversed(tape.nodes):
-        g_out = grads.get(output)
+    nodes = tape.nodes
+    while nodes:
+        inputs, output, backward_fn = nodes.pop()
+        g_out = grads.get(output) if output is loss else grads.pop(output, None)
         if g_out is None:
             continue
         for tensor, g in zip(inputs, backward_fn(g_out)):

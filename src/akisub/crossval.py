@@ -14,11 +14,20 @@ outer, is one `baselines.lr_train` call, which solves the penalised objective
 to convergence (or raises OptimizationError). For the neural models it tunes
 over the declared `HyperConfig` overrides and is skipped when that grid has
 at most one point.
+
+`nested_cv` runs the LR (fold, model) pairs in the calling thread, where they
+hold the interpreter lock, then the neural pairs on a thread pool whose size
+`fit_workers` derives from the CPUs and the BLAS thread count, so an unpinned
+BLAS runs them one at a time. Each fit reads only its own fold and seeds, and
+autodiff tapes are per thread, so the records, and the error raised when a
+fit fails, do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +47,8 @@ LR_MODELS = ("lr", "lr_bow")
 # a tie in mean inner AUC goes to the stronger penalty. 1e-3 is lr_train's
 # default, so the untuned fit stays one of the choices.
 LR_L2_GRID = (1.0, 0.1, 0.01, 0.001)
+# where BLAS libraries read their thread count, in the order fit_workers reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def grouped_stratified_folds(stays: list[IcuStay], labels: dict[str, int],
@@ -221,6 +232,27 @@ class CvSummary:
         return rows
 
 
+def fit_workers(n_pairs: int) -> int:
+    """Threads for `n_pairs` concurrent neural fits: the CPUs this process may run
+    on over the BLAS threads of one fit, at least 1 and at most `n_pairs` (when
+    positive). The BLAS thread count is the first positive integer among
+    `BLAS_THREAD_VARS`; with none set, BLAS is taken to use every CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(cpus // blas_threads, n_pairs))
+
+
 def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
               t1_hours: float, hyper: HyperConfig, n_outer: int = 5,
               n_inner: int = 5, grid: list[dict] | None = None,
@@ -234,26 +266,57 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
     means, and refit only the standardisation. For the neural models the inner
     loop tunes `grid` and is skipped when it has at most one point. Inner folds
     are `n_inner` patient-grouped folds of the outer training split.
+
+    The LR pairs run first in the calling thread, then the neural pairs on
+    `fit_workers` threads. Records come in (fold, model) order. A failing fit
+    raises the error of the first failing pair in that order, as a serial loop
+    would; the pairs not yet started are cancelled.
     """
     grid = grid or []
     fold_of = grouped_stratified_folds(stays, labels, n_outer, seed)
     y = np.array([labels[s.stay_id] for s in stays])
     # binning is a pure per-stay transform: once per call, not per fold and model
     tensors = {s.stay_id: bin_events(s, t1_hours) for s in stays}
+    folds = [_fold_data(stays, y, fold_of, k, f"outer{k}-train", tensors)
+             for k in range(n_outer)]
+    pairs = [(k, model_id) for k in range(n_outer) for model_id in models]
+
+    def fit(fold_idx: int, model_id: str) -> np.ndarray:
+        fold, inner_seed = folds[fold_idx], seed + 1000 + fold_idx
+        if model_id in LR_MODELS:
+            return _lr_train_and_score(model_id, fold, t1_hours, n_inner, inner_seed)
+        chosen = _tune(model_id, fold, hyper, tensors, grid, n_inner, inner_seed)
+        return _train_and_score(model_id, fold, chosen, tensors)
+
+    preds: dict[tuple[int, str], np.ndarray] = {}
+    lr_failure = None
+    for pair in pairs:
+        if pair[1] in LR_MODELS:
+            try:
+                preds[pair] = fit(*pair)
+            except Exception as e:  # raised once every neural pair before it has run
+                lr_failure = pair, e
+                break
+    if lr_failure is not None:
+        pairs = pairs[:pairs.index(lr_failure[0])]
+    neural = [pair for pair in pairs if pair[1] not in LR_MODELS]
+    for fold_idx, _ in neural:  # build each vocabulary before two threads can read it
+        folds[fold_idx].vocab
     records = []
-    for fold_idx in range(n_outer):
-        fold = _fold_data(stays, y, fold_of, fold_idx, f"outer{fold_idx}-train", tensors)
-        inner_seed = seed + 1000 + fold_idx
-        for model_id in models:
-            if model_id in LR_MODELS:
-                preds = _lr_train_and_score(model_id, fold, t1_hours, n_inner, inner_seed)
-            else:
-                chosen = _tune(model_id, fold, hyper, tensors, grid, n_inner, inner_seed)
-                preds = _train_and_score(model_id, fold, chosen, tensors)
-            pr = precision_recall(preds, fold.test_labels)
-            records.append(MetricRecord(model_id=model_id, fold_id=fold_idx,
-                                        auc=auc(preds, fold.test_labels),
+    pool = ThreadPoolExecutor(fit_workers(len(neural)))
+    try:
+        futures = {pair: pool.submit(fit, *pair) for pair in neural}
+        for pair in pairs:
+            p = futures[pair].result() if pair in futures else preds[pair]
+            fold = folds[pair[0]]
+            pr = precision_recall(p, fold.test_labels)
+            records.append(MetricRecord(model_id=pair[1], fold_id=pair[0],
+                                        auc=auc(p, fold.test_labels),
                                         precision=pr.precision, recall=pr.recall))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if lr_failure is not None:
+        raise lr_failure[1]
     return CvSummary(records=records)
 
 

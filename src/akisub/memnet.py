@@ -223,7 +223,9 @@ def fit(prepared: list[PreparedStay], hyper: HyperConfig, params: dict[str, Tens
     `rng`; the history holds each epoch's summed batch losses over the stay count.
 
     `params` is updated in place, so the caller's dict does not keep the
-    initial tensors alive for the whole run."""
+    initial tensors alive for the whole run. One batch's tape is alive at a time:
+    `backward` empties it, and the batch's loss and gradients are dropped before
+    the next batch's forward."""
     opt = nn.Adam(lr=hyper.lr)
     history: list[float] = []
     n = len(prepared)
@@ -237,6 +239,7 @@ def fit(prepared: list[PreparedStay], hyper: HyperConfig, params: dict[str, Tens
             grads = backward(tape, loss)
             params.update(opt.step(params, grads))
             total += loss.item()
+            del tape, loss, grads
         history.append(total / n)
     return TrainResult(params=params, loss_history=history, hyper=hyper)
 

@@ -7,7 +7,9 @@ step t are a prefix of the sorted batch and step t computes only those (a
 packed batch). When recording, the input projection x @ Wx is one GEMM over all
 valid steps, and the backward is hand-written BPTT over the cached activated
 gates and cell states: only dh_{t-1} = dpre_t @ Wh.T runs per step, while the
-weight, bias and input gradients are one operation each over all steps.
+weight, bias and input gradients are one operation each over all steps. The
+backward writes each step's dpre into the cached gates buffer once that step's
+gates are read, so it allocates no second buffer of that size; it can run once.
 Forward-only calls keep no cache. `lstm_cell` is the same step composed from
 tape primitives; it is the reference the packed layer is tested against.
 """
@@ -141,7 +143,7 @@ def lstm_sequence(x, lengths, params: LstmParams) -> Tensor:
     def bwd(g_out):
         dh = g_out[order]  # a row's output gradient enters at its last step
         dc = np.zeros((n, hid))
-        dpre = np.empty_like(gates)
+        dpre = gates  # step t's dpre overwrites its gates once they are read
         for t in range(active.size - 1, -1, -1):
             n_t = active[t]
             cur = slice(offsets[t], offsets[t] + n_t)
@@ -149,16 +151,17 @@ def lstm_sequence(x, lengths, params: LstmParams) -> Tensor:
             tc = tcs[cur]
             dh_t = dh[:n_t]
             dc_t = dc[:n_t] + dh_t * o * (1.0 - tc * tc)
-            d = dpre[cur]
-            d[:, :hid] = dc_t * g * i * (1.0 - i)
             if t:
                 prev = slice(offsets[t - 1], offsets[t - 1] + n_t)
-                d[:, hid:2 * hid] = dc_t * cs[prev] * f * (1.0 - f)
+                df = dc_t * cs[prev] * f * (1.0 - f)
             else:
-                d[:, hid:2 * hid] = 0.0
-            d[:, 2 * hid:3 * hid] = dc_t * i * (1.0 - g * g)
-            d[:, 3 * hid:] = dh_t * tc * o * (1.0 - o)
+                df = 0.0
+            d_gates = (dc_t * g * i * (1.0 - i), df, dc_t * i * (1.0 - g * g),
+                       dh_t * tc * o * (1.0 - o))
             dc[:n_t] = dc_t * f
+            d = dpre[cur]
+            for k, d_gate in enumerate(d_gates):
+                d[:, k * hid:(k + 1) * hid] = d_gate
             if t:
                 dh[:n_t] = d @ wh.T
         # h_{t-1} of every packed entry after step 0, for one dWh GEMM

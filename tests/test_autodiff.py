@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,16 @@ def test_backward_identity_and_product_rule():
     grads2 = backward(tape2, x2)
     assert grads2[x2] == pytest.approx(1.0)
 
+    # the replayed tape is emptied; only the leaves' and the loss's gradients remain
+    with Tape() as tape3:
+        xy = ad.mul(x, y)
+        loss3 = ad.mul(xy, xy)
+    grads3 = backward(tape3, loss3)
+    assert len(tape3) == 0
+    assert xy not in grads3
+    assert set(map(id, grads3)) == {id(x), id(y), id(loss3)}
+    assert (grads3[x], grads3[y], grads3[loss3]) == (36.0, 24.0, 1.0)
+
 
 def test_backward_requires_scalar():
     v = Tensor([1.0, 2.0], requires_grad=True)
@@ -182,3 +195,77 @@ def test_slice_and_reshape_roundtrip_gradient():
     expected = np.zeros((3, 4))
     expected[:, 1:3] = 2.0
     assert np.array_equal(grads[v], expected)
+
+
+def _seeded_grad(seed, barrier=None):
+    """d(loss)/dw of a 40-op recorded chain over a seeded w, after `barrier`."""
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.normal(scale=0.5, size=(6, 6)), requires_grad=True)
+    h = Tensor(rng.normal(size=(4, 6)))
+    if barrier is not None:
+        barrier.wait(timeout=30)
+    with Tape() as tape:
+        for _ in range(20):
+            h = ad.tanh(ad.matmul(h, w))
+        loss = ad.reduce_sum(h)
+    return backward(tape, loss)[w]
+
+
+def test_threads_record_and_backpropagate_concurrently():
+    n_threads = 4  # more threads than cores, switching as often as possible
+    serial = [_seeded_grad(seed) for seed in range(n_threads)]
+    barrier = threading.Barrier(n_threads)
+    results, errors = [None] * n_threads, []
+
+    def run(seed):
+        try:
+            results[seed] = _seeded_grad(seed, barrier)
+        except Exception as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
+
+
+def _in_thread(fn):
+    """Run `fn` in a new thread and return its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_open_tape_records_no_other_threads_ops():
+    w = Tensor(np.eye(2), requires_grad=True)
+
+    def other_thread():
+        untaped = ad.matmul(w, w)
+        with Tape() as own:
+            ad.matmul(w, w)
+        return untaped.requires_grad, len(own)
+
+    with Tape() as tape:
+        assert _in_thread(other_thread) == (False, 1)
+        ad.matmul(w, w)
+    assert len(tape) == 1
+
+
+def test_recording_is_false_in_a_thread_without_a_tape():
+    w = Tensor(np.eye(2), requires_grad=True)
+    with Tape():
+        assert ad.recording([w])
+        assert _in_thread(lambda: ad.recording([w])) is False

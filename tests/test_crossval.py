@@ -1,15 +1,20 @@
+import json
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from akisub import baselines, crossval
-from akisub.cohort import CohortConfig, generate_cohort
-from akisub.crossval import (LR_L2_GRID, grouped_stratified_folds, nested_cv,
+from akisub import baselines, crossval, errors, memnet
+from akisub.cli import main
+from akisub.cohort import CohortConfig, generate_cohort, read_cohort
+from akisub.crossval import (LR_L2_GRID, fit_workers, grouped_stratified_folds, nested_cv,
                              write_metrics_table)
-from akisub.errors import FoldError
+from akisub.errors import AkisubError, FoldError, OptimizationError, TrainingError
 from akisub.kdigo import apply_exclusions
+from akisub.stages import read_labels
 from akisub.memnet import HyperConfig
 from oracles import lr_gd_reference, lr_loss
 
@@ -168,6 +173,143 @@ class TestNestedCv:
         # every model but lr reads the split's vocabulary
         vocabularies = fits if set(models) - {"lr"} else 0
         assert calls == {"fit_scaling": fits, "build_vocabulary": vocabularies}
+
+
+def failing_on_fold(fit, stays, labels, n_outer, seed, fold, error, delay=0.0):
+    """`fit` wrapped to raise `error`, after `delay` seconds, when it trains on the
+    training split of outer fold `fold` of `nested_cv(stays, labels, ...)`."""
+    fold_of = grouped_stratified_folds(stays, labels, n_outer, seed)
+    held_out = {s.stay_id for s, f in zip(stays, fold_of) if f == fold}
+
+    def wrapper(prepared, *args):
+        if held_out.isdisjoint(s.stay_id for s in prepared):
+            time.sleep(delay)
+            raise error
+        return fit(prepared, *args)
+    return wrapper
+
+
+class TestFitPool:
+    def test_records_do_not_depend_on_worker_count(self, labeled, monkeypatch):
+        stays, labels = labeled
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(crossval, "fit_workers", lambda n, w=workers: min(w, n))
+            runs.append(nested_cv(stays, labels, list(crossval.MODEL_IDS), 24,
+                                  replace(FAST_HYPER, epochs=1), n_outer=2, seed=0).records)
+        assert [(r.fold_id, r.model_id) for r in runs[0]] == \
+            [(k, m) for k in range(2) for m in crossval.MODEL_IDS]
+        assert runs[0] == runs[1]
+
+    def test_first_failing_pair_in_order_is_raised(self, labeled, monkeypatch):
+        stays, labels = labeled
+        first = TrainingError("lstm on fold 1")
+        later = TrainingError("memnet on fold 1")  # fails at once, while lstm sleeps
+        monkeypatch.setattr(crossval, "fit_workers", lambda n: min(2, n))
+        monkeypatch.setattr(baselines, "lstm_baseline_train", failing_on_fold(
+            baselines.lstm_baseline_train, stays, labels, 2, 0, 1, first, delay=0.3))
+        monkeypatch.setattr(memnet, "train", failing_on_fold(
+            memnet.train, stays, labels, 2, 0, 1, later))
+        with pytest.raises(TrainingError) as raised:
+            nested_cv(stays, labels, ["lr", "lstm", "memnet"], 24,
+                      replace(FAST_HYPER, epochs=0), n_outer=2, seed=0)
+        assert raised.value is first
+
+    @pytest.mark.parametrize("lstm_fold, raised", [(0, "lstm"), (2, "lr")])
+    def test_lr_failures_keep_their_place_in_the_order(self, labeled, monkeypatch,
+                                                       lstm_fold, raised):
+        stays, labels = labeled
+        failures = {"lr": OptimizationError("lr on fold 1"), "lstm": TrainingError("lstm")}
+        lr_fit = crossval._lr_train_and_score
+
+        def lr_failing(model_id, fold, *args):
+            if fold.scaling.split_id == "outer1-train":
+                raise failures["lr"]
+            return lr_fit(model_id, fold, *args)
+
+        monkeypatch.setattr(crossval, "_lr_train_and_score", lr_failing)
+        monkeypatch.setattr(baselines, "lstm_baseline_train", failing_on_fold(
+            baselines.lstm_baseline_train, stays, labels, 3, 0, lstm_fold, failures["lstm"]))
+        with pytest.raises(AkisubError) as error:
+            nested_cv(stays, labels, ["lr", "lstm"], 24, replace(FAST_HYPER, epochs=0),
+                      n_outer=3, seed=0)
+        assert error.value is failures[raised]
+
+    def test_pairs_not_started_are_cancelled(self, labeled, monkeypatch):
+        stays, labels = labeled
+        fit = baselines.lstm_baseline_train
+        calls = []
+
+        def failing_first(prepared, hyper):
+            calls.append(len(prepared))
+            if len(calls) == 1:
+                raise TrainingError("fold 0")
+            time.sleep(1.0)  # long enough for the failure to cancel fold 2
+            return fit(prepared, hyper)
+
+        monkeypatch.setattr(crossval, "fit_workers", lambda n: 1)
+        monkeypatch.setattr(baselines, "lstm_baseline_train", failing_first)
+        with pytest.raises(TrainingError, match="fold 0"):
+            nested_cv(stays, labels, ["lstm"], 24, replace(FAST_HYPER, epochs=0),
+                      n_outer=3, seed=0)
+        assert len(calls) <= 2
+
+    def test_cli_evaluate_exits_with_the_fit_error_code(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 3, "out_dir": str(out),
+            "cohort": {"n_stays": 120, "case_fraction": 0.3},
+            "model": {"emb_dim": 16, "top_hidden": 16, "bottom_hidden": 12,
+                      "word_emb_dim": 8, "static_proj_dim": 4, "epochs": 0},
+            "evaluate": {"models": ["lr", "lstm"], "outer_folds": 2},
+        }))
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        assert main(["--config", str(cfg_path), "label"]) == 0
+        labels = {sid: int(lab.is_case) for sid, lab in read_labels(out / "labels.csv").items()}
+        stays = [s for s in read_cohort(out / "cohort.jsonl") if s.stay_id in labels]
+        monkeypatch.setattr(crossval, "fit_workers", lambda n: min(2, n))
+        monkeypatch.setattr(baselines, "lstm_baseline_train", failing_on_fold(
+            baselines.lstm_baseline_train, stays, labels, 2, 3, 1,
+            TrainingError("lstm on fold 1")))
+        capsys.readouterr()
+        code = main(["--config", str(cfg_path), "evaluate"])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == errors.EXIT_CODES["training"]
+        assert payload == {"error": "training", "message": "lstm on fold 1"}
+
+
+class TestFitWorkers:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs this process may run on; clears the BLAS thread variables."""
+        for var in crossval.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        return lambda n: monkeypatch.setattr(os, "sched_getaffinity",
+                                             lambda pid: set(range(n)), raising=False)
+
+    def test_unpinned_blas_runs_one_fit_at_a_time(self, cpus):
+        cpus(2)
+        assert fit_workers(15) == 1
+
+    @pytest.mark.parametrize("env", [
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"},  # first positive one
+        {"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"},
+    ])
+    def test_one_blas_thread_gives_a_fit_per_cpu(self, cpus, monkeypatch, env):
+        cpus(2)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert fit_workers(15) == 2
+
+    def test_never_more_than_the_neural_pairs(self, cpus, monkeypatch):
+        cpus(8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert [fit_workers(n) for n in (1, 3, 8, 15)] == [1, 3, 8, 8]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert [fit_workers(n) for n in (1, 3, 8, 15)] == [1, 3, 4, 4]
 
 
 @pytest.fixture(scope="module")

@@ -107,8 +107,9 @@ class TestPackedLstmParity:
         def loss_and_grads():
             with Tape() as tape:
                 loss = batch_loss(params, batch, MICRO)
+            nodes = len(tape)  # backward empties the tape
             grads = backward(tape, loss)
-            return loss.item(), {name: grads[p] for name, p in params.items()}, len(tape)
+            return loss.item(), {name: grads[p] for name, p in params.items()}, nodes
 
         (loss, grads, nodes), (ref_loss, ref_grads, ref_nodes) = \
             packed_and_reference(loss_and_grads)
