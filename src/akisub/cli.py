@@ -14,6 +14,7 @@ import json
 import sys
 
 from .errors import EXIT_CODES, AkisubError
+from .features import T1_HOURS
 from .stages import STAGES, RunConfig, config_from_dict, load_config, run_all, run_stage
 
 
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON run config (defaults used when omitted)")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
-    parser.add_argument("--t1", type=int, choices=(24, 48),
+    parser.add_argument("--t1", type=int, choices=T1_HOURS,
                         help="override the observation window in hours")
     parser.add_argument("--force", action="store_true",
                         help="re-run stages even when manifests match")
@@ -51,7 +52,6 @@ def resolve_config(args) -> RunConfig:
                 raw[section]["seed"] = args.seed
         if args.t1 is not None:
             raw["t1_hours"] = args.t1
-            del raw["model"]["memory_size"]  # derived from t1_hours again
         config = config_from_dict(raw)
     if args.out is not None:
         config.out_dir = args.out

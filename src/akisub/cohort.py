@@ -6,7 +6,10 @@ creatinine/urine trajectories (archetype 1 -> stage 1, 2 -> stage 3,
 3 -> stage 2), and notes whose tokens carry complementary risk and archetype
 signal. Controls never satisfy any KDIGO clause; a fraction of controls are
 "mimics" whose structured profile looks case-like so that notes add
-information beyond the structured data.
+information beyond the structured data. Only the stay count, case fraction,
+subtype mixture and seed are settings (`CohortConfig`): the noise of each
+variable is fixed by the tables below, and notes draw from the 160 tokens of
+`NOTE_TOKENS`.
 
 Cohort files are JSON Lines with a versioned header record; see
 `write_cohort` for the schema.
@@ -174,8 +177,6 @@ class CohortConfig:
     n_stays: int
     case_fraction: float = 0.2
     subtype_mixture: tuple[float, float, float] = (0.595, 0.088, 0.317)
-    vocab_size: int = 160
-    noise_scale: float = 1.0
     seed: int = 0
 
     def validate(self):
@@ -186,10 +187,6 @@ class CohortConfig:
         w = np.asarray(self.subtype_mixture, dtype=float)
         if len(w) != 3 or np.any(w < 0) or w.sum() <= 0:
             raise ConfigError("subtype_mixture needs 3 non-negative weights with positive sum")
-        if self.vocab_size < len(_BASE_TOKENS):
-            raise ConfigError(f"vocab_size must be at least {len(_BASE_TOKENS)}")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be non-negative")
 
     def normalized_mixture(self) -> np.ndarray:
         w = np.asarray(self.subtype_mixture, dtype=float)
@@ -348,11 +345,10 @@ _ARCHETYPE_TOKENS = {
 _BASE_TOKENS = tuple(_FILLER_TOKENS) + _RISK_TOKENS + tuple(
     t for a in (1, 2, 3) for t in _ARCHETYPE_TOKENS[a])
 
-
-def note_token_universe(vocab_size: int) -> tuple[str, ...]:
-    """The closed token list the generator draws from (padded with rare fillers)."""
-    extra = tuple(f"word{i:03d}" for i in range(vocab_size - len(_BASE_TOKENS)))
-    return _BASE_TOKENS + extra
+# the closed list of 160 tokens the generator draws from: the base tokens padded
+# with rare fillers
+NOTE_TOKENS = _BASE_TOKENS + tuple(f"word{i:03d}" for i in range(160 - len(_BASE_TOKENS)))
+_EXTRA_FILLERS = NOTE_TOKENS[len(_BASE_TOKENS):]
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +359,6 @@ def generate_cohort(config: CohortConfig) -> list[IcuStay]:
     """Deterministically generate `config.n_stays` synthetic ICU stays."""
     config.validate()
     mixture = _cdf(config.normalized_mixture())
-    tokens = note_token_universe(config.vocab_size)
-    extra_fillers = tokens[len(_BASE_TOKENS):]
 
     assign_rng = np.random.default_rng([config.seed, 0xA55])
     stays: list[IcuStay] = []
@@ -393,8 +387,8 @@ def generate_cohort(config: CohortConfig) -> list[IcuStay]:
         else:
             prev_patient = None  # at most two stays per patient
 
-        stay = _generate_stay(rng, config, f"s{i:05d}-{stay_no}", patient_id, demo,
-                              is_case, subtype, profile, note_arche, extra_fillers)
+        stay = _generate_stay(rng, f"s{i:05d}-{stay_no}", patient_id, demo,
+                              is_case, subtype, profile, note_arche)
         stays.append(stay)
     return stays
 
@@ -440,9 +434,9 @@ def _level(rng, var: str, arche: int) -> float:
     return min(max(level, lo), hi)
 
 
-def _noisy(rng, level: float, sd: float, clamp: float | None, scale: float,
+def _noisy(rng, level: float, sd: float, clamp: float | None,
            lo: float | None, hi: float | None) -> float:
-    noise = rng.normal(0.0, sd * scale) if sd > 0 and scale > 0 else 0.0
+    noise = rng.normal(0.0, sd) if sd > 0 else 0.0
     if clamp is not None:
         noise = min(max(noise, -clamp), clamp)
     v = level + noise
@@ -453,9 +447,8 @@ def _noisy(rng, level: float, sd: float, clamp: float | None, scale: float,
     return float(v)
 
 
-def _generate_stay(rng, config, stay_id, patient_id, demo, is_case, subtype,
-                   profile, note_arche, extra_fillers) -> IcuStay:
-    scale = config.noise_scale
+def _generate_stay(rng, stay_id, patient_id, demo, is_case, subtype,
+                   profile, note_arche) -> IcuStay:
     chart: dict[str, EventSeries] = {}
     labs: dict[str, EventSeries] = {}
 
@@ -471,20 +464,20 @@ def _generate_stay(rng, config, stay_id, patient_id, demo, is_case, subtype,
             if rng.random() < _MISSING_P:
                 continue
             t = 2.0 * j + _uniform(rng, 0.1, 1.9)
-            pts.append((float(t), _noisy(rng, level, o_sd, None, scale, lo, hi)))
+            pts.append((float(t), _noisy(rng, level, o_sd, None, lo, hi)))
         series = EventSeries(var, pts)
         (chart if var in CHART_VARIABLES else labs)[var] = series
 
-    labs["creatinine"] = _scr_series(rng, profile, is_case, subtype, scale)
-    labs["urine_rate"] = _urine_series(rng, profile, is_case, subtype, scale)
+    labs["creatinine"] = _scr_series(rng, profile, is_case, subtype)
+    labs["urine_rate"] = _urine_series(rng, profile, is_case, subtype)
 
-    notes = _generate_notes(rng, note_arche, extra_fillers)
+    notes = _generate_notes(rng, note_arche)
 
     return IcuStay(stay_id=stay_id, patient_id=patient_id, planted_subtype=subtype,
                    chart_series=chart, lab_series=labs, notes=notes, **demo)
 
 
-def _scr_series(rng, profile, is_case, subtype, scale) -> EventSeries:
+def _scr_series(rng, profile, is_case, subtype) -> EventSeries:
     base = _level(rng, "creatinine", profile)
     if is_case:
         ratio = _uniform(rng, *_SCR_RAMP_RATIO[subtype])
@@ -498,14 +491,14 @@ def _scr_series(rng, profile, is_case, subtype, scale) -> EventSeries:
             frac = min(1.0, (t - onset) / ramp)
             value = base * (1.0 + (ratio - 1.0) * frac)
         drop = t <= OBS_HORIZON_HOURS and rng.random() < _MISSING_P
-        v = _noisy(rng, value, _SCR_OBS_SD, _SCR_OBS_CLAMP, scale, 0.2, None)
+        v = _noisy(rng, value, _SCR_OBS_SD, _SCR_OBS_CLAMP, 0.2, None)
         if not drop:
             pts.append((t, v))
         t += 6.0
     return EventSeries("creatinine", pts)
 
 
-def _urine_series(rng, profile, is_case, subtype, scale) -> EventSeries:
+def _urine_series(rng, profile, is_case, subtype) -> EventSeries:
     base = _level(rng, "urine_rate", profile)
     dip = None
     if is_case and subtype == 3:
@@ -518,14 +511,14 @@ def _urine_series(rng, profile, is_case, subtype, scale) -> EventSeries:
         if dip is not None and dip[0] <= t < dip[1]:
             value = dip[2]
         drop = t <= OBS_HORIZON_HOURS and rng.random() < _MISSING_P
-        v = _noisy(rng, value, _URINE_OBS_SD, _URINE_OBS_CLAMP, scale, 0.05, None)
+        v = _noisy(rng, value, _URINE_OBS_SD, _URINE_OBS_CLAMP, 0.05, None)
         if not drop:
             pts.append((t, v))
         t += 2.0
     return EventSeries("urine_rate", pts)
 
 
-def _generate_notes(rng, note_arche, extra_fillers) -> list[ClinicalNote]:
+def _generate_notes(rng, note_arche) -> list[ClinicalNote]:
     """Notes expressing one archetype's markers, or unremarkable notes (None)."""
     n_notes = int(rng.integers(2, 5))
     offsets = np.sort(rng.uniform(0.5, 23.5, size=n_notes))
@@ -542,8 +535,8 @@ def _generate_notes(rng, note_arche, extra_fillers) -> list[ClinicalNote]:
             u = rng.random()
             if u < _RISK_TOKEN_P:
                 toks.append(_RISK_TOKENS[int(rng.integers(len(_RISK_TOKENS)))])
-            elif extra_fillers and u > 0.99:
-                toks.append(extra_fillers[int(rng.integers(len(extra_fillers)))])
+            elif u > 0.99:
+                toks.append(_EXTRA_FILLERS[int(rng.integers(len(_EXTRA_FILLERS)))])
             else:
                 toks.append(_FILLER_TOKENS[_pick(rng, _FILLER_CDF)])
         toks = [toks[i] for i in rng.permutation(len(toks))]

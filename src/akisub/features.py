@@ -34,6 +34,7 @@ from .cohort import (CHART_VARIABLES, COMORBIDITY_FLAGS, ETHNICITIES, MED_FLAGS,
 from .errors import ArgumentError, ImputationError, SchemaError
 
 SUB_WINDOW_HOURS = 2.0
+T1_HOURS = (24, 48)  # the observation windows a run may use, in hours
 STATIC_DIM = 20
 BASELINE_DIM = 147
 
@@ -77,7 +78,6 @@ class ScalingStats:
 class BaselineFeatureVector:
     stay_id: str
     values: np.ndarray           # (147,)
-    imputed: np.ndarray          # (147,) bool; True where a statistic was filled
 
     def __post_init__(self):
         if self.values.shape != (BASELINE_DIM,):
@@ -86,8 +86,9 @@ class BaselineFeatureVector:
 
 
 def bin_count(t1_hours: float) -> int:
-    if t1_hours not in (24, 48):
-        raise ArgumentError(f"t1_hours must be 24 or 48, got {t1_hours}")
+    """The 2-hour windows of a `T1_HOURS` observation window: the memory size."""
+    if t1_hours not in T1_HOURS:
+        raise ArgumentError(f"t1_hours must be one of {T1_HOURS}, got {t1_hours}")
     return int(t1_hours / SUB_WINDOW_HOURS)
 
 
@@ -218,7 +219,6 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
     start = np.cumsum(n_obs) - n_obs
     seen = n_obs > 0
     values = np.zeros(BASELINE_DIM)
-    imputed = np.zeros(BASELINE_DIM, dtype=bool)
     stats = values[:n_vars * len(BASELINE_STATS)].reshape(n_vars, -1)
     if seen.any():
         first = start[seen]
@@ -230,12 +230,11 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
     for c in np.flatnonzero(seen).tolist():
         stats[c, 2] = _mean(value[start[c]:start[c] + n_obs[c]])
         stats[c, 5] = _bin_slope(sums[:, c], counts[:, c])
-    imputed[:stats.size].reshape(n_vars, -1)[~seen, :5] = True
     for c in np.flatnonzero(~seen).tolist():
         var = BASELINE_CONTINUOUS_VARS[c]
         stats[c, :5] = 0.0 if fill_means is None else fill_means.get(var, 0.0)
     values[stats.size:] = _static14(stay)
-    return BaselineFeatureVector(stay.stay_id, values, imputed)
+    return BaselineFeatureVector(stay.stay_id, values)
 
 
 def _mean(a: np.ndarray):

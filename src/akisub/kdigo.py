@@ -179,8 +179,6 @@ def apply_exclusions(stays: list[IcuStay], t1_hours: float,
                      ) -> tuple[list[tuple[IcuStay, AkiLabel]], list[tuple[str, str]]]:
     """Drop stays with observation-window AKI or without renal data in the
     prediction window; label the rest over the 7-day prediction window only."""
-    if t1_hours not in (24, 48):
-        raise ArgumentError(f"t1_hours must be 24 or 48, got {t1_hours}")
     horizon = t1_hours + PREDICTION_WINDOW_HOURS
     kept: list[tuple[IcuStay, AkiLabel]] = []
     excluded: list[tuple[str, str]] = []

@@ -5,7 +5,9 @@ note-level LSTM consumes the note vectors in timestamp order, and its final
 hidden state is the query u. The stay tensor rows s_j are embedded into input
 memory z_j = s_j A and output memory e_j = s_j B; attention weights
 alpha = softmax(u . z) produce the read o = sum_j alpha_j e_j, and each hop
-updates the query as u' = u H + o with A and B shared across hops. The stay
+updates the query as u' = u H + o with A and B shared across hops. The
+memory has one slot per tensor row (2-hour window), so its size is the row
+count of the input, not a setting: A and B are feature_dim x emb_dim. The stay
 representation is v = concat(u_final + o, static W_s), a 144-vector with
 default dimensions, classified by a two-class softmax head.
 
@@ -42,7 +44,6 @@ INFER_BATCH = 256
 
 @dataclass
 class HyperConfig:
-    memory_size: int = 12
     emb_dim: int = 128
     bottom_hidden: int = 200
     top_hidden: int = 128
@@ -56,9 +57,8 @@ class HyperConfig:
     seed: int = 0
 
     def validate(self):
-        for name in ("memory_size", "emb_dim", "bottom_hidden", "top_hidden",
-                     "word_emb_dim", "static_proj_dim", "hops", "batch_size",
-                     "max_note_len", "lr"):
+        for name in ("emb_dim", "bottom_hidden", "top_hidden", "word_emb_dim",
+                     "static_proj_dim", "hops", "batch_size", "max_note_len", "lr"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"'model.{name}' must be > 0, got {getattr(self, name)!r}")
         if not self.epochs >= 0:
@@ -181,9 +181,6 @@ def forward_batch(params, batch: list[PreparedStay], hyper: HyperConfig,
                   ) -> tuple[Tensor, Tensor]:
     """Probabilities (b, 2) and representations (b, emb+static_proj) for a batch."""
     tensors = np.stack([s.tensor for s in batch])
-    if tensors.shape[1] != hyper.memory_size:
-        raise DimensionError(f"stay tensors have {tensors.shape[1]} rows but memory "
-                             f"size is {hyper.memory_size}")
     static = np.stack([s.static for s in batch])
     u0 = encode_notes_batch(params, [s.note_seqs for s in batch], hyper)
     u_final, _, o = multi_hop_batch(params, u0, tensors, hyper.hops)
@@ -289,9 +286,11 @@ def embed_stays(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray
 # entries carry the fixed 1980 timestamp of `zipfile.ZipInfo`, so one result
 # always gives the same bytes. `load_checkpoint` reads without unpickling and
 # accepts exactly the members and shapes `init_params` gives for `meta`.
+# `hyper` holds no memory size: the memory has as many slots as a stay tensor
+# has rows. A file of any version but `CHECKPOINT_VERSION` is a ParseError.
 
 CHECKPOINT_FORMAT = "akisub-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(result: TrainResult, path) -> None:

@@ -13,7 +13,6 @@ from .errors import MetricError
 class PrecisionRecall:
     precision: float
     recall: float
-    no_predicted_positives: bool = False
 
 
 @dataclass
@@ -67,8 +66,8 @@ def auc(scores, labels) -> float:
 def precision_recall(scores, labels, cutoff: float = 0.5) -> PrecisionRecall:
     """Precision/recall at `cutoff` (predicted positive when score >= cutoff).
 
-    With no predicted positives, precision is undefined and reported as 0 with
-    the flag set.
+    With no predicted positives, precision is undefined; precision and recall are
+    then both reported as 0.
     """
     s, y = _split_classes(scores, labels)
     predicted = s >= cutoff
@@ -76,5 +75,5 @@ def precision_recall(scores, labels, cutoff: float = 0.5) -> PrecisionRecall:
     fp = int((predicted & (y == 0)).sum())
     fn = int((~predicted & (y == 1)).sum())
     if tp + fp == 0:
-        return PrecisionRecall(precision=0.0, recall=0.0, no_predicted_positives=True)
+        return PrecisionRecall(precision=0.0, recall=0.0)
     return PrecisionRecall(precision=tp / (tp + fp), recall=tp / (tp + fn))

@@ -87,8 +87,6 @@ class EvaluateConfig:
                 or not set(self.models) <= set(crossval.MODEL_IDS):
             raise ConfigError(f"'evaluate.models' must be one or more distinct models of "
                               f"{crossval.MODEL_IDS}, got {list(self.models)!r}")
-        if any("memory_size" in overrides for overrides in self.grid):
-            raise ConfigError("'evaluate.grid' cannot set memory_size: t1_hours sets it")
         _check_minimums("evaluate.", self, outer_folds=2, inner_folds=2)
 
 
@@ -104,10 +102,9 @@ class RunConfig:
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
 
     def validate(self):
-        windows = _window_count(self.t1_hours)
-        if self.model.memory_size != windows:
-            raise ConfigError(f"'model.memory_size' is the {windows} two-hour windows of "
-                              f"t1_hours {self.t1_hours}, got {self.model.memory_size!r}")
+        if self.t1_hours not in features.T1_HOURS:
+            raise ConfigError(f"'t1_hours' must be one of {features.T1_HOURS}, "
+                              f"got {self.t1_hours!r}")
         self.cohort.validate()
         self.cluster.validate()
         self.evaluate.validate()
@@ -119,13 +116,6 @@ class RunConfig:
         d = asdict(self)
         d["schema_version"] = CONFIG_SCHEMA_VERSION
         return d
-
-
-def _window_count(t1_hours) -> int:
-    """The model's memory size: the 2-hour windows of a 24- or 48-hour window."""
-    if t1_hours not in (24, 48):
-        raise ConfigError(f"t1_hours must be 24 or 48, got {t1_hours}")
-    return features.bin_count(t1_hours)
 
 
 # what a value of each scalar field type may be; a bool is not a number here
@@ -176,8 +166,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     cfg = replace(
         top,
         cohort=section("cohort", CohortConfig, n_stays=300, seed=top.seed),
-        model=section("model", HyperConfig, seed=top.seed,
-                      memory_size=_window_count(top.t1_hours)),
+        model=section("model", HyperConfig, seed=top.seed),
         cluster=section("cluster", ClusterConfig, seed=top.seed),
         evaluate=section("evaluate", EvaluateConfig, seed=top.seed),
     )

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, CohortConfig,
-                           EventSeries, IcuStay, _cdf, _pick, _uniform, generate_cohort,
-                           note_token_universe, read_cohort, write_cohort)
+from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, NOTE_TOKENS,
+                           CohortConfig, EventSeries, IcuStay, _cdf, _pick, _uniform,
+                           generate_cohort, read_cohort, write_cohort)
 from akisub.errors import ConfigError, DataError, ParseError
 from akisub.kdigo import apply_exclusions
 from oracles import planted_stage
@@ -93,10 +93,9 @@ def test_degenerate_mixture_rejected():
 
 
 def test_vocab_universe_contains_signal_tokens():
-    vocab = note_token_universe(160)
-    assert len(vocab) == 160
-    assert "lasix" in vocab and "cabg" in vocab
-    assert len(set(vocab)) == 160
+    assert len(NOTE_TOKENS) == 160
+    assert "lasix" in NOTE_TOKENS and "cabg" in NOTE_TOKENS
+    assert len(set(NOTE_TOKENS)) == 160
 
 
 class TestRoundTrip:

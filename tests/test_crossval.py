@@ -18,9 +18,9 @@ from akisub.stages import read_labels
 from akisub.memnet import HyperConfig
 from oracles import lr_gd_reference, lr_loss
 
-FAST_HYPER = HyperConfig(memory_size=12, emb_dim=16, bottom_hidden=12, top_hidden=16,
-                         word_emb_dim=8, static_proj_dim=4, hops=1, batch_size=16,
-                         lr=0.02, epochs=2, max_note_len=12, seed=0)
+FAST_HYPER = HyperConfig(emb_dim=16, bottom_hidden=12, top_hidden=16, word_emb_dim=8,
+                         static_proj_dim=4, hops=1, batch_size=16, lr=0.02, epochs=2,
+                         max_note_len=12, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -154,9 +154,9 @@ class TestBaselineVector:
         _with_series(stay, "creatinine", [])
         vec = summarize_for_baselines(stay, 24, fill_means={"creatinine": 1.3})
         names = baseline_feature_names()
-        assert vec.values[names.index("creatinine_avg")] == pytest.approx(1.3)
         assert vec.values[names.index("creatinine_count")] == 0.0
-        assert vec.imputed[names.index("creatinine_avg")]
+        for stat in ("first", "last", "avg", "min", "max"):
+            assert vec.values[names.index(f"creatinine_{stat}")] == 1.3
 
 
 class TestNotes:
@@ -235,10 +235,12 @@ class TestTupleReferenceParity:
     @pytest.mark.parametrize("t1", [24, 48])
     @pytest.mark.parametrize("fill", [None, {"bun": 17.25, "creatinine": 1.125}])
     def test_summarize_for_baselines_bitwise(self, t1, fill):
+        fill_values = np.repeat([(fill or {}).get(var, 0.0) for var in BASELINE_CONTINUOUS_VARS],
+                                len(features.BASELINE_STATS))
         for stay in _edge_stays():
             vec = summarize_for_baselines(stay, t1, fill)
             values, imputed = summary_reference(stay, BASELINE_CONTINUOUS_VARS, t1, fill)
             n = len(values)
             assert _same_bits(vec.values[:n], values), stay.stay_id
-            assert _same_bits(vec.imputed[:n], imputed), stay.stay_id
-            assert not vec.imputed[n:].any()
+            # each filled entry holds its variable's fill mean
+            assert (vec.values[:n][imputed] == fill_values[imputed]).all(), stay.stay_id

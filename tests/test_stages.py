@@ -25,14 +25,21 @@ OUT_OF_RANGE_CONFIGS = [
     {"cluster": {"tsne_iters": -5}},
     {"cluster": {"k_range": [2.5, 3]}},
     {"cluster": {"autoencoder_epochs": -3}},
-    {"model": {"memory_size": 7}},  # t1_hours sets it
-    {"evaluate": {"grid": [{"memory_size": 6}]}},
     {"model": {"epochs": -1}},
     {"model": {"emb_dim": 8}},  # top_hidden must match it
     {"evaluate": {"grid": [{"lr": -1}]}},
     {"evaluate": {"grid": [{"top_hidden": 64}]}},
     {"evaluate": {"models": []}},
     {"evaluate": {"models": ["lr", "lr"]}},
+]
+
+# each sets a setting the config does not have: the memory size is the row count
+# of the stay tensors, and the cohort's noise and note vocabulary are fixed
+REMOVED_SETTINGS = [
+    {"model": {"memory_size": 7}},
+    {"evaluate": {"grid": [{"memory_size": 6}]}},
+    {"cohort": {"noise_scale": 1.0}},
+    {"cohort": {"vocab_size": 160}},
 ]
 
 # each holds one value of the wrong type, shape or range, or an unknown key
@@ -50,6 +57,7 @@ MALFORMED_CONFIGS = [
     [1],
     {"t2_days": 7},
     *OUT_OF_RANGE_CONFIGS,
+    *REMOVED_SETTINGS,
 ]
 
 
@@ -159,12 +167,17 @@ def test_cli_missing_external_cohort_exit_code(tmp_path, capsys):
 
 def test_48_hour_window_runs_through_embed(tmp_path):
     config = small_config(tmp_path, t1_hours=48)
-    assert config.model.memory_size == 24
     for stage in STAGES[:STAGES.index("embed") + 1]:
         run_stage(stage, config)
     ids, X = read_representations(tmp_path / "representations.csv")
     assert set(ids) == set(read_labels(tmp_path / "labels.csv"))
     assert X.shape == (len(ids), 16 + 4) and np.isfinite(X).all()
+
+
+@pytest.mark.parametrize("t1_hours", features.T1_HOURS)
+def test_config_round_trips_through_its_dict(tmp_path, t1_hours):
+    config = small_config(tmp_path, t1_hours=t1_hours)
+    assert config_from_dict(config.to_dict()) == config
 
 
 def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
@@ -275,7 +288,7 @@ class TestCli:
         assert payload["error"] == "config"
         assert "n_stays" in payload["message"]
 
-    @pytest.mark.parametrize("raw", OUT_OF_RANGE_CONFIGS, ids=json.dumps)
+    @pytest.mark.parametrize("raw", OUT_OF_RANGE_CONFIGS + REMOVED_SETTINGS, ids=json.dumps)
     def test_cli_out_of_range_value_fails_before_synth(self, raw, tmp_path, capsys):
         out = tmp_path / "run"
         cfg_path = tmp_path / "bad.json"
@@ -396,8 +409,10 @@ class TestCli:
         assert json.loads(mpath.read_text()) == valid
 
     def test_cli_t1_override_derives_memory_size(self):
+        """--t1 changes t1_hours alone; the memory size is its count of 2-hour windows."""
         config = resolve_config(build_parser().parse_args(["--t1", "48", "synth"]))
-        assert (config.t1_hours, config.model.memory_size) == (48, 24)
+        assert config == dataclasses.replace(config_from_dict({}), t1_hours=48)
+        assert features.bin_count(config.t1_hours) == 24
 
     def test_cli_seed_and_out_overrides(self, tmp_path, capsys):
         out_a = tmp_path / "a"
