@@ -1,14 +1,13 @@
-"""Two-dimensional embeddings (PCA, autoencoder, t-SNE), K-means clustering,
-and cluster-count selection by the McClain-Rao index.
+"""Two-dimensional embeddings (PCA, t-SNE), K-means clustering, and
+cluster-count selection by the McClain-Rao index.
 
 t-SNE is the exact O(n^2) formulation: per-point Gaussian bandwidths solved by
 bisection to match the target perplexity, symmetrized affinities, Student-t
 low-dimensional kernel, and gradient descent with momentum 0.5 and the
 affinities exaggerated by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS
-iterations, then momentum 0.8; the learning rate is n/12. All three embedders
-(`pca_project`, `autoencoder_embed`, `tsne_embed`) return the (n, 2) layout
-alone. `select_k` returns the k-means clustering of the k it chooses, with the
-McClain-Rao table.
+iterations, then momentum 0.8; the learning rate is n/12. Both embedders
+(`pca_project`, `tsne_embed`) return the (n, 2) layout alone. `select_k`
+returns the k-means clustering of the k it chooses, with the McClain-Rao table.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from . import nn
-from .autodiff import Tape, Tensor, backward
 from .errors import ArgumentError, DegenerateInputError
 
 _MACHINE_EPS = 1e-12
@@ -47,48 +43,6 @@ def pca_project(X: np.ndarray, out_dim: int = 2) -> np.ndarray:
     components = np.linalg.eigh(cov)[1][:, ::-1][:, :out_dim]  # eigh sorts ascending
     peak = components[np.argmax(np.abs(components), axis=0), np.arange(out_dim)]
     return Xc @ (components * np.sign(peak))
-
-
-# ---------------------------------------------------------------------------
-# autoencoder
-# ---------------------------------------------------------------------------
-
-def _encode(params, X: Tensor) -> Tensor:
-    return ad.add(ad.matmul(X, params["w_enc"]), params["b_enc"])
-
-
-def autoencoder_loss(params, X: Tensor) -> Tensor:
-    recon = ad.add(ad.matmul(_encode(params, X), params["w_dec"]), params["b_dec"])
-    diff = ad.sub(recon, X)
-    return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), 1.0 / X.data.size)
-
-
-def init_autoencoder_params(rng, d: int, bottleneck: int) -> dict[str, Tensor]:
-    return {
-        "w_enc": nn.uniform_init(rng, d, bottleneck),
-        "b_enc": nn.uniform_init(rng, bottleneck),
-        "w_dec": nn.uniform_init(rng, bottleneck, d),
-        "b_dec": nn.uniform_init(rng, d),
-    }
-
-
-def autoencoder_embed(X: np.ndarray, bottleneck: int = 2, epochs: int = 400,
-                      lr: float = 0.01, seed: int = 0) -> np.ndarray:
-    """The (n, bottleneck) code of a linear single-hidden-layer autoencoder trained
-    on the squared reconstruction loss of the centred rows of `X`."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    if n < 2 or d < 2:
-        raise ArgumentError(f"autoencoder_embed needs at least a 2x2 matrix, got {X.shape}")
-    Xc = Tensor(X - X.mean(axis=0))
-    rng = np.random.default_rng(seed)
-    params = init_autoencoder_params(rng, d, bottleneck)
-    opt = nn.Adam(lr=lr)
-    for _ in range(epochs):
-        with Tape() as tape:
-            loss = autoencoder_loss(params, Xc)
-        params = opt.step(params, backward(tape, loss))
-    return _encode(params, Xc).data
 
 
 # ---------------------------------------------------------------------------

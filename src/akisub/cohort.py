@@ -174,7 +174,7 @@ class IcuStay:
 
 @dataclass
 class CohortConfig:
-    n_stays: int
+    n_stays: int = 600  # about 110 cases, enough for the default t-SNE perplexity
     case_fraction: float = 0.2
     subtype_mixture: tuple[float, float, float] = (0.595, 0.088, 0.317)
     seed: int = 0

@@ -43,25 +43,23 @@ def _check_minimums(where: str, obj, **minimums) -> None:
 
 @dataclass
 class ClusterConfig:
-    method: str = "tsne"                  # tsne | pca | autoencoder
+    method: str = "tsne"                  # tsne | pca
     k_range: tuple[int, ...] = (2, 3, 4, 5, 6)
     perplexity: float = 30.0
     tsne_iters: int = 1000
-    autoencoder_epochs: int = 400
     restarts: int = 10
     select_rel_tol: float = 0.40
     seed: int = 0
 
     def validate(self):
-        if self.method not in ("tsne", "pca", "autoencoder"):
+        if self.method not in ("tsne", "pca"):
             raise ConfigError(f"unknown cluster method {self.method!r}")
         if not self.k_range or not all(type(k) is int and k >= 2 for k in self.k_range):
             raise ConfigError(f"'cluster.k_range' must hold integers >= 2, "
                               f"got {list(self.k_range)!r}")
         if not self.perplexity > 0:
             raise ConfigError(f"'cluster.perplexity' must be > 0, got {self.perplexity!r}")
-        _check_minimums("cluster.", self, tsne_iters=0, autoencoder_epochs=0, restarts=1,
-                        select_rel_tol=0)
+        _check_minimums("cluster.", self, tsne_iters=0, restarts=1, select_rel_tol=0)
 
     def check_cases(self, n_cases: int):
         """Raise DataError unless `n_cases` case stays can be clustered: k-means
@@ -96,7 +94,7 @@ class RunConfig:
     t1_hours: int = 24
     out_dir: str = "run"
     cohort_path: str | None = None
-    cohort: CohortConfig = field(default_factory=lambda: CohortConfig(n_stays=300))
+    cohort: CohortConfig = field(default_factory=CohortConfig)
     model: HyperConfig = field(default_factory=HyperConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
@@ -108,7 +106,13 @@ class RunConfig:
         self.cohort.validate()
         self.cluster.validate()
         self.evaluate.validate()
-        for hyper in (self.model, *(replace(self.model, **g) for g in self.evaluate.grid)):
+        hypers = [self.model]
+        for g in self.evaluate.grid:
+            try:
+                hypers.append(replace(self.model, **g))
+            except TypeError as e:  # a field HyperConfig does not have, or not a mapping
+                raise ConfigError(f"bad 'evaluate.grid' entry {g!r}: {e}") from None
+        for hyper in hypers:
             _check_scalars("model.", hyper)
             hyper.validate()
 
@@ -165,7 +169,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     cfg = replace(
         top,
-        cohort=section("cohort", CohortConfig, n_stays=300, seed=top.seed),
+        cohort=section("cohort", CohortConfig, seed=top.seed),
         model=section("model", HyperConfig, seed=top.seed),
         cluster=section("cluster", ClusterConfig, seed=top.seed),
         evaluate=section("evaluate", EvaluateConfig, seed=top.seed),
@@ -419,11 +423,8 @@ def _stage_cluster(config: RunConfig):
     if cc.method == "tsne":
         Y = clustering.tsne_embed(case_rows, perplexity=cc.perplexity,
                                   iters=cc.tsne_iters, seed=cc.seed)
-    elif cc.method == "pca":
-        Y = clustering.pca_project(case_rows, 2)
     else:
-        Y = clustering.autoencoder_embed(case_rows, epochs=cc.autoencoder_epochs,
-                                         seed=cc.seed)
+        Y = clustering.pca_project(case_rows, 2)
     best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed,
                                       restarts=cc.restarts, rel_tol=cc.select_rel_tol)
     write_embedding2d(case_ids, Y, best.labels, _path(config, "embedding2d.csv"))

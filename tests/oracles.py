@@ -16,7 +16,6 @@ from akisub import autodiff as ad
 from akisub import nn
 from akisub.autodiff import Tensor
 from akisub.baselines import LrParams
-from akisub.clustering import pca_project
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +47,6 @@ def finite_difference_grads(loss_fn, params: dict[str, Tensor], step: float = 1e
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def check_gradients(loss_fn, params: dict[str, Tensor], analytic: dict[str, np.ndarray],
-                    step: float = 1e-5, tol: float = 1e-4) -> float:
-    """Return the worst relative error across all parameters; assert below tol."""
-    numeric = finite_difference_grads(loss_fn, params, step=step)
-    worst = 0.0
-    for name in params:
-        err = max_relative_error(analytic[name], numeric[name])
-        assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
-        worst = max(worst, err)
-    return worst
 
 
 def scaled_error(actual: np.ndarray, reference: np.ndarray) -> float:
@@ -558,21 +545,6 @@ def mc_nested_f_p(observed_f: float, reduced: np.ndarray, full: np.ndarray,
 def planted_stage(subtype: int) -> int:
     """KDIGO stage the generator plants for an archetype (1->1, 2->3, 3->2)."""
     return {1: 1, 2: 3, 3: 2}[subtype]
-
-
-def linear_decoder_error(X: np.ndarray, code: np.ndarray) -> float:
-    """Mean squared error of the least-squares affine decoder from `code` back to
-    the centred rows of `X`: the best any linear decoder of that code reaches."""
-    X = np.asarray(X, dtype=np.float64)
-    Xc = X - X.mean(axis=0)
-    A = np.column_stack([code, np.ones(len(code))])
-    weights, *_ = np.linalg.lstsq(A, Xc, rcond=None)
-    return float(((Xc - A @ weights) ** 2).mean())
-
-
-def pca_reconstruction_error(X: np.ndarray, out_dim: int = 2) -> float:
-    """Mean squared reconstruction error of the PCA projection (optimal linear)."""
-    return linear_decoder_error(X, pca_project(X, out_dim))
 
 
 def pairwise_auc(scores, labels) -> float:

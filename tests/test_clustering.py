@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from akisub.autodiff import Tape, Tensor, backward
-from akisub import clustering
-from akisub.clustering import (adjusted_rand_index, autoencoder_embed,
-                               autoencoder_loss, init_autoencoder_params, kmeans,
-                               mcclain_rao, pca_project, select_k, tsne_embed)
+from akisub.clustering import (adjusted_rand_index, kmeans, mcclain_rao, pca_project,
+                               select_k, tsne_embed)
 from akisub.errors import ArgumentError, DegenerateInputError
-from oracles import best_two_partition_inertia, finite_difference_grads, \
-    linear_decoder_error, max_relative_error, pca_reconstruction_error, tsne_kl_reference
+from oracles import best_two_partition_inertia, tsne_kl_reference
 
 
 def silhouette(X, labels):
@@ -95,41 +91,6 @@ class TestPca:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((30, 3))
         assert np.array_equal(pca_project(X), pca_project(X))
-
-
-class TestAutoencoder:
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(5)
-        X = Tensor(rng.standard_normal((6, 4)))
-        params = init_autoencoder_params(rng, 4, 2)
-
-        def loss_fn(ps):
-            return autoencoder_loss(ps, X).item()
-
-        with Tape() as tape:
-            loss = autoencoder_loss(params, X)
-        analytic = backward(tape, loss)
-        numeric = finite_difference_grads(loss_fn, params)
-        for name, p in params.items():
-            assert max_relative_error(analytic[p], numeric[name]) < 1e-4
-
-    def test_epochs_zero_gives_initialized_bottleneck(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((7, 3))
-        code = autoencoder_embed(X, epochs=0, seed=9)
-        assert code.shape == (7, 2)
-        params = init_autoencoder_params(np.random.default_rng(9), 3, 2)
-        expected = (X - X.mean(0)) @ params["w_enc"].data + params["b_enc"].data
-        assert np.allclose(code, expected)
-
-    def test_linear_autoencoder_bounded_below_by_pca(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((40, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2])
-        err = linear_decoder_error(X, autoencoder_embed(X, epochs=800, lr=0.02, seed=0))
-        pca_err = pca_reconstruction_error(X, 2)
-        assert err >= pca_err - 1e-9
-        # and training actually approaches the optimum
-        assert err < 2.0 * pca_err + 1e-9
 
 
 class TestTsne:

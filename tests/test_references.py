@@ -1,6 +1,7 @@
 """Every top-level function and class of `akisub` is referenced by a module of
 `akisub` or by a file of the benchmark under `bench/`; code that only tests call
-belongs in `tests/oracles.py`. Every run-config setting is read by the program."""
+belongs in `tests/oracles.py`, and each oracle there is used by a test module or
+by another oracle. Every run-config setting is read by the program."""
 
 import ast
 import dataclasses
@@ -12,6 +13,7 @@ from akisub.stages import RunConfig
 
 SRC = Path(akisub.__file__).parent
 BENCH = SRC.parents[1] / "bench"
+TESTS = Path(__file__).parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # production code that only the tracer's TARGETS reference; this list may only shrink
 TRACER_ONLY = {"nn.lstm_cell", "features.impute_and_scale", "features.write_stay_tensors"}
@@ -95,6 +97,38 @@ def test_checker_on_planted_source():
     assert unreferenced(package, others, [("a", "traced.attr")]) == \
         ["a.dead", "a.only_itself"]
     assert unreferenced(package, [], [("a", "traced")]) == ["a.dead", "a.only_itself", "b.run"]
+
+
+def unused_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """Each top-level function or class of the oracle module source `oracles` that
+    no other oracle uses and no source in `tests` imports from `oracles`."""
+    tree = ast.parse(oracles)
+    defined = {stmt.name for stmt in tree.body if isinstance(stmt, DEFINITIONS)}
+    used = {name for module, name in references(tree, "oracles", {"oracles": oracles})
+            if module == "oracles"}
+    for source in tests:
+        used |= {alias.name for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                 for alias in node.names}
+    return sorted(defined - used)
+
+
+def test_every_oracle_is_used():
+    tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))
+             if path.name != "oracles.py"]
+    assert unused_oracles((TESTS / "oracles.py").read_text(), tests) == []
+
+
+def test_oracle_checker_on_planted_source():
+    oracles = ("def imported(): pass\n"
+               "def helper(): pass\n"
+               "def uses_helper(): return helper()\n"
+               "def only_itself(): return only_itself()\n"
+               "def dead(): pass\n")
+    tests = ["from oracles import imported\n",
+             "def test():\n    from oracles import uses_helper\n",
+             "from akisub.a import dead\n"]
+    assert unused_oracles(oracles, tests) == ["dead", "only_itself"]
 
 
 def unread_fields(package: dict[str, str], classes: dict[tuple[str, str], list[str]]) -> list[str]:

@@ -8,6 +8,7 @@ import pytest
 
 from akisub import cohort, errors, features
 from akisub.cli import build_parser, main, resolve_config
+from akisub.clustering import pca_project
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
@@ -24,7 +25,6 @@ OUT_OF_RANGE_CONFIGS = [
     {"cluster": {"perplexity": -1}},
     {"cluster": {"tsne_iters": -5}},
     {"cluster": {"k_range": [2.5, 3]}},
-    {"cluster": {"autoencoder_epochs": -3}},
     {"model": {"epochs": -1}},
     {"model": {"emb_dim": 8}},  # top_hidden must match it
     {"evaluate": {"grid": [{"lr": -1}]}},
@@ -33,13 +33,16 @@ OUT_OF_RANGE_CONFIGS = [
     {"evaluate": {"models": ["lr", "lr"]}},
 ]
 
-# each sets a setting the config does not have: the memory size is the row count
-# of the stay tensors, and the cohort's noise and note vocabulary are fixed
+# each sets a setting, or a value of one, the config does not have: the memory
+# size is the row count of the stay tensors, the cohort's noise and note
+# vocabulary are fixed, and a linear autoencoder's layout is the PCA one
 REMOVED_SETTINGS = [
     {"model": {"memory_size": 7}},
     {"evaluate": {"grid": [{"memory_size": 6}]}},
     {"cohort": {"noise_scale": 1.0}},
     {"cohort": {"vocab_size": 160}},
+    {"cluster": {"autoencoder_epochs": 400}},
+    {"cluster": {"method": "autoencoder"}},
 ]
 
 # each holds one value of the wrong type, shape or range, or an unknown key
@@ -128,6 +131,19 @@ class TestFullPipeline:
         ktable = (out / "ktable.csv").read_text().splitlines()
         assert ktable[0] == "k,mcclain_rao,selected"
         assert sum(int(line.split(",")[2]) for line in ktable[1:]) == 1
+
+    def test_pca_layout_projects_the_case_rows(self, pipeline_run, tmp_path):
+        out, config, _ = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        pca = dataclasses.replace(config.cluster, method="pca")
+        run_stage("cluster", dataclasses.replace(config, out_dir=str(run_dir), cluster=pca))
+        labels = read_labels(run_dir / "labels.csv")
+        ids, X = read_representations(run_dir / "representations.csv")
+        is_case = np.array([labels[sid].is_case for sid in ids])
+        case_ids, Y, _ = read_embedding2d(run_dir / "embedding2d.csv")
+        assert case_ids == [sid for sid, case in zip(ids, is_case) if case]
+        assert np.array_equal(Y, pca_project(X[is_case], 2))
 
     def test_rerun_is_noop(self, pipeline_run):
         out, config, manifests = pipeline_run
@@ -235,6 +251,22 @@ class TestDependsAndErrors:
         cluster.check_cases(5)
         with pytest.raises(DataError, match="too few for k up to 4"):
             cluster.check_cases(4)
+
+    def test_default_cohort_has_enough_cases_to_cluster(self, tmp_path):
+        # the stages after label are too slow for this suite; run_all checks the
+        # same count right after label
+        config = config_from_dict({"out_dir": str(tmp_path)})
+        for stage in ("synth", "label"):
+            run_stage(stage, config)
+        labels = read_labels(tmp_path / "labels.csv")
+        config.cluster.check_cases(sum(lab.is_case for lab in labels.values()))
+
+    def test_unknown_grid_field_fails_before_synth(self, tmp_path):
+        config = small_config(tmp_path / "run")
+        config.evaluate.grid = ({"width": 3},)  # built in code, not by config_from_dict
+        with pytest.raises(ConfigError, match="width"):
+            run_stage("synth", config)
+        assert not (tmp_path / "run" / "cohort.jsonl").exists()
 
     def test_run_all_fails_fast_before_featurize(self, tmp_path):
         # default cluster config: t-SNE perplexity 30 needs more than 90 cases
