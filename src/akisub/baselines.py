@@ -145,7 +145,7 @@ def lstm_baseline_predict(result: TrainResult, prepared: list[PreparedStay]) -> 
 
 def init_hielstm_params(rng, hyper: HyperConfig, vocab_size: int) -> dict[str, Tensor]:
     return {**init_hielstm(rng, hyper, vocab_size),
-            "w_out": nn.uniform_init(rng, hyper.top_hidden, 2)}
+            "w_out": nn.uniform_init(rng, hyper.emb_dim, 2)}
 
 
 def hielstm_forward(params, batch: list[PreparedStay], hyper: HyperConfig) -> Tensor:

@@ -15,17 +15,18 @@ to convergence (or raises OptimizationError). For the neural models it tunes
 over the declared `HyperConfig` overrides and is skipped when that grid has
 at most one point.
 
-`nested_cv` runs the LR (fold, model) pairs in the calling thread, where they
-hold the interpreter lock, then the neural pairs on a thread pool whose size
-`fit_workers` derives from the CPUs and the BLAS thread count, so an unpinned
-BLAS runs them one at a time. Each fit reads only its own fold and seeds, and
+`nested_cv` walks its (fold, model) pairs in order. The neural pairs are
+submitted up front to a thread pool whose size `fit_workers` derives from the
+CPUs and the BLAS thread count, so an unpinned BLAS runs them one at a time;
+each LR pair runs in the calling thread when the walk reaches it, since two LR
+fits would only contend for the interpreter lock. The splits are complete
+before any thread starts, each fit reads only its own fold and seeds, and
 autodiff tapes are per thread, so the records, and the error raised when a
 fit fails, do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -108,10 +109,7 @@ class FoldData:
     train_labels: np.ndarray
     test_labels: np.ndarray
     scaling: ScalingStats
-
-    @functools.cached_property  # built on first read: the `lr` model reads none
-    def vocab(self) -> Vocabulary:
-        return build_vocabulary(self.train_stays)
+    vocab: Vocabulary
 
     def inner_folds(self, n_inner: int, seed: int) -> np.ndarray:
         """Fold id per training stay for the inner loop."""
@@ -128,6 +126,7 @@ def _fold_data(stays: list[IcuStay], labels: np.ndarray, fold_of: np.ndarray, fo
         train_stays=train, test_stays=[s for s, h in zip(stays, held_out) if h],
         train_labels=labels[~held_out], test_labels=labels[held_out],
         scaling=fit_scaling([tensors[s.stay_id] for s in train], split_id),
+        vocab=build_vocabulary(train),
     )
 
 
@@ -267,10 +266,10 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
     loop tunes `grid` and is skipped when it has at most one point. Inner folds
     are `n_inner` patient-grouped folds of the outer training split.
 
-    The LR pairs run first in the calling thread, then the neural pairs on
-    `fit_workers` threads. Records come in (fold, model) order. A failing fit
-    raises the error of the first failing pair in that order, as a serial loop
-    would; the pairs not yet started are cancelled.
+    Pairs are collected in (fold, model) order: the neural ones run on
+    `fit_workers` threads, the LR ones in the calling thread as their turn
+    comes. A failing fit raises the error of the first failing pair in that
+    order, as a serial loop would; the pairs not yet started are cancelled.
     """
     grid = grid or []
     fold_of = grouped_stratified_folds(stays, labels, n_outer, seed)
@@ -288,26 +287,13 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
         chosen = _tune(model_id, fold, hyper, tensors, grid, n_inner, inner_seed)
         return _train_and_score(model_id, fold, chosen, tensors)
 
-    preds: dict[tuple[int, str], np.ndarray] = {}
-    lr_failure = None
-    for pair in pairs:
-        if pair[1] in LR_MODELS:
-            try:
-                preds[pair] = fit(*pair)
-            except Exception as e:  # raised once every neural pair before it has run
-                lr_failure = pair, e
-                break
-    if lr_failure is not None:
-        pairs = pairs[:pairs.index(lr_failure[0])]
-    neural = [pair for pair in pairs if pair[1] not in LR_MODELS]
-    for fold_idx, _ in neural:  # build each vocabulary before two threads can read it
-        folds[fold_idx].vocab
     records = []
+    neural = [pair for pair in pairs if pair[1] not in LR_MODELS]
     pool = ThreadPoolExecutor(fit_workers(len(neural)))
     try:
         futures = {pair: pool.submit(fit, *pair) for pair in neural}
         for pair in pairs:
-            p = futures[pair].result() if pair in futures else preds[pair]
+            p = futures[pair].result() if pair in futures else fit(*pair)
             fold = folds[pair[0]]
             pr = precision_recall(p, fold.test_labels)
             records.append(MetricRecord(model_id=pair[1], fold_id=pair[0],
@@ -315,8 +301,6 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
                                         precision=pr.precision, recall=pr.recall))
     finally:
         pool.shutdown(cancel_futures=True)
-    if lr_failure is not None:
-        raise lr_failure[1]
     return CvSummary(records=records)
 
 

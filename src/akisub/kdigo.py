@@ -16,7 +16,8 @@ stage. Clause conventions (shared with the brute-force test oracle):
 - A case's stage is the maximum over all firing clauses: ratio >= 2.0 -> 2,
   ratio >= 3.0 -> 3, a rise (>= 0.3 within 48 h) reaching 4.0 mg/dL -> 3,
   low-urine spans >= 12 h at 0.5 -> 2, >= 24 h at 0.3 -> 3, anuria
-  (< 0.01 mL/kg/h) >= 12 h -> 3, renal replacement therapy -> 3.
+  (< 0.01 mL/kg/h) >= 12 h -> 3. The cohort records no renal replacement
+  therapy, so KDIGO's therapy clause (stage 3) is not applied.
 """
 
 from __future__ import annotations
@@ -122,8 +123,7 @@ def _sorted_points(series: EventSeries | None) -> list[list[float]]:
 
 
 def detect_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
-               baseline: BaselineScr | None, window: tuple[float, float],
-               rrt_flag: bool = False) -> AkiLabel:
+               baseline: BaselineScr | None, window: tuple[float, float]) -> AkiLabel:
     """Case iff any KDIGO clause fires inside `window`; onset is the earliest
     firing and the stage the maximum over every firing clause."""
     scr = _sorted_points(scr_series)
@@ -164,8 +164,6 @@ def detect_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
         spans = oliguria if rate == OLIGURIA_RATE else _low_spans(urine, rate, lo, hi)
         if any(b - a >= hours for a, b in spans):
             stage = max(stage, band)
-    if rrt_flag:
-        stage = 3
     return AkiLabel(is_case=True, onset_offset_hours=onset, stage=stage,
                     triggering_rule=rule)
 

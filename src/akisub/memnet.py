@@ -46,7 +46,6 @@ INFER_BATCH = 256
 class HyperConfig:
     emb_dim: int = 128
     bottom_hidden: int = 200
-    top_hidden: int = 128
     word_emb_dim: int = 64
     static_proj_dim: int = 16
     hops: int = 1
@@ -57,15 +56,12 @@ class HyperConfig:
     seed: int = 0
 
     def validate(self):
-        for name in ("emb_dim", "bottom_hidden", "top_hidden", "word_emb_dim",
+        for name in ("emb_dim", "bottom_hidden", "word_emb_dim",
                      "static_proj_dim", "hops", "batch_size", "max_note_len", "lr"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"'model.{name}' must be > 0, got {getattr(self, name)!r}")
         if not self.epochs >= 0:
             raise ConfigError(f"'model.epochs' must be >= 0, got {self.epochs!r}")
-        if self.top_hidden != self.emb_dim:
-            raise ConfigError(f"'model.top_hidden' must equal 'model.emb_dim' ({self.emb_dim}), "
-                              f"the width of the memory embedding, got {self.top_hidden!r}")
 
     @property
     def representation_dim(self) -> int:
@@ -94,7 +90,7 @@ def init_hielstm(rng: np.random.Generator, hyper: HyperConfig,
                  vocab_size: int) -> dict[str, Tensor]:
     """Note encoder parameters, drawn bottom LSTM, top LSTM, word_emb, null_note."""
     bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
-    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
+    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.emb_dim)
     return {
         "word_emb": nn.uniform_init(rng, vocab_size, hyper.word_emb_dim),
         "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
@@ -290,7 +286,7 @@ def embed_stays(result: TrainResult, prepared: list[PreparedStay]) -> np.ndarray
 # has rows. A file of any version but `CHECKPOINT_VERSION` is a ParseError.
 
 CHECKPOINT_FORMAT = "akisub-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(result: TrainResult, path) -> None:

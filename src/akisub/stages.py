@@ -54,9 +54,10 @@ class ClusterConfig:
     def validate(self):
         if self.method not in ("tsne", "pca"):
             raise ConfigError(f"unknown cluster method {self.method!r}")
-        if not self.k_range or not all(type(k) is int and k >= 2 for k in self.k_range):
-            raise ConfigError(f"'cluster.k_range' must hold integers >= 2, "
-                              f"got {list(self.k_range)!r}")
+        if not self.k_range or not all(type(k) is int and 2 <= k <= stats.MAX_GROUPS
+                                       for k in self.k_range):
+            raise ConfigError(f"'cluster.k_range' must hold integers from 2 to "
+                              f"{stats.MAX_GROUPS}, got {list(self.k_range)!r}")
         if not self.perplexity > 0:
             raise ConfigError(f"'cluster.perplexity' must be > 0, got {self.perplexity!r}")
         _check_minimums("cluster.", self, tsne_iters=0, restarts=1, select_rel_tol=0)

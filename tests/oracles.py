@@ -91,7 +91,7 @@ def case_probability_loss_reference(probs: Tensor, batch) -> Tensor:
 def memnet_init_reference(rng, hyper, vocab_size: int, feature_dim: int,
                           static_dim: int) -> dict[str, Tensor]:
     bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
-    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
+    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.emb_dim)
     return {
         "word_emb": nn.uniform_init(rng, vocab_size, hyper.word_emb_dim),
         "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
@@ -107,13 +107,13 @@ def memnet_init_reference(rng, hyper, vocab_size: int, feature_dim: int,
 
 def hielstm_init_reference(rng, hyper, vocab_size: int) -> dict[str, Tensor]:
     bottom = nn.init_lstm(rng, hyper.word_emb_dim, hyper.bottom_hidden)
-    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.top_hidden)
+    top = nn.init_lstm(rng, hyper.bottom_hidden, hyper.emb_dim)
     return {
         "word_emb": nn.uniform_init(rng, vocab_size, hyper.word_emb_dim),
         "bottom_wx": bottom.wx, "bottom_wh": bottom.wh, "bottom_b": bottom.b,
         "top_wx": top.wx, "top_wh": top.wh, "top_b": top.b,
         "null_note": nn.uniform_init(rng, 1, hyper.bottom_hidden),
-        "w_out": nn.uniform_init(rng, hyper.top_hidden, 2),
+        "w_out": nn.uniform_init(rng, hyper.emb_dim, 2),
     }
 
 
@@ -186,7 +186,7 @@ def batched_rows_reference(rows_of, prepared, width: int | None = None) -> np.nd
 # ---------------------------------------------------------------------------
 
 def brute_force_kdigo(scr_points, urine_points, baseline_value, baseline_end,
-                      window, rrt_flag=False):
+                      window):
     """Enumerate every measurement pair and every contiguous low-urine span.
 
     Returns (is_case, onset, rule, stage) where stage is None for controls.
@@ -245,8 +245,6 @@ def brute_force_kdigo(scr_points, urine_points, baseline_value, baseline_end,
         stage = max(stage, 3)
     if _max_low_span(urine, 0.01, lo, hi) >= 12.0:
         stage = max(stage, 3)
-    if rrt_flag:
-        stage = 3
     return True, onset, rule, stage
 
 

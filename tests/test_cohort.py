@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, NOTE_TOKENS,
-                           CohortConfig, EventSeries, IcuStay, _cdf, _pick, _uniform,
+                           CohortConfig, EventSeries, _cdf, _pick, _uniform,
                            generate_cohort, read_cohort, write_cohort)
 from akisub.errors import ConfigError, DataError, ParseError
 from akisub.kdigo import apply_exclusions

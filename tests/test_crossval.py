@@ -18,7 +18,7 @@ from akisub.stages import read_labels
 from akisub.memnet import HyperConfig
 from oracles import lr_gd_reference, lr_loss
 
-FAST_HYPER = HyperConfig(emb_dim=16, bottom_hidden=12, top_hidden=16, word_emb_dim=8,
+FAST_HYPER = HyperConfig(emb_dim=16, bottom_hidden=12, word_emb_dim=8,
                          static_proj_dim=4, hops=1, batch_size=16, lr=0.02, epochs=2,
                          max_note_len=12, seed=0)
 
@@ -153,7 +153,7 @@ class TestNestedCv:
     @pytest.mark.parametrize("models, grid, fits", [
         (list(crossval.MODEL_IDS), [], 3),  # once per outer fold
         (["lstm"], [{"lr": 0.005}, {"lr": 0.02}], 18),  # and once per inner fold
-        (["lr"], [], 3),  # which builds no vocabulary
+        (["lr"], [], 3),  # even when no model reads the vocabulary
     ])
     def test_each_split_fits_scaling_and_vocabulary_once(self, labeled, monkeypatch,
                                                          models, grid, fits):
@@ -170,9 +170,8 @@ class TestNestedCv:
             monkeypatch.setattr(crossval, name, counting(name, getattr(crossval, name)))
         nested_cv(stays, labels, models, 24, replace(FAST_HYPER, epochs=0), n_outer=3,
                   n_inner=5, grid=grid, seed=0)
-        # every model but lr reads the split's vocabulary
-        vocabularies = fits if set(models) - {"lr"} else 0
-        assert calls == {"fit_scaling": fits, "build_vocabulary": vocabularies}
+        # each split is built whole, with its vocabulary, before any fit runs
+        assert calls == {"fit_scaling": fits, "build_vocabulary": fits}
 
 
 def failing_on_fold(fit, stays, labels, n_outer, seed, fold, error, delay=0.0):
@@ -260,7 +259,7 @@ class TestFitPool:
         cfg_path.write_text(json.dumps({
             "seed": 3, "out_dir": str(out),
             "cohort": {"n_stays": 120, "case_fraction": 0.3},
-            "model": {"emb_dim": 16, "top_hidden": 16, "bottom_hidden": 12,
+            "model": {"emb_dim": 16, "bottom_hidden": 12,
                       "word_emb_dim": 8, "static_proj_dim": 4, "epochs": 0},
             "evaluate": {"models": ["lr", "lstm"], "outer_folds": 2},
         }))

@@ -1,4 +1,4 @@
-"""Every name a module of `akisub` imports is used in that module."""
+"""Every name a module of `akisub` or a test file imports is used in that file."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import akisub
 
-MODULES = sorted(Path(akisub.__file__).parent.glob("*.py"))
+MODULES = sorted(Path(akisub.__file__).parent.glob("*.py")) \
+    + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

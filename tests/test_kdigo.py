@@ -87,7 +87,7 @@ class TestDetect:
     def test_translation_covariance(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            scr, urine, bval, bend, window, _ = random_kdigo_instance(rng)
+            scr, urine, bval, bend, window = random_kdigo_instance(rng)
             base = BaselineScr(bval, (bend - 1.0, bend))
             a = detect_aki(_series("creatinine", scr), _series("urine_rate", urine),
                            base, window)
@@ -127,10 +127,6 @@ class TestStage:
         anuric = _series("urine_rate", [(t, 0.005) for t in np.arange(20, 33, 1.0)])
         assert detect_aki(scr, anuric, BASE, (0.0, 168.0)).stage == 3
 
-    def test_rrt_forces_stage_three(self):
-        scr = _series("creatinine", [(1.0, 1.0), (40.0, 1.6)])
-        assert detect_aki(scr, _urine_flat(0.9), BASE, (0.0, 168.0), rrt_flag=True).stage == 3
-
     def test_control_has_no_stage(self):
         scr = _series("creatinine", [(1.0, 1.0), (40.0, 1.1)])
         assert detect_aki(scr, _urine_flat(0.9), BASE, (0.0, 168.0)).stage is None
@@ -139,7 +135,7 @@ class TestStage:
         urine = _urine_flat(0.9)
         rng = np.random.default_rng(9)
         for _ in range(50):
-            scr, _, bval, bend, window, _ = random_kdigo_instance(rng)
+            scr, _, bval, bend, window = random_kdigo_instance(rng)
             base = BaselineScr(bval, (bend - 1.0, bend))
             label = detect_aki(_series("creatinine", scr), urine, base, window)
             if not label.is_case:
@@ -157,17 +153,17 @@ class TestOracleEquivalence:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        scr, urine, bval, bend, window, rrt = random_kdigo_instance(rng)
+        scr, urine, bval, bend, window = random_kdigo_instance(rng)
         base = BaselineScr(bval, (bend - 1.0, bend))
         scr_s, ur_s = _series("creatinine", scr), _series("urine_rate", urine)
         o_case, o_onset, o_rule, o_stage = brute_force_kdigo(
-            scr, urine, bval, bend, window, rrt)
+            scr, urine, bval, bend, window)
         label = detect_aki(scr_s, ur_s, base, window)
         assert label.is_case == o_case
         if o_case:
             assert label.onset_offset_hours == pytest.approx(o_onset, abs=1e-12)
             assert label.triggering_rule == o_rule
-            assert detect_aki(scr_s, ur_s, base, window, rrt).stage == o_stage
+            assert label.stage == o_stage
 
 
 class TestBaseline:

@@ -17,12 +17,12 @@ from oracles import (batched_rows_reference, finite_difference_grads, lstm_seque
                      max_relative_error, memnet_train_reference, params_checksum,
                      scaled_error)
 
-MICRO = HyperConfig(emb_dim=8, bottom_hidden=5, top_hidden=8,
-                    word_emb_dim=6, static_proj_dim=4, hops=2, batch_size=4,
+MICRO = HyperConfig(emb_dim=8, bottom_hidden=5, word_emb_dim=6,
+                    static_proj_dim=4, hops=2, batch_size=4,
                     lr=0.05, epochs=0, max_note_len=6, seed=0)
 VOCAB = 12
 # SHA-256 of the checkpoint TestCheckpoint.test_file_bytes_are_pinned writes
-CHECKPOINT_SHA256 = "e2167c647c9ea7c545baa15c2cd7e1d8453f0da844ad2c4ae5ddcde45ad92110"
+CHECKPOINT_SHA256 = "cf0f2fb1a59695e1c88cc4bd2b30b5189fb787dba76b65d616a1f38e732ac8bf"
 
 
 def micro_params(seed=0, hyper=MICRO):
@@ -471,6 +471,8 @@ BAD_CHECKPOINTS = {
     "version": lambda m: m["meta"].update(version=1),
     "version_2_with_memory_size": lambda m: m["meta"].update(
         version=2, hyper={**m["meta"]["hyper"], "memory_size": 4}),
+    "version_3_with_top_hidden": lambda m: m["meta"].update(
+        version=3, hyper={**m["meta"]["hyper"], "top_hidden": 8}),
     "missing_hyper": lambda m: m["meta"].pop("hyper"),
     "missing_vocab_size": lambda m: m["meta"].pop("vocab_size"),
     "missing_static_dim": lambda m: m["meta"].pop("static_dim"),
@@ -494,7 +496,7 @@ BAD_CHECKPOINTS = {
     "reshaped_tensor": lambda m: m.update(A=m["A"].reshape(8, 3)),
     "missing_tensor": lambda m: m.pop("H"),
     "extra_tensor": lambda m: m.update(extra=np.zeros(1)),
-    "hyper_disagrees": lambda m: m["meta"]["hyper"].update(emb_dim=6, top_hidden=6),
+    "hyper_disagrees": lambda m: m["meta"]["hyper"].update(emb_dim=6),
     "vocab_size_disagrees": lambda m: m["meta"].update(vocab_size=VOCAB + 1),
     "feature_dim_disagrees": lambda m: m["meta"].update(feature_dim=4),
     "static_dim_disagrees": lambda m: m["meta"].update(static_dim=19),
@@ -539,7 +541,7 @@ class TestCheckpoint:
     def test_records_model_sizes_from_tensor_shapes(self, checkpoint):
         meta = read_members(checkpoint)["meta"]
         assert (meta["vocab_size"], meta["feature_dim"], meta["static_dim"]) == (VOCAB, 3, 20)
-        assert (meta["format"], meta["version"]) == ("akisub-checkpoint", 3)
+        assert (meta["format"], meta["version"]) == ("akisub-checkpoint", 4)
 
     @pytest.mark.parametrize("kept", [0.0, 0.5, 0.999])
     def test_truncated_file_is_a_parse_error(self, checkpoint, kept):

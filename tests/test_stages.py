@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,17 +24,17 @@ OUT_OF_RANGE_CONFIGS = [
     {"cluster": {"perplexity": -1}},
     {"cluster": {"tsne_iters": -5}},
     {"cluster": {"k_range": [2.5, 3]}},
+    {"cluster": {"k_range": [2, 11]}},  # the Tukey table stops at 10 groups
     {"model": {"epochs": -1}},
-    {"model": {"emb_dim": 8}},  # top_hidden must match it
     {"evaluate": {"grid": [{"lr": -1}]}},
-    {"evaluate": {"grid": [{"top_hidden": 64}]}},
     {"evaluate": {"models": []}},
     {"evaluate": {"models": ["lr", "lr"]}},
 ]
 
 # each sets a setting, or a value of one, the config does not have: the memory
 # size is the row count of the stay tensors, the cohort's noise and note
-# vocabulary are fixed, and a linear autoencoder's layout is the PCA one
+# vocabulary are fixed, a linear autoencoder's layout is the PCA one, and the
+# top note LSTM's width is the embedding width
 REMOVED_SETTINGS = [
     {"model": {"memory_size": 7}},
     {"evaluate": {"grid": [{"memory_size": 6}]}},
@@ -43,6 +42,8 @@ REMOVED_SETTINGS = [
     {"cohort": {"vocab_size": 160}},
     {"cluster": {"autoencoder_epochs": 400}},
     {"cluster": {"method": "autoencoder"}},
+    {"model": {"top_hidden": 128}},
+    {"evaluate": {"grid": [{"top_hidden": 64}]}},
 ]
 
 # each holds one value of the wrong type, shape or range, or an unknown key
@@ -70,7 +71,7 @@ def small_config(out_dir, seed=11, t1_hours=24):
         "t1_hours": t1_hours,
         "out_dir": str(out_dir),
         "cohort": {"n_stays": 120, "case_fraction": 0.3},
-        "model": {"emb_dim": 16, "top_hidden": 16, "bottom_hidden": 12,
+        "model": {"emb_dim": 16, "bottom_hidden": 12,
                   "word_emb_dim": 8, "static_proj_dim": 4, "epochs": 2,
                   "batch_size": 16, "max_note_len": 12},
         "cluster": {"method": "tsne", "k_range": [2, 3, 4], "perplexity": 8,
@@ -285,6 +286,10 @@ class TestDependsAndErrors:
     def test_malformed_value_rejected(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    def test_emb_dim_alone_is_valid(self):
+        # the top note LSTM takes the embedding width; no second setting must agree
+        assert config_from_dict({"model": {"emb_dim": 8}}).model.emb_dim == 8
 
 
 class TestCli:

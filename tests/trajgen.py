@@ -40,5 +40,4 @@ def random_kdigo_instance(rng: np.random.Generator):
     baseline_end = rng.uniform(-24.0, 30.0)
     lo = rng.uniform(0.0, 60.0)
     hi = lo + rng.uniform(24.0, 200.0)
-    rrt = bool(rng.random() < 0.05)
-    return scr, urine, baseline_value, baseline_end, (lo, hi), rrt
+    return scr, urine, baseline_value, baseline_end, (lo, hi)
