@@ -2,9 +2,11 @@
 
 Subcommands: synth, label, featurize, train, embed, cluster, interpret,
 evaluate, all. Global flags: --config PATH (JSON run config), --seed INT,
---out DIR, --t1 {24,48}, --force. Exit code 0 on success; on failure a
-machine-readable JSON error line goes to stderr and the exit code maps the
-error category (see errors.EXIT_CODES).
+--out DIR, --t1 {24,48}, --force. --seed, --t1 and --out are written into the
+config's JSON before its one parse, so they are checked like the file's own
+values. Exit code 0 on success; on failure a machine-readable JSON error line
+goes to stderr and the exit code maps the error category (see
+errors.EXIT_CODES).
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from .errors import EXIT_CODES, AkisubError
+from .errors import EXIT_CODES, AkisubError, ConfigError
 from .features import T1_HOURS
-from .stages import STAGES, RunConfig, config_from_dict, load_config, run_all, run_stage
+from .stages import STAGES, RunConfig, config_from_dict, run_all, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,23 +42,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> RunConfig:
+    """The run config of --config (the defaults when omitted), with --seed, --t1 and
+    --out written into its JSON before the one parse. Every seed must equal the run's,
+    so --seed also replaces each seed a section of the file sets."""
+    raw = {}
     if args.config:
-        config = load_config(args.config)
-    else:
-        config = config_from_dict({})
-    if args.seed is not None or args.t1 is not None:
-        raw = config.to_dict()
-        raw.pop("schema_version")
+        try:
+            raw = json.loads(Path(args.config).read_bytes())
+        except OSError as e:
+            raise ConfigError(f"{args.config}: cannot read ({e.strerror})") from None
+        except ValueError as e:  # not UTF-8 JSON
+            raise ConfigError(f"{args.config}: invalid JSON ({e})") from None
+    if isinstance(raw, dict):
+        flags = {"seed": args.seed, "t1_hours": args.t1, "out_dir": args.out}
+        raw.update({key: value for key, value in flags.items() if value is not None})
         if args.seed is not None:
-            raw["seed"] = args.seed
-            for section in ("cohort", "model", "cluster", "evaluate"):
-                raw[section]["seed"] = args.seed
-        if args.t1 is not None:
-            raw["t1_hours"] = args.t1
-        config = config_from_dict(raw)
-    if args.out is not None:
-        config.out_dir = args.out
-    return config
+            raw.update({key: {**section, "seed": args.seed} for key, section in raw.items()
+                        if isinstance(section, dict) and "seed" in section})
+    return config_from_dict(raw)
 
 
 def main(argv=None) -> int:

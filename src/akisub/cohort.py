@@ -161,6 +161,11 @@ class IcuStay:
         if set(self.lab_series) != set(LAB_VARIABLES):
             raise DataError(f"{self.stay_id}: lab variable vocabulary mismatch")
         _check_series(list(self.chart_series.values()) + list(self.lab_series.values()))
+        scr = self.lab_series["creatinine"].points
+        bad = scr[:, 1] <= 0  # no baseline can be taken from such a value
+        if bad.any():
+            t, v = scr[bad.argmax()].tolist()
+            raise DataError(f"creatinine: non-positive value {v} at {t}")
         for note in self.notes:
             note.validate()
 
@@ -187,10 +192,6 @@ class CohortConfig:
         w = np.asarray(self.subtype_mixture, dtype=float)
         if len(w) != 3 or np.any(w < 0) or w.sum() <= 0:
             raise ConfigError("subtype_mixture needs 3 non-negative weights with positive sum")
-
-    def normalized_mixture(self) -> np.ndarray:
-        w = np.asarray(self.subtype_mixture, dtype=float)
-        return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,8 @@ _EXTRA_FILLERS = NOTE_TOKENS[len(_BASE_TOKENS):]
 def generate_cohort(config: CohortConfig) -> list[IcuStay]:
     """Deterministically generate `config.n_stays` synthetic ICU stays."""
     config.validate()
-    mixture = _cdf(config.normalized_mixture())
+    w = np.asarray(config.subtype_mixture, dtype=float)
+    mixture = _cdf(w / w.sum())
 
     assign_rng = np.random.default_rng([config.seed, 0xA55])
     stays: list[IcuStay] = []

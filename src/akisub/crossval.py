@@ -156,8 +156,7 @@ def _lr_train_and_score(model_id: str, fold: FoldData, t1_hours: float, n_inner:
     fill = dict(zip(fold.scaling.variables, fold.scaling.mean))
 
     def design(stays):
-        X = np.stack([summarize_for_baselines(s, t1_hours, fill).values
-                      for s in stays])
+        X = np.stack([summarize_for_baselines(s, t1_hours, fill) for s in stays])
         if model_id == "lr_bow":
             X = np.hstack([X, np.stack([notes_to_bow(s, fold.vocab) for s in stays])])
         return X

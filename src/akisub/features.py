@@ -74,17 +74,6 @@ class ScalingStats:
     variables: tuple[str, ...] = TIME_VARIABLES
 
 
-@dataclass
-class BaselineFeatureVector:
-    stay_id: str
-    values: np.ndarray           # (147,)
-
-    def __post_init__(self):
-        if self.values.shape != (BASELINE_DIM,):
-            raise ArgumentError(f"baseline vector must have {BASELINE_DIM} entries, "
-                                f"got {self.values.shape}")
-
-
 def bin_count(t1_hours: float) -> int:
     """The 2-hour windows of a `T1_HOURS` observation window: the memory size."""
     if t1_hours not in T1_HOURS:
@@ -204,7 +193,7 @@ def baseline_feature_names() -> list[str]:
 
 def summarize_for_baselines(stay: IcuStay, t1_hours: float,
                             fill_means: dict[str, float] | None = None,
-                            ) -> BaselineFeatureVector:
+                            ) -> np.ndarray:
     """First/last/avg/min/max over raw observations in the window, least-squares
     slope over observed 2-hour bins, and the raw observation count, per variable.
 
@@ -234,7 +223,7 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
         var = BASELINE_CONTINUOUS_VARS[c]
         stats[c, :5] = 0.0 if fill_means is None else fill_means.get(var, 0.0)
     values[stats.size:] = _static14(stay)
-    return BaselineFeatureVector(stay.stay_id, values)
+    return values
 
 
 def _mean(a: np.ndarray):
@@ -343,9 +332,9 @@ def write_stay_tensors(tensors: list[StayTensor], values_path, mask_path) -> Non
                 fm.write(f"{tensor.stay_id},{j},{row_m}\n")
 
 
-def write_baseline_features(vectors: list[BaselineFeatureVector], path) -> None:
+def write_baseline_features(stay_ids, rows, path) -> None:
     header = "stay_id," + ",".join(baseline_feature_names())
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for vec in vectors:
-            fh.write(vec.stay_id + "," + ",".join(repr(float(x)) for x in vec.values) + "\n")
+        for sid, row in zip(stay_ids, rows):
+            fh.write(sid + "," + ",".join(repr(float(x)) for x in row) + "\n")

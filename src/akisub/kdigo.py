@@ -6,9 +6,10 @@ stage. Clause conventions (shared with the brute-force test oracle):
 - Creatinine delta: any ordered measurement pair at most 48 h apart with a rise
   of at least 0.3 mg/dL fires at the later measurement's time; the earlier
   measurement may precede the evaluation window.
-- Creatinine ratio: a measurement at 1.5x baseline or more fires at its own
-  time, provided it lies within 7 days (168 h) of the end of the baseline's
-  source window.
+- Creatinine ratio: the baseline is the stay's first creatinine measurement
+  (offsets start at admission, so the cohort holds no earlier value). A
+  measurement at 1.5x baseline or more fires at its own time, provided it lies
+  within 7 days (168 h) of the baseline measurement.
 - Urine: the rate is read piecewise-constant (each observation's value persists
   until the next observation, with no extrapolation past the last one). Low
   spans are clipped to the evaluation window; a span of at least 6 h below
@@ -59,7 +60,7 @@ class AkiLabel:
 @dataclass
 class BaselineScr:
     value: float
-    source_window: tuple[float, float]
+    time: float  # offset of the measurement it was taken from
 
     def __post_init__(self):
         if self.value <= 0:
@@ -78,20 +79,12 @@ def egfr_mdrd(scr: float, age: float, sex: str, ethnicity: str) -> float:
     return value
 
 
-def compute_baseline(scr_series: EventSeries, window_start: float) -> BaselineScr:
-    """Baseline = minimum creatinine in the 7 days before `window_start`,
-    falling back to the earliest measurement at or after it."""
-    points = scr_series.points.tolist()
-    prior = [(t, v) for t, v in points
-             if window_start - BASELINE_LOOKBACK_HOURS <= t < window_start]
-    if prior:
-        t_min, v_min = min(prior, key=lambda p: p[1])
-        return BaselineScr(v_min, (window_start - BASELINE_LOOKBACK_HOURS, window_start))
-    later = [(t, v) for t, v in points if t >= window_start]
-    if not later:
+def compute_baseline(scr_series: EventSeries) -> BaselineScr:
+    """Baseline = the first creatinine measurement."""
+    if not len(scr_series.points):
         raise InsufficientDataError("no creatinine measurements to derive a baseline from")
-    t0, v0 = later[0]
-    return BaselineScr(v0, (t0, t0))
+    t0, v0 = scr_series.points[0].tolist()
+    return BaselineScr(v0, t0)
 
 
 def _low_spans(urine: list[tuple[float, float]], threshold: float, lo: float, hi: float):
@@ -146,7 +139,7 @@ def detect_aki(scr_series: EventSeries, urine_rate_series: EventSeries,
             if vj >= STAGE3_SCR:
                 stage = 3
         if (baseline is not None and vj >= RATIO_THRESHOLD * baseline.value
-                and tj - baseline.source_window[1] <= BASELINE_LOOKBACK_HOURS):
+                and tj - baseline.time <= BASELINE_LOOKBACK_HOURS):
             firings.append((tj, _RULE_PRIORITY[RULE_SCR_RATIO], RULE_SCR_RATIO))
             if vj >= 3.0 * baseline.value:
                 stage = 3
@@ -184,7 +177,7 @@ def apply_exclusions(stays: list[IcuStay], t1_hours: float,
         scr = stay.lab_series["creatinine"]
         urine = stay.lab_series["urine_rate"]
         try:
-            baseline = compute_baseline(scr, 0.0)
+            baseline = compute_baseline(scr)
         except InsufficientDataError:
             baseline = None
         try:

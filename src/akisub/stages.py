@@ -15,10 +15,11 @@ produces it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,21 +102,31 @@ class RunConfig:
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
 
     def validate(self):
+        """ConfigError unless every setting holds a value of its type and range, and
+        each section's seed and each grid point's seed is `seed`. `run_stage` calls
+        this first, so a config built in code gets the checks a parsed one gets."""
+        _check_types("", self)
         if self.t1_hours not in features.T1_HOURS:
             raise ConfigError(f"'t1_hours' must be one of {features.T1_HOURS}, "
                               f"got {self.t1_hours!r}")
-        self.cohort.validate()
-        self.cluster.validate()
-        self.evaluate.validate()
-        hypers = [self.model]
-        for g in self.evaluate.grid:
-            try:
-                hypers.append(replace(self.model, **g))
-            except TypeError as e:  # a field HyperConfig does not have, or not a mapping
-                raise ConfigError(f"bad 'evaluate.grid' entry {g!r}: {e}") from None
-        for hyper in hypers:
-            _check_scalars("model.", hyper)
-            hyper.validate()
+        sections = [name for name, hint in _field_types(RunConfig).items()
+                    if is_dataclass(hint)]
+        # a sequence of the wrong shape or element type, or a grid entry that is not a
+        # mapping of HyperConfig fields, raises TypeError or ValueError
+        try:
+            grid = [replace(self.model, **g) for g in self.evaluate.grid]
+            for name in sections:
+                getattr(self, name).validate()
+            for hyper in grid:
+                _check_types("model.", hyper)
+                hyper.validate()
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"malformed config value: {e}") from None
+        seeds = [(f"{name}.seed", getattr(self, name).seed) for name in sections]
+        seeds += [("evaluate.grid seed", hyper.seed) for hyper in grid]
+        for where, seed in seeds:
+            if seed != self.seed:
+                raise ConfigError(f"'{where}' must equal 'seed' ({self.seed}), got {seed!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -128,14 +139,48 @@ _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,),
                  str | None: (str, type(None))}
 
 
-def _check_scalars(where: str, obj) -> None:
-    """ConfigError unless each int, float and str field of dataclass `obj` holds one."""
-    for name, hint in typing.get_type_hints(type(obj)).items():
-        allowed = _SCALAR_TYPES.get(hint)
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> type of dataclass `cls`, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
+def _check_types(where: str, obj) -> None:
+    """ConfigError unless each scalar field of dataclass `obj` holds a value of its
+    type and each dataclass field holds its class, checked the same way."""
+    for name, hint in _field_types(type(obj)).items():
         value = getattr(obj, name)
+        if is_dataclass(hint):
+            if type(value) is not hint:
+                raise ConfigError(f"'{where}{name}' must be a {hint.__name__}, got {value!r}")
+            _check_types(f"{where}{name}.", value)
+            continue
+        allowed = _SCALAR_TYPES.get(hint)
         if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
             raise ConfigError(f"'{where}{name}' must be {getattr(hint, '__name__', hint)}, "
                               f"got {value!r}")
+
+
+def _from_dict(cls, raw, where: str, **defaults):
+    """The `cls` that `raw` describes over `defaults` and the field defaults. Each key
+    names a field of `cls`; a JSON array given to a tuple field becomes a tuple, and a
+    dataclass field is read from its own object, whose `seed` defaults to this one's."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{where.rstrip('.')}' must be an object, got {raw!r}")
+    types = _field_types(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(where + key for key in unknown)}")
+    values = {**defaults, **raw}
+    sections = {name: values.pop(name, {}) for name, hint in types.items()
+                if is_dataclass(hint)}
+    for name, value in values.items():
+        if isinstance(value, list) and typing.get_origin(types[name]) is tuple:
+            values[name] = tuple(value)
+    obj = cls(**values)
+    for name, payload in sections.items():
+        setattr(obj, name, _from_dict(types[name], payload, f"{where}{name}.", seed=obj.seed))
+    return obj
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -147,54 +192,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version}")
-    known = {"seed", "t1_hours", "out_dir", "cohort_path", "cohort",
-             "model", "cluster", "evaluate"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    top = RunConfig(**{key: raw[key] for key in
-                       ("seed", "t1_hours", "out_dir", "cohort_path")
-                       if key in raw})
-    _check_scalars("", top)
-
-    def section(name, cls, **defaults):
-        payload = raw.get(name, {})
-        if not isinstance(payload, dict):
-            raise ConfigError(f"'{name}' must be an object, got {payload!r}")
-        try:
-            obj = cls(**{**defaults, **payload})
-        except TypeError as e:
-            raise ConfigError(f"bad '{name}' section: {e}") from e
-        _check_scalars(f"{name}.", obj)
-        return obj
-
-    cfg = replace(
-        top,
-        cohort=section("cohort", CohortConfig, seed=top.seed),
-        model=section("model", HyperConfig, seed=top.seed),
-        cluster=section("cluster", ClusterConfig, seed=top.seed),
-        evaluate=section("evaluate", EvaluateConfig, seed=top.seed),
-    )
-    # sequence values: a wrong shape or element type surfaces as TypeError or
-    # ValueError here or in validate
-    try:
-        cfg.cluster.k_range = tuple(cfg.cluster.k_range)
-        cfg.cohort.subtype_mixture = tuple(cfg.cohort.subtype_mixture)
-        cfg.evaluate.models = tuple(cfg.evaluate.models)
-        cfg.evaluate.grid = tuple(dict(g) for g in cfg.evaluate.grid)
-        cfg.validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"malformed config value: {e}") from None
-    return cfg
-
-
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e.msg})") from e
-    return config_from_dict(raw)
+    config = _from_dict(RunConfig, raw, "")
+    config.validate()
+    return config
 
 
 def _path(config: RunConfig, filename: str) -> Path:
@@ -373,6 +373,7 @@ def _stage_featurize(config: RunConfig):
     write_vocab(features.build_vocabulary(labeled), _path(config, "vocab.txt"))
     fill = dict(zip(scaling.variables, scaling.mean))
     features.write_baseline_features(
+        [s.stay_id for s in labeled],
         [features.summarize_for_baselines(s, config.t1_hours, fill) for s in labeled],
         _path(config, "baseline_features.csv"))
 

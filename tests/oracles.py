@@ -307,14 +307,8 @@ def exclusions_reference(stays, t1_hours: float, t2_days: float = 7.0):
         if not scr and not urine:
             excluded.append((stay.stay_id, "no_renal_data"))
             continue
-        prior = [(t, v) for t, v in scr if -168.0 <= t < 0.0]
-        later = [(t, v) for t, v in scr if t >= 0.0]
-        if prior:
-            bval, bend = min(prior, key=lambda p: p[1])[1], 0.0
-        elif later:
-            bend, bval = later[0]
-        else:
-            bval, bend = float("inf"), 0.0  # no baseline: the ratio clause never fires
+        # the baseline is the first creatinine; without one the ratio clause never fires
+        bend, bval = scr[0] if scr else (0.0, float("inf"))
         if brute_force_kdigo(scr, urine, bval, bend, (0.0, t1_hours))[0]:
             excluded.append((stay.stay_id, "aki_in_observation_window"))
             continue

@@ -249,6 +249,8 @@ class TestReadValidation:
         [[2.0, 1.0], [1.0, 1.1]],
         [[1.0, 1.0], [1.0, 1.1]],
         [[-1.0, 1.0]],
+        [[1.0, 0.0]],
+        [[1.0, -0.5]],
     ])
     def test_malformed_series_names_line(self, tmp_path, series_json):
         path = self._write_with(tmp_path, series_json)

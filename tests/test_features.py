@@ -124,7 +124,7 @@ class TestBaselineVector:
         _with_series(stay, "creatinine", [(0.5, 1.0), (2.5, 2.0), (4.5, 3.0)])
         vec = summarize_for_baselines(stay, 24)
         names = baseline_feature_names()
-        get = lambda n: vec.values[names.index(n)]
+        get = lambda n: vec[names.index(n)]
         assert get("creatinine_first") == 1.0
         assert get("creatinine_last") == 3.0
         assert get("creatinine_avg") == pytest.approx(2.0)
@@ -139,13 +139,13 @@ class TestBaselineVector:
         vec = summarize_for_baselines(stay, 24)
         names = baseline_feature_names()
         for stat in ("first", "last", "avg", "min", "max"):
-            assert vec.values[names.index(f"creatinine_{stat}")] == pytest.approx(4.2)
-        assert vec.values[names.index("creatinine_slope")] == 0.0
-        assert vec.values[names.index("creatinine_count")] == 1.0
+            assert vec[names.index(f"creatinine_{stat}")] == pytest.approx(4.2)
+        assert vec[names.index("creatinine_slope")] == 0.0
+        assert vec[names.index("creatinine_count")] == 1.0
 
     def test_length_is_147(self, stays):
         vec = summarize_for_baselines(stays[0], 24)
-        assert vec.values.shape == (BASELINE_DIM,)
+        assert vec.shape == (BASELINE_DIM,)
         assert len(baseline_feature_names()) == BASELINE_DIM
         assert len(BASELINE_CONTINUOUS_VARS) == 19
 
@@ -154,9 +154,9 @@ class TestBaselineVector:
         _with_series(stay, "creatinine", [])
         vec = summarize_for_baselines(stay, 24, fill_means={"creatinine": 1.3})
         names = baseline_feature_names()
-        assert vec.values[names.index("creatinine_count")] == 0.0
+        assert vec[names.index("creatinine_count")] == 0.0
         for stat in ("first", "last", "avg", "min", "max"):
-            assert vec.values[names.index(f"creatinine_{stat}")] == 1.3
+            assert vec[names.index(f"creatinine_{stat}")] == 1.3
 
 
 class TestNotes:
@@ -241,6 +241,6 @@ class TestTupleReferenceParity:
             vec = summarize_for_baselines(stay, t1, fill)
             values, imputed = summary_reference(stay, BASELINE_CONTINUOUS_VARS, t1, fill)
             n = len(values)
-            assert _same_bits(vec.values[:n], values), stay.stay_id
+            assert _same_bits(vec[:n], values), stay.stay_id
             # each filled entry holds its variable's fill mean
-            assert (vec.values[:n][imputed] == fill_values[imputed]).all(), stay.stay_id
+            assert (vec[:n][imputed] == fill_values[imputed]).all(), stay.stay_id

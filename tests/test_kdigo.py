@@ -20,7 +20,7 @@ def _urine_flat(rate, start=1.0, end=191.0, step=2.0):
     return _series("urine_rate", [(t, rate) for t in np.arange(start, end, step)])
 
 
-BASE = BaselineScr(1.0, (0.0, 0.0))
+BASE = BaselineScr(1.0, 0.0)
 
 
 class TestEgfr:
@@ -76,7 +76,7 @@ class TestDetect:
 
     def test_ratio_requires_seven_day_lookback(self):
         scr = _series("creatinine", [(1.0, 1.0), (180.0, 1.6)])
-        label = detect_aki(scr, _urine_flat(0.9), BaselineScr(1.0, (1.0, 1.0)),
+        label = detect_aki(scr, _urine_flat(0.9), BaselineScr(1.0, 1.0),
                            (100.0, 250.0))
         assert not label.is_case  # 180 - 1 > 168, and the jump exceeds 48 h
 
@@ -88,13 +88,13 @@ class TestDetect:
         rng = np.random.default_rng(42)
         for _ in range(30):
             scr, urine, bval, bend, window = random_kdigo_instance(rng)
-            base = BaselineScr(bval, (bend - 1.0, bend))
+            base = BaselineScr(bval, bend)
             a = detect_aki(_series("creatinine", scr), _series("urine_rate", urine),
                            base, window)
             shift = 5.25
             scr2 = [(t + shift, v) for t, v in scr]
             urine2 = [(t + shift, v) for t, v in urine]
-            base2 = BaselineScr(bval, (bend - 1.0 + shift, bend + shift))
+            base2 = BaselineScr(bval, bend + shift)
             b = detect_aki(_series("creatinine", scr2), _series("urine_rate", urine2),
                            base2, (window[0] + shift, window[1] + shift))
             assert a.is_case == b.is_case
@@ -115,7 +115,7 @@ class TestStage:
 
     def test_absolute_rise_to_four(self):
         scr = _series("creatinine", [(1.0, 1.2), (40.0, 4.3)])
-        assert detect_aki(scr, _urine_flat(0.9), BaselineScr(1.2, (1.0, 1.0)),
+        assert detect_aki(scr, _urine_flat(0.9), BaselineScr(1.2, 1.0),
                           (0.0, 168.0)).stage == 3
 
     def test_urine_bands(self):
@@ -136,7 +136,7 @@ class TestStage:
         rng = np.random.default_rng(9)
         for _ in range(50):
             scr, _, bval, bend, window = random_kdigo_instance(rng)
-            base = BaselineScr(bval, (bend - 1.0, bend))
+            base = BaselineScr(bval, bend)
             label = detect_aki(_series("creatinine", scr), urine, base, window)
             if not label.is_case:
                 continue
@@ -154,7 +154,7 @@ class TestOracleEquivalence:
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         scr, urine, bval, bend, window = random_kdigo_instance(rng)
-        base = BaselineScr(bval, (bend - 1.0, bend))
+        base = BaselineScr(bval, bend)
         scr_s, ur_s = _series("creatinine", scr), _series("urine_rate", urine)
         o_case, o_onset, o_rule, o_stage = brute_force_kdigo(
             scr, urine, bval, bend, window)
@@ -167,20 +167,15 @@ class TestOracleEquivalence:
 
 
 class TestBaseline:
-    def test_prior_window_minimum(self):
-        scr = _series("creatinine", [(10.0, 1.4), (20.0, 1.1), (30.0, 1.8)])
-        base = compute_baseline(scr, 25.0)
-        assert base.value == pytest.approx(1.1)
-
     def test_fallback_to_earliest_in_window(self):
         scr = _series("creatinine", [(5.0, 1.3), (11.0, 1.0)])
-        base = compute_baseline(scr, 0.0)
+        base = compute_baseline(scr)
         assert base.value == pytest.approx(1.3)
-        assert base.source_window == (5.0, 5.0)
+        assert base.time == 5.0
 
     def test_empty_series(self):
         with pytest.raises(InsufficientDataError):
-            compute_baseline(_series("creatinine", []), 0.0)
+            compute_baseline(_series("creatinine", []))
 
 
 class TestExclusions:

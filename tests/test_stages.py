@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import shutil
+import typing
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from akisub.cli import build_parser, main, resolve_config
 from akisub.clustering import pca_project
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
-from akisub.stages import (STAGE_TABLE, STAGES, RunConfig, config_from_dict,
+from akisub.stages import (_SCALAR_TYPES, STAGE_TABLE, STAGES, RunConfig, config_from_dict,
                            read_embedding2d, read_labels, read_representations, read_vocab,
                            run_all, run_stage, write_vocab)
 
@@ -29,6 +31,8 @@ OUT_OF_RANGE_CONFIGS = [
     {"evaluate": {"grid": [{"lr": -1}]}},
     {"evaluate": {"models": []}},
     {"evaluate": {"models": ["lr", "lr"]}},
+    {"cluster": {"seed": 7}},  # a section or grid seed must be the run's seed
+    {"evaluate": {"grid": [{"seed": 7}]}},
 ]
 
 # each sets a setting, or a value of one, the config does not have: the memory
@@ -54,6 +58,7 @@ MALFORMED_CONFIGS = [
     {"seed": "x"},
     {"t1_hours": None},
     {"model": {"epochs": 2.5}},
+    {"evaluate": {"outer_folds": 2.5}},
     {"cohort_path": 5},
     {"cohort": 3},
     {"evaluate": {"grid": [{"lr": "x"}]}},
@@ -63,6 +68,25 @@ MALFORMED_CONFIGS = [
     *OUT_OF_RANGE_CONFIGS,
     *REMOVED_SETTINGS,
 ]
+
+
+def _one_setting(raw):
+    """(section names, field, value) of the one value `raw` sets, or None unless
+    `raw` sets exactly one value of a field the config has."""
+    obj, path = RunConfig(), []
+    while isinstance(raw, dict) and len(raw) == 1:
+        (name, value), = raw.items()
+        if not hasattr(obj, name):
+            return None
+        if not (isinstance(value, dict) and dataclasses.is_dataclass(getattr(obj, name))):
+            return path, name, value
+        obj, raw = getattr(obj, name), value
+        path.append(name)
+    return None
+
+
+# the malformed configs that set one value of an existing field, so code can set it too
+SET_IN_CODE = [raw for raw in MALFORMED_CONFIGS if _one_setting(raw)]
 
 
 def small_config(out_dir, seed=11, t1_hours=24):
@@ -210,6 +234,19 @@ def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
     assert len(parsed) == 1
 
 
+def test_every_setting_has_a_type_validate_checks():
+    """Each field is a scalar that `RunConfig.validate` type-checks, a section it
+    checks field by field, or a tuple its range checks read; each section has a seed."""
+    sections = [hint for hint in typing.get_type_hints(RunConfig).values()
+                if dataclasses.is_dataclass(hint)]
+    assert len(sections) == 4
+    for cls in (RunConfig, *sections):
+        for name, hint in typing.get_type_hints(cls).items():
+            assert hint in _SCALAR_TYPES or typing.get_origin(hint) is tuple \
+                or (cls is RunConfig and hint in sections), f"{cls.__name__}.{name}: {hint}"
+    assert all(typing.get_type_hints(section)["seed"] is int for section in sections)
+
+
 def test_stage_table_invariants():
     assert STAGES == ("synth", "label", "featurize", "train", "embed", "cluster",
                       "interpret", "evaluate")
@@ -286,6 +323,31 @@ class TestDependsAndErrors:
     def test_malformed_value_rejected(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    def test_set_in_code_covers_each_single_field_case(self):
+        assert len(SET_IN_CODE) == 28
+
+    @pytest.mark.parametrize("raw", SET_IN_CODE, ids=json.dumps)
+    def test_malformed_value_set_in_code_fails_before_synth(self, raw, tmp_path):
+        config = config_from_dict({"out_dir": str(tmp_path / "run")})
+        path, name, value = _one_setting(raw)
+        setattr(functools.reduce(getattr, path, config), name,
+                tuple(value) if isinstance(value, list) else value)
+        with pytest.raises(ConfigError):
+            run_stage("synth", config)
+        assert not (tmp_path / "run").exists()
+
+    def test_run_seed_set_alone_in_code_fails_before_synth(self, tmp_path):
+        config = RunConfig(seed=3, out_dir=str(tmp_path / "run"))
+        with pytest.raises(ConfigError, match="'cohort.seed' must equal 'seed' \\(3\\)"):
+            run_stage("synth", config)
+        assert not (tmp_path / "run").exists()
+
+    def test_section_seed_equal_to_the_run_seed_is_valid(self):
+        config = config_from_dict({"seed": 3, "model": {"seed": 3}})
+        seeds = [config.seed, config.cohort.seed, config.model.seed, config.cluster.seed,
+                 config.evaluate.seed]
+        assert seeds == [3] * 5
 
     def test_emb_dim_alone_is_valid(self):
         # the top note LSTM takes the embedding width; no second setting must agree
@@ -450,6 +512,27 @@ class TestCli:
         config = resolve_config(build_parser().parse_args(["--t1", "48", "synth"]))
         assert config == dataclasses.replace(config_from_dict({}), t1_hours=48)
         assert features.bin_count(config.t1_hours) == 24
+
+    @pytest.mark.parametrize("raw", [None, {"seed": 3, "model": {"seed": 3}}])
+    def test_cli_seed_sets_every_seed(self, raw, tmp_path):
+        argv = ["--seed", "5", "synth"]
+        if raw is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(raw))
+            argv = ["--config", str(cfg_path), *argv]
+        config = resolve_config(build_parser().parse_args(argv))
+        seeds = [config.seed, config.cohort.seed, config.model.seed, config.cluster.seed,
+                 config.evaluate.seed]
+        assert seeds == [5] * 5
+
+    @pytest.mark.parametrize("content", [None, b'{"seed": "\xff"}'], ids=["absent", "not-utf8"])
+    def test_cli_unreadable_config_exit_code(self, content, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        if content is not None:
+            cfg_path.write_bytes(content)
+        code = main(["--config", str(cfg_path), "synth"])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (code, payload["error"]) == (2, "config")
 
     def test_cli_seed_and_out_overrides(self, tmp_path, capsys):
         out_a = tmp_path / "a"
