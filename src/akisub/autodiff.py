@@ -7,6 +7,13 @@ reverse, emptying it as it goes, and accumulates gradients keyed by Tensor
 identity. Each thread has its own stack of open tapes (the innermost records),
 so threads record and back-propagate independently: an op is recorded only on
 a tape opened by the thread that runs it.
+
+The primitives are the ones the models call. The case/control loss, which every
+trained model takes once per batch, is one primitive with a hand-written
+backward rather than a chain of clamp, log, subtract and negate nodes, so each
+batch records one node for it. `sigmoid`, `tanh` and `slice_axis` stay although
+`nn.lstm_sequence` fuses its gates: `nn.lstm_cell`, the per-step reference
+cell, is built from them, and `memnet.case_loss` slices out the case column.
 """
 
 from __future__ import annotations
@@ -118,16 +125,6 @@ def add(a, b) -> Tensor:
     return _record((a, b), out, bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _record((a, b), out, bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -137,12 +134,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * a.data, b.data.shape))
 
     return _record((a, b), out, bwd)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-    return _record((a,), out, lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -164,15 +155,13 @@ def reshape(a, shape) -> Tensor:
     return _record((a,), out, lambda g: (g.reshape(src),))
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axis))
     src = a.data.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, src).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, src).copy(),)
 
@@ -191,20 +180,6 @@ def tanh(a) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
     return _record((a,), out, lambda g: (g * (1.0 - y * y),))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-    return _record((a,), out, lambda g: (g / a.data,))
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient is passed only where the input lies in [lo, hi]."""
-    a = as_tensor(a)
-    out = Tensor(np.clip(a.data, lo, hi))
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _record((a,), out, lambda g: (g * mask,))
 
 
 def softmax(a) -> Tensor:
@@ -270,7 +245,10 @@ def slice_axis(a, start: int, stop: int, axis: int = -1) -> Tensor:
 def cross_entropy(p, y) -> Tensor:
     """Negative log-likelihood -[y log p + (1-y) log(1-p)], summed over samples.
 
-    `p` holds probabilities (clamped to [EPS, 1-EPS]); `y` holds 0/1 labels.
+    `p` holds probabilities (clamped to [EPS, 1-EPS]); `y` holds 0/1 labels. It
+    records one node. Its gradient is 0 where `p` lies outside [EPS, 1-EPS] and,
+    inside, the sum of the two log terms' gradients: the same bits a chain of
+    clamp, log, scale, sum and negate nodes gives, as IEEE addition commutes.
     """
     p = as_tensor(p)
     yv = np.asarray(y, dtype=np.float64)
@@ -279,9 +257,15 @@ def cross_entropy(p, y) -> Tensor:
     if not np.all((yv == 0.0) | (yv == 1.0)):
         raise ArgumentError("cross_entropy: labels must be 0 or 1")
     yv = yv.reshape(p.data.shape)
-    pc = clip(p, EPS, 1.0 - EPS)
-    ll = add(mul(Tensor(yv), log(pc)), mul(Tensor(1.0 - yv), log(sub(1.0, pc))))
-    return neg(reduce_sum(ll))
+    pc = np.clip(p.data, EPS, 1.0 - EPS)
+    out = Tensor(-(yv * np.log(pc) + (1.0 - yv) * np.log(1.0 - pc)).sum())
+    inside = (p.data >= EPS) & (p.data <= 1.0 - EPS)
+
+    def bwd(g):
+        G = np.broadcast_to(-g, pc.shape)
+        return ((G * yv / pc - G * (1.0 - yv) / (1.0 - pc)) * inside,)
+
+    return _record((p,), out, bwd)
 
 
 # ---------------------------------------------------------------------------

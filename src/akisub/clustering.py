@@ -202,9 +202,10 @@ def mcclain_rao(X: np.ndarray, labels: np.ndarray) -> float:
     return float((within.mean()) / (between.mean()))
 
 
-def select_k(X: np.ndarray, k_range, seed: int = 0, restarts: int = 10,
+def select_k(X: np.ndarray, k_range, seed: int = 0,
              rel_tol: float = 0.40) -> tuple[ClusterAssignment, list[tuple[int, float]]]:
-    """Run kmeans for each k and pick the cluster count by the McClain-Rao index.
+    """Run `kmeans`, with its default restarts, for each k and pick the cluster count
+    by the McClain-Rao index.
 
     The index keeps decreasing when compact clusters are over-split (about 10%
     per extra k on tight blobs, more on t-SNE layouts), so the smallest k whose
@@ -219,7 +220,7 @@ def select_k(X: np.ndarray, k_range, seed: int = 0, restarts: int = 10,
     n = len(X)
     if ks[0] < 2 or ks[-1] > n - 1:
         raise ArgumentError(f"k range {ks} outside [2, {n - 1}]")
-    fits = [kmeans(X, k, seed=seed, restarts=restarts) for k in ks]
+    fits = [kmeans(X, k, seed=seed) for k in ks]
     table = [(k, mcclain_rao(X, fit.labels)) for k, fit in zip(ks, fits)]
     floor = min(v for _, v in table)
     best = next(i for i, (_, v) in enumerate(table) if v <= floor * (1.0 + rel_tol))

@@ -86,9 +86,6 @@ class EventSeries:
             return NotImplemented
         return self.variable == other.variable and np.array_equal(self.points, other.points)
 
-    def validate(self):
-        _check_series([self])
-
 
 def _check_series(series: list[EventSeries]) -> None:
     """Offsets finite, non-negative and strictly increasing within each series, values

@@ -225,7 +225,6 @@ class CvSummary:
                 vals = np.array([getattr(r, metric) for r in rs])
                 row[metric] = f"{vals.mean():.4f} +/- {vals.std(ddof=1):.4f}" \
                     if len(vals) > 1 else f"{vals.mean():.4f}"
-                row[f"{metric}_mean"] = float(vals.mean())
             rows.append(row)
         return rows
 

@@ -54,14 +54,6 @@ class StayTensor:
     values: np.ndarray
     mask: np.ndarray
 
-    @property
-    def t(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class ScalingStats:
@@ -325,7 +317,7 @@ def write_stay_tensors(tensors: list[StayTensor], values_path, mask_path) -> Non
         fv.write(header + "\n")
         fm.write(header + "\n")
         for tensor in tensors:
-            for j in range(tensor.t):
+            for j in range(tensor.values.shape[0]):
                 row_v = ",".join(repr(float(x)) for x in tensor.values[j])
                 row_m = ",".join(str(int(x)) for x in tensor.mask[j])
                 fv.write(f"{tensor.stay_id},{j},{row_v}\n")

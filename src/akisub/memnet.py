@@ -187,7 +187,8 @@ def forward_batch(params, batch: list[PreparedStay], hyper: HyperConfig,
 
 
 def case_loss(probs: Tensor, batch: list[PreparedStay]) -> Tensor:
-    """Mean cross-entropy of the case probability (column 1) against the labels."""
+    """Cross-entropy of the case probability (column 1) against the labels, summed
+    over the batch."""
     p_case = ad.reshape(ad.slice_axis(probs, 1, 2, axis=1), (len(batch),))
     labels = np.array([s.label for s in batch], dtype=np.float64)
     return ad.cross_entropy(p_case, labels)

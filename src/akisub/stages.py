@@ -48,8 +48,6 @@ class ClusterConfig:
     k_range: tuple[int, ...] = (2, 3, 4, 5, 6)
     perplexity: float = 30.0
     tsne_iters: int = 1000
-    restarts: int = 10
-    select_rel_tol: float = 0.40
     seed: int = 0
 
     def validate(self):
@@ -61,7 +59,7 @@ class ClusterConfig:
                               f"{stats.MAX_GROUPS}, got {list(self.k_range)!r}")
         if not self.perplexity > 0:
             raise ConfigError(f"'cluster.perplexity' must be > 0, got {self.perplexity!r}")
-        _check_minimums("cluster.", self, tsne_iters=0, restarts=1, select_rel_tol=0)
+        _check_minimums("cluster.", self, tsne_iters=0)
 
     def check_cases(self, n_cases: int):
         """Raise DataError unless `n_cases` case stays can be clustered: k-means
@@ -350,6 +348,7 @@ def _stage_synth(config: RunConfig):
         stays = read_cohort(config.cohort_path)
     else:
         stays = generate_cohort(config.cohort)
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     write_cohort(stays, _path(config, "cohort.jsonl"))
 
 
@@ -427,8 +426,7 @@ def _stage_cluster(config: RunConfig):
                                   iters=cc.tsne_iters, seed=cc.seed)
     else:
         Y = clustering.pca_project(case_rows, 2)
-    best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed,
-                                      restarts=cc.restarts, rel_tol=cc.select_rel_tol)
+    best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed)
     write_embedding2d(case_ids, Y, best.labels, _path(config, "embedding2d.csv"))
     with open(_path(config, "ktable.csv"), "w") as fh:
         fh.write("k,mcclain_rao,selected\n")
@@ -503,13 +501,14 @@ def _hashes(config: RunConfig, names) -> dict[str, str]:
 
 
 def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
-    """Execute one stage (or return its manifest unchanged if nothing changed)."""
+    """Execute one stage (or return its manifest unchanged if nothing changed).
+    Directories are made only to write into, so a stage that fails on its config or
+    its input leaves no run directory behind."""
     if stage not in STAGES:
         raise ArgumentError(f"unknown stage {stage!r}; expected one of {STAGES}")
     spec = STAGE_TABLE[stage]
     config.validate()
     mpath = Path(config.out_dir) / "manifests" / f"{stage}.json"
-    mpath.parent.mkdir(parents=True, exist_ok=True)
 
     for name in spec.inputs:
         if not _path(config, name).exists():
@@ -546,6 +545,7 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
         "inputs": input_hashes,
         "outputs": _hashes(config, spec.outputs),
     }
+    mpath.parent.mkdir(parents=True, exist_ok=True)
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 

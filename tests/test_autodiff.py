@@ -84,6 +84,47 @@ def test_cross_entropy_bad_label():
         ad.cross_entropy(Tensor(0.5), [2.0])
 
 
+@pytest.mark.parametrize("y", [0.0, 1.0])
+@pytest.mark.parametrize("p", [0.0, ad.EPS / 2, ad.EPS, 0.3, 1.0 - ad.EPS, 1.0])
+def test_cross_entropy_matches_closed_form(p, y):
+    w = Tensor([p], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.cross_entropy(w, [y])
+    grad = backward(tape, loss)[w][0]
+    pc = min(max(p, ad.EPS), 1.0 - ad.EPS)
+    assert loss.item() == (-np.log(pc) if y else -np.log(1.0 - pc))
+    if ad.EPS <= p <= 1.0 - ad.EPS:
+        assert grad == (-1.0 / pc if y else 1.0 / (1.0 - pc))
+    else:
+        assert grad == 0.0
+
+
+def test_cross_entropy_records_one_node():
+    with Tape() as tape:
+        ad.cross_entropy(Tensor([0.2, 0.7, 0.9], requires_grad=True), [0.0, 1.0, 1.0])
+    assert len(tape) == 1
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), st.booleans()),
+                min_size=1, max_size=8),
+       st.floats(min_value=-4.0, max_value=4.0))
+def test_cross_entropy_gradient_equals_the_clamp_log_chain(points, scale):
+    """The one-node backward gives the bits the composed chain clamp -> log ->
+    scale -> add -> sum -> negate did: that chain added its two log terms'
+    gradients, (1-y) term first, then masked by the clamp."""
+    p = np.array([q for q, _ in points])
+    y = np.array([float(label) for _, label in points])
+    w = Tensor(p, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.mul(ad.cross_entropy(w, y), scale)
+    grad = backward(tape, loss)[w]
+    pc = np.clip(p, ad.EPS, 1.0 - ad.EPS)
+    G = np.broadcast_to(-np.float64(scale), p.shape)
+    chain = (-(G * (1.0 - y) / (1.0 - pc)) + G * y / pc) * ((p >= ad.EPS) & (p <= 1.0 - ad.EPS))
+    assert grad.tobytes() == chain.tobytes()
+
+
 def test_backward_identity_and_product_rule():
     x = Tensor(2.0, requires_grad=True)
     y = Tensor(3.0, requires_grad=True)
@@ -181,8 +222,8 @@ def test_primitive_gradients_match_finite_differences(rows, cols, seed):
 def test_values_finite_after_public_ops():
     rng = np.random.default_rng(3)
     a = Tensor(rng.uniform(-30, 30, (5, 5)))
-    for out in (ad.softmax(a), ad.sigmoid(a), ad.tanh(a), exp(ad.clip(a, -20, 20)),
-                ad.log(ad.clip(ad.sigmoid(a), 1e-12, 1.0))):
+    for out in (ad.softmax(a), ad.sigmoid(a), ad.tanh(a), exp(ad.mul(a, 0.5)),
+                ad.cross_entropy(ad.sigmoid(a), np.eye(5))):
         assert np.all(np.isfinite(out.data))
 
 

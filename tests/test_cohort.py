@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from akisub import cohort
 from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, NOTE_TOKENS,
                            CohortConfig, EventSeries, _cdf, _pick, _uniform,
                            generate_cohort, read_cohort, write_cohort)
@@ -208,7 +209,7 @@ class TestEventSeries:
     ])
     def test_validate_names_first_bad_point(self, pts, message):
         with pytest.raises(DataError, match=message):
-            EventSeries("bun", pts).validate()
+            cohort._check_series([EventSeries("bun", pts)])
 
     def test_stay_validate_checks_each_series_separately(self):
         stay = generate_cohort(CohortConfig(n_stays=1, seed=3))[0]

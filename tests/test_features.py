@@ -40,9 +40,8 @@ class TestBinning:
         assert tensor.values[3, col] == 0.0
 
     def test_row_counts(self, stays):
-        assert bin_events(stays[0], 24).t == 12
-        assert bin_events(stays[0], 48).t == 24
-        assert bin_events(stays[0], 24).d == len(features.TIME_VARIABLES)
+        assert bin_events(stays[0], 24).values.shape == (12, len(features.TIME_VARIABLES))
+        assert bin_events(stays[0], 48).values.shape == (24, len(features.TIME_VARIABLES))
 
     def test_unknown_variable_rejected(self):
         stay = generate_cohort(CohortConfig(n_stays=1, seed=4))[0]

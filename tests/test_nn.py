@@ -242,7 +242,7 @@ def test_adam_optimizer_converges_on_quadratic():
     opt = nn.Adam(lr=0.05)
     for _ in range(500):
         with Tape() as tape:
-            diff = ad.sub(params["w"], Tensor(target))
+            diff = ad.add(params["w"], Tensor(-target))
             loss = ad.reduce_sum(ad.mul(diff, diff))
         grads = backward(tape, loss)
         params = opt.step(params, grads)

@@ -99,6 +99,41 @@ def test_checker_on_planted_source():
     assert unreferenced(package, [], [("a", "traced")]) == ["a.dead", "a.only_itself", "b.run"]
 
 
+def internal_only(package: dict[str, str], module: str, others: list[str]) -> list[str]:
+    """Each public top-level function or class of package module `module` that no
+    other package module and no source in `others` references."""
+    defined = {stmt.name for stmt in ast.parse(package[module]).body
+               if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_")}
+    used = set()
+    for name, source in package.items():
+        if name != module:
+            used |= references(ast.parse(source), name, package)
+    for source in others:
+        used |= references(ast.parse(source), None, package)
+    return sorted(defined - {name for owner, name in used if owner == module})
+
+
+def test_every_autodiff_primitive_has_a_caller_outside_autodiff():
+    """An op that only other ops call is a step of a primitive: it belongs inside it."""
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for path in sorted(BENCH.rglob("*.py"))]
+    assert internal_only(package, "autodiff", others) == []
+
+
+def test_internal_only_checker_on_planted_source():
+    package = {
+        "a": ("def used(): pass\n"
+              "def by_bench(): pass\n"
+              "def step(): pass\n"
+              "def _private(): pass\n"
+              "class Node: pass\n"
+              "def composed(): return step(), _private(), Node\n"),
+        "b": "from .a import used, composed\n",
+    }
+    assert internal_only(package, "a", ["from akisub import a\na.by_bench()\n"]) == \
+        ["Node", "step"]
+
+
 def unused_oracles(oracles: str, tests: list[str]) -> list[str]:
     """Each top-level function or class of the oracle module source `oracles` that
     no other oracle uses and no source in `tests` imports from `oracles`."""

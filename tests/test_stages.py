@@ -19,8 +19,6 @@ from akisub.stages import (_SCALAR_TYPES, STAGE_TABLE, STAGES, RunConfig, config
 
 # each holds one value out of its documented range
 OUT_OF_RANGE_CONFIGS = [
-    {"cluster": {"restarts": 0}},
-    {"cluster": {"select_rel_tol": -1}},
     {"evaluate": {"outer_folds": 1}},
     {"evaluate": {"inner_folds": 0}},
     {"cluster": {"perplexity": -1}},
@@ -37,8 +35,9 @@ OUT_OF_RANGE_CONFIGS = [
 
 # each sets a setting, or a value of one, the config does not have: the memory
 # size is the row count of the stay tensors, the cohort's noise and note
-# vocabulary are fixed, a linear autoencoder's layout is the PCA one, and the
-# top note LSTM's width is the embedding width
+# vocabulary are fixed, a linear autoencoder's layout is the PCA one, the
+# top note LSTM's width is the embedding width, and k-means restarts and the
+# McClain-Rao tolerance are constants of `clustering.select_k`
 REMOVED_SETTINGS = [
     {"model": {"memory_size": 7}},
     {"evaluate": {"grid": [{"memory_size": 6}]}},
@@ -48,6 +47,8 @@ REMOVED_SETTINGS = [
     {"cluster": {"method": "autoencoder"}},
     {"model": {"top_hidden": 128}},
     {"evaluate": {"grid": [{"top_hidden": 64}]}},
+    {"cluster": {"restarts": 4}},
+    {"cluster": {"select_rel_tol": 0.4}},
 ]
 
 # each holds one value of the wrong type, shape or range, or an unknown key
@@ -99,7 +100,7 @@ def small_config(out_dir, seed=11, t1_hours=24):
                   "word_emb_dim": 8, "static_proj_dim": 4, "epochs": 2,
                   "batch_size": 16, "max_note_len": 12},
         "cluster": {"method": "tsne", "k_range": [2, 3, 4], "perplexity": 8,
-                    "tsne_iters": 300, "restarts": 4},
+                    "tsne_iters": 300},
         "evaluate": {"models": ["lr"], "outer_folds": 3},
     })
 
@@ -206,6 +207,21 @@ def test_cli_missing_external_cohort_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def test_cli_external_cohort_with_zero_creatinine_creates_nothing(tmp_path, capsys):
+    external = tmp_path / "external.jsonl"
+    write_cohort(generate_cohort(CohortConfig(n_stays=2, seed=1)), external)
+    lines = external.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["labs"]["creatinine"][0][1] = 0.0
+    lines[1] = json.dumps(rec)
+    external.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cohort_path": str(external), "out_dir": str(tmp_path / "run")}))
+    assert main(["--config", str(cfg), "synth"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+    assert not (tmp_path / "run").exists()
+
+
 def test_48_hour_window_runs_through_embed(tmp_path):
     config = small_config(tmp_path, t1_hours=48)
     for stage in STAGES[:STAGES.index("embed") + 1]:
@@ -266,11 +282,13 @@ class TestDependsAndErrors:
         config = small_config(tmp_path / "fresh")
         with pytest.raises(StageDependencyError, match="representations.csv"):
             run_stage("cluster", config)
+        assert not (tmp_path / "fresh").exists()
 
     def test_dependency_error_names_producer(self, tmp_path):
         config = small_config(tmp_path / "fresh2")
         with pytest.raises(StageDependencyError, match="synth"):
             run_stage("label", config)
+        assert not (tmp_path / "fresh2").exists()
 
     def test_bad_t1_rejected(self):
         with pytest.raises(ConfigError):
@@ -325,7 +343,7 @@ class TestDependsAndErrors:
             config_from_dict(raw)
 
     def test_set_in_code_covers_each_single_field_case(self):
-        assert len(SET_IN_CODE) == 28
+        assert len(SET_IN_CODE) == 26
 
     @pytest.mark.parametrize("raw", SET_IN_CODE, ids=json.dumps)
     def test_malformed_value_set_in_code_fails_before_synth(self, raw, tmp_path):
@@ -377,6 +395,7 @@ class TestCli:
         payload = json.loads(err.strip().splitlines()[-1])
         assert code == 3
         assert payload["error"] == "stage_dependency"
+        assert not (tmp_path / "nope").exists()
 
     def test_cli_malformed_config_value_exit_code_and_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
