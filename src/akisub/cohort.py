@@ -23,7 +23,8 @@ each series a row-slice view of it.
 `read_cohort` keeps its last parse, keyed by the SHA-256 of the file's bytes:
 reading a file whose content matches returns a new list of the same `IcuStay`
 objects without parsing again. The stays are therefore shared between readers
-and must not be mutated.
+and must not be mutated. A caller that has just hashed the file passes that
+digest, and the file is not hashed a second time.
 """
 
 from __future__ import annotations
@@ -617,10 +618,12 @@ def file_sha256(path) -> str:
 _last_parse: tuple[str, list[IcuStay]] | None = None  # (content SHA-256, stays)
 
 
-def read_cohort(path) -> list[IcuStay]:
-    """The stays of a cohort file, parsed once per content: see the module docstring."""
+def read_cohort(path, sha256: str | None = None) -> list[IcuStay]:
+    """The stays of a cohort file, parsed once per content: see the module docstring.
+    `sha256` is the `file_sha256` of `path` if the caller has taken it; without it
+    the file is hashed here."""
     global _last_parse
-    digest, kept = file_sha256(path), _last_parse
+    digest, kept = sha256 or file_sha256(path), _last_parse
     if kept is None or kept[0] != digest:
         _last_parse = kept = None  # free the old parse first; a failed parse keeps nothing
         kept = _last_parse = (digest, _parse_cohort(Path(path)))

@@ -21,10 +21,22 @@ entries: age/100, male indicator, reference-coded ethnicity (black, asian,
 other), 4 medication flags, and 5 comorbidity groups (cardiac = chf|mi|cad,
 vascular = peripheral_vascular, hypertension, diabetes,
 hepatic = liver_disease|cirrhosis|jaundice).
+
+Exact array kernels
+-------------------
+`bin_events`, `fit_scaling` and `summarize_for_baselines` work on whole arrays
+yet give the bits of a loop over points, stays or variables: each sum is either
+`bincount`'s, which adds in point order as the loop did, or numpy's own
+`np.add.reduce` over the same values in the same order. Where several runs of
+values are summed at once (`_segment_sums`), the runs of one length are the rows
+of one 2-D array reduced along its rows, which keeps each row's pairwise sum.
+Three shortcuts change bits and are not used: `np.add.reduceat`, a 3-D gather
+reduced over its last axis, and runs padded with -0.0 to one width.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +120,19 @@ def bin_events(stay: IcuStay, t1_hours: float) -> StayTensor:
 
 
 def fit_scaling(tensors: list[StayTensor], split_id: str) -> ScalingStats:
-    """Variable mean/min/max over observed cells of the given (training) tensors."""
+    """Variable mean/min/max over observed cells of the given (training) tensors.
+
+    The tensors' rows are stacked once, so each variable's cells come out stay by
+    stay and bin by bin: the order of a loop over the stays, which the mean's
+    summation depends on."""
     d = len(TIME_VARIABLES)
     mean = np.zeros(d)
     vmin = np.zeros(d)
     vmax = np.zeros(d)
+    values = np.concatenate([np.zeros((0, d))] + [t.values for t in tensors])
+    observed = np.concatenate([np.zeros((0, d))] + [t.mask for t in tensors]) > 0
     for col, var in enumerate(TIME_VARIABLES):
-        cells = np.concatenate([t.values[t.mask[:, col] > 0, col] for t in tensors]) \
-            if tensors else np.zeros(0)
+        cells = values[observed[:, col], col]
         if cells.size == 0:
             raise ImputationError(f"variable {var!r} never observed in training split "
                                   f"{split_id!r}")
@@ -189,28 +206,41 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
     """First/last/avg/min/max over raw observations in the window, least-squares
     slope over observed 2-hour bins, and the raw observation count, per variable.
 
-    First, last, min, max and count do not depend on an order of summation and are
-    taken for all variables at once; each average and slope keeps numpy's reduction
-    over that one variable's values."""
+    All variables are summarised at once, with the bits of a loop over them: first,
+    last, min, max and count do not depend on an order of summation, and every sum
+    an average or a slope takes is numpy's own row reduction over that variable's
+    values (`_segment_sums`), never `np.add.reduceat`, a 3-D reduction or -0.0
+    padding."""
     t = bin_count(t1_hours)
     n_vars = len(BASELINE_CONTINUOUS_VARS)
     col, j, value = _window_points(stay, BASELINE_CONTINUOUS_VARS, t1_hours)
     sums, counts = _bin_sums(col, j, value, t, n_vars)
     n_obs = np.bincount(col, minlength=n_vars)
-    start = np.cumsum(n_obs) - n_obs
     seen = n_obs > 0
     values = np.zeros(BASELINE_DIM)
     stats = values[:n_vars * len(BASELINE_STATS)].reshape(n_vars, -1)
-    if seen.any():
-        first = start[seen]
-        stats[seen, 0] = value[first]
-        stats[seen, 1] = value[first + n_obs[seen] - 1]
-        stats[seen, 3] = np.minimum.reduceat(value, first)
-        stats[seen, 4] = np.maximum.reduceat(value, first)
     stats[:, 6] = n_obs
-    for c in np.flatnonzero(seen).tolist():
-        stats[c, 2] = _mean(value[start[c]:start[c] + n_obs[c]])
-        stats[c, 5] = _bin_slope(sums[:, c], counts[:, c])
+    if seen.any():
+        n_obs = n_obs[seen]
+        n_seen = len(n_obs)
+        first = n_obs.cumsum() - n_obs
+        # the observed bins of each seen variable, variable by variable
+        counts = counts.T[seen]
+        in_bin = counts > 0
+        n_bins = in_bin.sum(axis=1)
+        y = sums.T[seen][in_bin] / counts[in_bin]
+        totals = _segment_sums(np.concatenate([value, y]), np.concatenate([n_obs, n_bins]))
+        # bin indices are small integers, so their sum is exact in any order
+        xc = in_bin.nonzero()[1] - (in_bin @ np.arange(t) / n_bins).repeat(n_bins)
+        yc = y - (totals[n_seen:] / n_bins).repeat(n_bins)
+        cross = _segment_sums(np.concatenate([xc * yc, xc * xc]),
+                              np.concatenate([n_bins, n_bins]))
+        slope = np.divide(cross[:n_seen], cross[n_seen:], out=np.zeros(n_seen),
+                          where=n_bins > 1)
+        stats[seen, :6] = np.array([value[first], value[first + n_obs - 1],
+                                    totals[:n_seen] / n_obs,
+                                    np.minimum.reduceat(value, first),
+                                    np.maximum.reduceat(value, first), slope]).T
     for c in np.flatnonzero(~seen).tolist():
         var = BASELINE_CONTINUOUS_VARS[c]
         stats[c, :5] = 0.0 if fill_means is None else fill_means.get(var, 0.0)
@@ -218,21 +248,27 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
     return values
 
 
-def _mean(a: np.ndarray):
-    """`a.mean()` to the bit (numpy's pairwise sum over `a`, divided by its length),
-    without the Python-level wrapper of `ndarray.mean`."""
-    return np.add.reduce(a) / len(a)
-
-
-def _bin_slope(sums: np.ndarray, counts: np.ndarray) -> float:
-    """Least-squares slope of the bin means against the bin index, over observed bins."""
-    idx = counts.nonzero()[0]
-    if len(idx) < 2:
-        return 0.0
-    y = sums[idx] / counts[idx]
-    x = idx.astype(float)
-    xc = x - _mean(x)
-    return float(np.add.reduce(xc * (y - _mean(y))) / np.add.reduce(xc * xc))
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of `lengths[i]` consecutive entries of `values`, bit for
+    bit `np.add.reduce` of that run. The runs of one length become the rows of one
+    2-D array, reduced along its rows, so each row gets numpy's own pairwise sum
+    (see the module docstring for the shortcuts that change bits)."""
+    order = lengths.argsort(kind="stable")
+    runs = lengths[order]
+    # the runs in order of length, so the runs of one length lie side by side
+    gathered = values[(lengths.cumsum()[order] - runs.cumsum()).repeat(runs)
+                      + np.arange(len(values))]
+    sums = np.empty(len(lengths))
+    at = row = 0
+    for size, group in itertools.groupby(runs.tolist()):
+        count = len(list(group))
+        np.add.reduce(gathered[at:at + size * count].reshape(count, size), axis=1,
+                      out=sums[row:row + count])
+        at += size * count
+        row += count
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Every stage writes a manifest (config hash, input/output SHA-256) under
 <out_dir>/manifests/. A stage whose manifest, config hash, inputs, and outputs
 all match is a no-op; a manifest that is not such an object is stale. A missing
 prerequisite raises a dependency error naming the artifact and the stage that
-produces it.
+produces it. A stage body gets its input hashes too, and hands the cohort's to
+`read_cohort`, so the cohort file is hashed once per stage that reads it.
 """
 
 from __future__ import annotations
@@ -336,14 +337,14 @@ def read_embedding2d(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 # stage bodies
 # ---------------------------------------------------------------------------
 
-def _load_labeled(config: RunConfig):
-    stays = read_cohort(_path(config, "cohort.jsonl"))
+def _load_labeled(config: RunConfig, inputs: dict[str, str]):
+    stays = read_cohort(_path(config, "cohort.jsonl"), inputs["cohort.jsonl"])
     labels = read_labels(_path(config, "labels.csv"))
     labeled = [s for s in stays if s.stay_id in labels]
     return labeled, labels
 
 
-def _stage_synth(config: RunConfig):
+def _stage_synth(config: RunConfig, inputs: dict[str, str]):
     if config.cohort_path:
         stays = read_cohort(config.cohort_path)
     else:
@@ -352,8 +353,8 @@ def _stage_synth(config: RunConfig):
     write_cohort(stays, _path(config, "cohort.jsonl"))
 
 
-def _stage_label(config: RunConfig):
-    stays = read_cohort(_path(config, "cohort.jsonl"))
+def _stage_label(config: RunConfig, inputs: dict[str, str]):
+    stays = read_cohort(_path(config, "cohort.jsonl"), inputs["cohort.jsonl"])
     kept, excluded = kdigo.apply_exclusions(stays, config.t1_hours)
     write_labels(kept, _path(config, "labels.csv"))
     with open(_path(config, "exclusions.csv"), "w") as fh:
@@ -362,8 +363,8 @@ def _stage_label(config: RunConfig):
             fh.write(f"{sid},{reason}\n")
 
 
-def _stage_featurize(config: RunConfig):
-    labeled, _ = _load_labeled(config)
+def _stage_featurize(config: RunConfig, inputs: dict[str, str]):
+    labeled, _ = _load_labeled(config, inputs)
     if not labeled:
         raise DataError("no labeled stays to featurize")
     scaling = features.fit_scaling([features.bin_events(s, config.t1_hours) for s in labeled],
@@ -377,8 +378,8 @@ def _stage_featurize(config: RunConfig):
         _path(config, "baseline_features.csv"))
 
 
-def _prepared(config: RunConfig):
-    labeled, labels = _load_labeled(config)
+def _prepared(config: RunConfig, inputs: dict[str, str]):
+    labeled, labels = _load_labeled(config, inputs)
     scaling = read_scaling(_path(config, "scaling.json"))
     vocab = read_vocab(_path(config, "vocab.txt"))
     label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()}
@@ -388,8 +389,8 @@ def _prepared(config: RunConfig):
     return labeled, labels, prepared, vocab
 
 
-def _stage_train(config: RunConfig):
-    _, _, prepared, vocab = _prepared(config)
+def _stage_train(config: RunConfig, inputs: dict[str, str]):
+    _, _, prepared, vocab = _prepared(config, inputs)
     result = memnet.train(prepared, config.model, len(vocab))
     memnet.save_checkpoint(result, _path(config, "checkpoint.npz"))
     with open(_path(config, "loss_history.csv"), "w") as fh:
@@ -398,8 +399,8 @@ def _stage_train(config: RunConfig):
             fh.write(f"{i},{repr(loss)}\n")
 
 
-def _stage_embed(config: RunConfig):
-    labeled, _, prepared, vocab = _prepared(config)
+def _stage_embed(config: RunConfig, inputs: dict[str, str]):
+    labeled, _, prepared, vocab = _prepared(config, inputs)
     result = memnet.load_checkpoint(_path(config, "checkpoint.npz"))
     n_rows = len(result.params["word_emb"].data)
     if len(vocab) != n_rows:
@@ -410,7 +411,7 @@ def _stage_embed(config: RunConfig):
                           _path(config, "representations.csv"))
 
 
-def _stage_cluster(config: RunConfig):
+def _stage_cluster(config: RunConfig, inputs: dict[str, str]):
     ids, X = read_representations(_path(config, "representations.csv"))
     labels = read_labels(_path(config, "labels.csv"))
     missing = [sid for sid in ids if sid not in labels]
@@ -434,8 +435,8 @@ def _stage_cluster(config: RunConfig):
             fh.write(f"{k},{repr(value)},{int(k == len(best.centroids))}\n")
 
 
-def _stage_interpret(config: RunConfig):
-    labeled, labels = _load_labeled(config)
+def _stage_interpret(config: RunConfig, inputs: dict[str, str]):
+    labeled, labels = _load_labeled(config, inputs)
     ids, _, clusters = read_embedding2d(_path(config, "embedding2d.csv"))
     by_id = {s.stay_id: s for s in labeled}
     missing = [sid for sid in ids if sid not in by_id]
@@ -450,8 +451,8 @@ def _stage_interpret(config: RunConfig):
     stats.write_stage_composition(counts, pct, _path(config, "stage_composition.csv"))
 
 
-def _stage_evaluate(config: RunConfig):
-    labeled, labels = _load_labeled(config)
+def _stage_evaluate(config: RunConfig, inputs: dict[str, str]):
+    labeled, labels = _load_labeled(config, inputs)
     label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()}
     summary = crossval.nested_cv(labeled, label_ints, list(config.evaluate.models),
                                  config.t1_hours, config.model,
@@ -463,7 +464,7 @@ def _stage_evaluate(config: RunConfig):
 
 
 class Stage(typing.NamedTuple):
-    body: typing.Callable[[RunConfig], None]
+    body: typing.Callable[[RunConfig, dict[str, str]], None]  # (config, input hashes)
     inputs: tuple[str, ...]         # files in the run directory it reads
     outputs: tuple[str, ...]        # files in the run directory it writes
     config_fields: tuple[str, ...]  # RunConfig fields hashed into its manifest, with seed
@@ -535,7 +536,7 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
                 and manifest.get("outputs") == _hashes(config, spec.outputs):
             return manifest
 
-    spec.body(config)
+    spec.body(config, input_hashes)
 
     manifest = {
         "stage": stage,

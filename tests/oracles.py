@@ -376,6 +376,16 @@ def summary_reference(stay, variables, t1_hours: float, fill_means=None):
     return np.array(values), np.array(imputed)
 
 
+def fit_scaling_reference(tensors, variables):
+    """(mean, vmin, vmax) rows of `features.fit_scaling`: each variable's observed
+    cells concatenated stay by stay, one array per stay."""
+    out = np.zeros((3, len(variables)))
+    for col in range(len(variables)):
+        cells = np.concatenate([t.values[t.mask[:, col] > 0, col] for t in tensors])
+        out[:, col] = cells.mean(), cells.min(), cells.max()
+    return out
+
+
 def first_day_mean_reference(stay, var: str, egfr):
     """`stats._first_day_mean` for a time-series variable (or "egfr", computed with
     `egfr(scr, age, sex, ethnicity)`), as a loop over tuples."""

@@ -9,7 +9,7 @@ from akisub.features import (BASELINE_CONTINUOUS_VARS, BASELINE_DIM, StayTensor,
                              bin_events, build_vocabulary, fit_scaling,
                              impute_and_scale, notes_to_bow, notes_to_sequences,
                              static_vector, summarize_for_baselines)
-from oracles import bin_events_reference, summary_reference
+from oracles import bin_events_reference, fit_scaling_reference, summary_reference
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,10 @@ class TestScaling:
         holey = StayTensor("b", np.zeros((2, d)), np.zeros((2, d)))
         out = apply_scaling(holey, stats)
         assert np.allclose(out.values, 0.5)  # mean 5 scaled into [0,10]
+
+    def test_no_tensors_raises(self):
+        with pytest.raises(ImputationError, match=features.TIME_VARIABLES[0]):
+            fit_scaling([], "train-0")
 
     def test_never_observed_variable_raises(self):
         d = len(features.TIME_VARIABLES)
@@ -199,19 +203,24 @@ class TestNotes:
 
 def _edge_stays():
     """Generated stays plus copies whose series hold points before 0, exactly at
-    and after 24 h and 48 h, bins shared by several points, and empty series."""
+    and after 24 h and 48 h, bins shared by several points, empty series, and one
+    series of 300 points inside 24 h: numpy sums that many in 8 lanes, in blocks
+    of 128."""
     stays = generate_cohort(CohortConfig(n_stays=25, seed=13))
     # bin 1 holds 0.1, 0.2, 0.3, whose sum depends on the order of addition
     edge = [(-3.0, 1.0), (-0.5, 1.1), (0.0, 1.2), (1.99, 1.3), (2.0, 0.1), (2.5, 0.2),
             (3.9, 0.3), (23.999, 1.5), (24.0, 1.6), (30.0, 1.7), (47.9, 1.8), (48.0, 1.9),
             (60.0, 2.0)]
-    extra = generate_cohort(CohortConfig(n_stays=3, seed=14))
+    extra = generate_cohort(CohortConfig(n_stays=4, seed=14))
     _with_series(extra[0], "creatinine", edge)
     _with_series(extra[0], "bun", [])
     _with_series(extra[1], "urine_rate", [(-1.0, 0.5), (24.0, 0.6), (48.0, 0.7)])
     _with_series(extra[1], "potassium", [(5.0, 4.0)])
     for var in BASELINE_CONTINUOUS_VARS:  # every series empty
         _with_series(extra[2], var, [])
+    rng = np.random.default_rng(15)
+    dense = rng.normal(10.0, 3.0, 300) * 10.0 ** rng.integers(-3, 4, 300)
+    _with_series(extra[3], "wbc", zip(np.sort(rng.uniform(0.0, 24.0, 300)), dense))
     return stays + extra
 
 
@@ -243,3 +252,26 @@ class TestTupleReferenceParity:
             assert _same_bits(vec[:n], values), stay.stay_id
             # each filled entry holds its variable's fill mean
             assert (vec[:n][imputed] == fill_values[imputed]).all(), stay.stay_id
+
+    @pytest.mark.parametrize("t1", [24, 48])
+    def test_fit_scaling_bitwise(self, t1):
+        stays = _edge_stays()
+        tensors = [bin_events(s, t1) for s in stays]
+        for split in (tensors, tensors[-4:], tensors[5:6]):
+            stats = fit_scaling(split, "train-0")
+            want = fit_scaling_reference(split, features.TIME_VARIABLES)
+            assert _same_bits(np.array([stats.mean, stats.vmin, stats.vmax]), want)
+
+    def test_segment_sums_are_numpy_reductions(self):
+        """Each run's sum is `np.add.reduce` of that run to the bit, for run lengths
+        on both sides of numpy's 8-lane unroll and 128-element block, over values
+        of many magnitudes and zeros of both signs."""
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            lengths = rng.integers(1, 301, size=rng.integers(1, 40))
+            values = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-8, 9, lengths.sum())
+            zero = rng.random(len(values)) < 0.2
+            values[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+            starts = np.cumsum(lengths) - lengths
+            want = [np.add.reduce(values[a:a + n]) for a, n in zip(starts, lengths)]
+            assert _same_bits(features._segment_sums(values, lengths), want)

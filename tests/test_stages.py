@@ -3,11 +3,12 @@ import functools
 import json
 import shutil
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from akisub import cohort, errors, features
+from akisub import cohort, errors, features, stages
 from akisub.cli import build_parser, main, resolve_config
 from akisub.clustering import pca_project
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
@@ -248,6 +249,40 @@ def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
     # no stage mutated the shared stays
     assert read_cohort(tmp_path / "cohort.jsonl") == parse(tmp_path / "cohort.jsonl")
     assert len(parsed) == 1
+
+
+def test_run_all_hashes_the_cohort_once_per_stage(tmp_path, monkeypatch):
+    """Synth hashes the cohort it wrote and each reader hashes it once, for its
+    manifest; `read_cohort` takes that hash and hashes only when called without."""
+    sha256, hashed = cohort.file_sha256, []
+
+    def counting(path):
+        hashed.append(Path(path).name)
+        return sha256(path)
+
+    monkeypatch.setattr(cohort, "file_sha256", counting)
+    monkeypatch.setattr(stages, "file_sha256", counting)
+    config = small_config(tmp_path, seed=12)
+    config.model = dataclasses.replace(config.model, epochs=0)
+    run_all(config)
+    readers = [name for name, spec in STAGE_TABLE.items() if "cohort.jsonl" in spec.inputs]
+    assert len(readers) == 6
+    assert hashed.count("cohort.jsonl") == 1 + len(readers)
+    read_cohort(tmp_path / "cohort.jsonl")
+    assert hashed.count("cohort.jsonl") == 2 + len(readers)
+
+
+def test_cohort_changed_between_stages_is_parsed_again(tmp_path):
+    config = small_config(tmp_path, seed=12)
+    run_stage("synth", config)
+    run_stage("label", config)  # keeps the parse of the full cohort
+    stays = generate_cohort(config.cohort)
+    write_cohort(stays[:40], tmp_path / "cohort.jsonl")
+    run_stage("featurize", config)
+    labels = read_labels(tmp_path / "labels.csv")
+    rows = (tmp_path / "baseline_features.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == \
+        [s.stay_id for s in stays[:40] if s.stay_id in labels]
 
 
 def test_every_setting_has_a_type_validate_checks():
