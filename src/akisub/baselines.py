@@ -18,8 +18,9 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .errors import ArgumentError, OptimizationError
-from .memnet import (HyperConfig, PreparedStay, TrainResult, case_loss, check_labels,
-                     encode_notes_batch, fit, infer, init_hielstm)
+from .features import PreparedStay
+from .memnet import (HyperConfig, TrainResult, case_loss, check_labels, encode_notes_batch,
+                     fit, infer, init_hielstm)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ LR_STEP_TOL = 1e-8
 LR_ARMIJO = 1e-4
 
 
-def lr_train(features: np.ndarray, labels, l2: float = 1e-3) -> LrParams:
+def lr_train(features: np.ndarray, labels, l2: float) -> LrParams:
     """Minimise mean NLL + 0.5*l2*(||w||^2 + b^2) by damped Newton from zero.
 
     The intercept is regularized along with the weights, so l2 -> inf drives

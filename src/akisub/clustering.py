@@ -6,7 +6,7 @@ bisection to match the target perplexity, symmetrized affinities, Student-t
 low-dimensional kernel, and gradient descent with momentum 0.5 and the
 affinities exaggerated by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS
 iterations, then momentum 0.8; the learning rate is n/12. Both embedders
-(`pca_project`, `tsne_embed`) return the (n, 2) layout alone. `select_k`
+(`pca_project`, `tsne_embed`) return the (n, LAYOUT_DIM) layout alone. `select_k`
 returns the k-means clustering of the k it chooses, with the McClain-Rao table.
 """
 
@@ -21,27 +21,29 @@ from .errors import ArgumentError, DegenerateInputError
 _MACHINE_EPS = 1e-12
 EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
+LAYOUT_DIM = 2  # columns of the PCA and t-SNE layouts
+LLOYD_MAX_ITERS = 300
+KMEANS_RESTARTS = 10  # k-means++ seedings per fit; the lowest inertia wins
+MCCLAIN_RAO_REL_TOL = 0.40  # select_k's parsimony tolerance
 
 
 # ---------------------------------------------------------------------------
 # PCA
 # ---------------------------------------------------------------------------
 
-def pca_project(X: np.ndarray, out_dim: int = 2) -> np.ndarray:
-    """Project onto the top eigenvectors of the covariance; each component's
-    largest-magnitude coordinate is made positive."""
+def pca_project(X: np.ndarray) -> np.ndarray:
+    """Project onto the top `LAYOUT_DIM` eigenvectors of the covariance; each
+    component's largest-magnitude coordinate is made positive."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2 or d < 2:
         raise ArgumentError(f"pca_project needs at least a 2x2 matrix, got {X.shape}")
-    if not 1 <= out_dim <= d:
-        raise ArgumentError(f"pca_project: out_dim must be in 1..{d}, got {out_dim}")
     Xc = X - X.mean(axis=0)
     cov = Xc.T @ Xc / (n - 1)
     if np.trace(cov) <= _MACHINE_EPS:
         raise DegenerateInputError("pca_project: input has zero variance")
-    components = np.linalg.eigh(cov)[1][:, ::-1][:, :out_dim]  # eigh sorts ascending
-    peak = components[np.argmax(np.abs(components), axis=0), np.arange(out_dim)]
+    components = np.linalg.eigh(cov)[1][:, ::-1][:, :LAYOUT_DIM]  # eigh sorts ascending
+    peak = components[np.argmax(np.abs(components), axis=0), np.arange(LAYOUT_DIM)]
     return Xc @ (components * np.sign(peak))
 
 
@@ -79,8 +81,7 @@ def _solve_bandwidths(D: np.ndarray, perplexity: float) -> np.ndarray:
     return P
 
 
-def tsne_embed(X: np.ndarray, perplexity: float = 30.0, iters: int = 1000,
-               seed: int = 0) -> np.ndarray:
+def tsne_embed(X: np.ndarray, perplexity: float, iters: int, seed: int) -> np.ndarray:
     """The (n, 2) t-SNE layout of the rows of `X`."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -95,7 +96,7 @@ def tsne_embed(X: np.ndarray, perplexity: float = 30.0, iters: int = 1000,
 
     learning_rate = n / 12.0
     rng = np.random.default_rng(seed)
-    Y = 1e-4 * rng.standard_normal((n, 2))
+    Y = 1e-4 * rng.standard_normal((n, LAYOUT_DIM))
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     for it in range(iters):
@@ -140,10 +141,10 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.stack(centroids)
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iters: int = 300):
+def _lloyd(X: np.ndarray, centroids: np.ndarray):
     prev_inertia = np.inf
     labels = None
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         d2 = ((X[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         reseeded = False
@@ -165,15 +166,15 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iters: int = 300):
     return labels, centroids, inertia
 
 
-def kmeans(X: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> ClusterAssignment:
-    """k-means++ seeding, Lloyd iterations to an assignment fixpoint, best of
-    `restarts` runs by inertia."""
+def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
+    """k-means++ seeding, Lloyd iterations to an assignment fixpoint (at most
+    `LLOYD_MAX_ITERS`), best of `KMEANS_RESTARTS` runs by inertia."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if k < 1 or k > n:
         raise ArgumentError(f"k={k} out of range for n={n}")
     best = None
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         labels, centroids, inertia = _lloyd(X, _plus_plus_init(X, k, rng))
         if best is None or inertia < best.inertia:
@@ -202,17 +203,17 @@ def mcclain_rao(X: np.ndarray, labels: np.ndarray) -> float:
     return float((within.mean()) / (between.mean()))
 
 
-def select_k(X: np.ndarray, k_range, seed: int = 0,
-             rel_tol: float = 0.40) -> tuple[ClusterAssignment, list[tuple[int, float]]]:
-    """Run `kmeans`, with its default restarts, for each k and pick the cluster count
-    by the McClain-Rao index.
+def select_k(X: np.ndarray, k_range, seed: int) -> tuple[ClusterAssignment,
+                                                          list[tuple[int, float]]]:
+    """Run `kmeans` for each k and pick the cluster count by the McClain-Rao index.
 
     The index keeps decreasing when compact clusters are over-split (about 10%
     per extra k on tight blobs, more on t-SNE layouts), so the smallest k whose
-    index lies within `rel_tol` of the minimum is returned (rel_tol=0 gives the
-    raw argmin). Merging genuinely distinct clusters roughly doubles the index,
-    so the parsimony tolerance does not mask true structure. The clustering of
-    the chosen k comes back with the full (k, index) table, for reporting.
+    index lies within `MCCLAIN_RAO_REL_TOL` of the minimum is returned (a
+    tolerance of 0 would give the raw argmin). Merging genuinely distinct
+    clusters roughly doubles the index, so the parsimony tolerance does not mask
+    true structure. The clustering of the chosen k comes back with the full
+    (k, index) table, for reporting.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -223,7 +224,7 @@ def select_k(X: np.ndarray, k_range, seed: int = 0,
     fits = [kmeans(X, k, seed=seed) for k in ks]
     table = [(k, mcclain_rao(X, fit.labels)) for k, fit in zip(ks, fits)]
     floor = min(v for _, v in table)
-    best = next(i for i, (_, v) in enumerate(table) if v <= floor * (1.0 + rel_tol))
+    best = next(i for i, (_, v) in enumerate(table) if v <= floor * (1.0 + MCCLAIN_RAO_REL_TOL))
     return fits[best], table
 
 

@@ -45,8 +45,7 @@ from .metrics import MetricRecord, auc, precision_recall
 MODEL_IDS = ("lr", "lr_bow", "lstm", "hielstm", "memnet")
 LR_MODELS = ("lr", "lr_bow")
 # L2 strengths the inner loop chooses from for the LR models, strongest first:
-# a tie in mean inner AUC goes to the stronger penalty. 1e-3 is lr_train's
-# default, so the untuned fit stays one of the choices.
+# a tie in mean inner AUC goes to the stronger penalty.
 LR_L2_GRID = (1.0, 0.1, 0.01, 0.001)
 # where BLAS libraries read their thread count, in the order fit_workers reads them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -211,24 +210,6 @@ def _tune(model_id: str, fold: FoldData, hyper: HyperConfig,
         _train_and_score(model_id, split, candidate, tensors), split.test_labels))
 
 
-@dataclass
-class CvSummary:
-    records: list[MetricRecord]
-
-    def table(self) -> list[dict]:
-        """Tables-1/2-shaped rows: one per model, metrics as mean +/- sd."""
-        rows = []
-        for model_id in sorted({r.model_id for r in self.records}):
-            rs = [r for r in self.records if r.model_id == model_id]
-            row = {"model": model_id}
-            for metric in ("auc", "precision", "recall"):
-                vals = np.array([getattr(r, metric) for r in rs])
-                row[metric] = f"{vals.mean():.4f} +/- {vals.std(ddof=1):.4f}" \
-                    if len(vals) > 1 else f"{vals.mean():.4f}"
-            rows.append(row)
-        return rows
-
-
 def fit_workers(n_pairs: int) -> int:
     """Threads for `n_pairs` concurrent neural fits: the CPUs this process may run
     on over the BLAS threads of one fit, at least 1 and at most `n_pairs` (when
@@ -251,9 +232,8 @@ def fit_workers(n_pairs: int) -> int:
 
 
 def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
-              t1_hours: float, hyper: HyperConfig, n_outer: int = 5,
-              n_inner: int = 5, grid: list[dict] | None = None,
-              seed: int = 0) -> CvSummary:
+              t1_hours: float, hyper: HyperConfig, outer_folds: int, inner_folds: int,
+              grid: list[dict], seed: int) -> list[MetricRecord]:
     """Outer folds estimate metrics; inner folds tune on each outer training split.
 
     For `lr` and `lr_bow` the inner loop chooses the L2 penalty from
@@ -262,27 +242,26 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
     the outer fold's design rows, imputed with the outer training split's
     means, and refit only the standardisation. For the neural models the inner
     loop tunes `grid` and is skipped when it has at most one point. Inner folds
-    are `n_inner` patient-grouped folds of the outer training split.
+    are `inner_folds` patient-grouped folds of the outer training split.
 
     Pairs are collected in (fold, model) order: the neural ones run on
     `fit_workers` threads, the LR ones in the calling thread as their turn
     comes. A failing fit raises the error of the first failing pair in that
     order, as a serial loop would; the pairs not yet started are cancelled.
     """
-    grid = grid or []
-    fold_of = grouped_stratified_folds(stays, labels, n_outer, seed)
+    fold_of = grouped_stratified_folds(stays, labels, outer_folds, seed)
     y = np.array([labels[s.stay_id] for s in stays])
     # binning is a pure per-stay transform: once per call, not per fold and model
     tensors = {s.stay_id: bin_events(s, t1_hours) for s in stays}
     folds = [_fold_data(stays, y, fold_of, k, f"outer{k}-train", tensors)
-             for k in range(n_outer)]
-    pairs = [(k, model_id) for k in range(n_outer) for model_id in models]
+             for k in range(outer_folds)]
+    pairs = [(k, model_id) for k in range(outer_folds) for model_id in models]
 
     def fit(fold_idx: int, model_id: str) -> np.ndarray:
         fold, inner_seed = folds[fold_idx], seed + 1000 + fold_idx
         if model_id in LR_MODELS:
-            return _lr_train_and_score(model_id, fold, t1_hours, n_inner, inner_seed)
-        chosen = _tune(model_id, fold, hyper, tensors, grid, n_inner, inner_seed)
+            return _lr_train_and_score(model_id, fold, t1_hours, inner_folds, inner_seed)
+        chosen = _tune(model_id, fold, hyper, tensors, grid, inner_folds, inner_seed)
         return _train_and_score(model_id, fold, chosen, tensors)
 
     records = []
@@ -299,12 +278,17 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
                                         precision=pr.precision, recall=pr.recall))
     finally:
         pool.shutdown(cancel_futures=True)
-    return CvSummary(records=records)
+    return records
 
 
-def write_metrics_table(summary: CvSummary, path) -> None:
-    rows = summary.table()
+def write_metrics_table(records: list[MetricRecord], path) -> None:
+    """Tables-1/2-shaped rows: one per model, each metric as mean +/- sd over folds."""
     with open(path, "w") as fh:
         fh.write("model,auc,precision,recall\n")
-        for row in rows:
-            fh.write(f"{row['model']},{row['auc']},{row['precision']},{row['recall']}\n")
+        for model_id in sorted({r.model_id for r in records}):
+            cells = [model_id]
+            for metric in ("auc", "precision", "recall"):
+                vals = np.array([getattr(r, metric) for r in records if r.model_id == model_id])
+                cells.append(f"{vals.mean():.4f} +/- {vals.std(ddof=1):.4f}"
+                             if len(vals) > 1 else f"{vals.mean():.4f}")
+            fh.write(",".join(cells) + "\n")

@@ -68,6 +68,17 @@ class StayTensor:
 
 
 @dataclass
+class PreparedStay:
+    """Model-ready view of one stay (scaled tensor, static vector, note ids)."""
+
+    stay_id: str
+    tensor: np.ndarray             # (t, d), scaled to [0, 1]
+    static: np.ndarray             # (static_dim,)
+    note_seqs: list[list[int]]
+    label: int | None = None
+
+
+@dataclass
 class ScalingStats:
     """Per-variable mean/min/max fitted on one training split only."""
 
@@ -201,8 +212,7 @@ def baseline_feature_names() -> list[str]:
 
 
 def summarize_for_baselines(stay: IcuStay, t1_hours: float,
-                            fill_means: dict[str, float] | None = None,
-                            ) -> np.ndarray:
+                            fill_means: dict[str, float]) -> np.ndarray:
     """First/last/avg/min/max over raw observations in the window, least-squares
     slope over observed 2-hour bins, and the raw observation count, per variable.
 
@@ -243,7 +253,7 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
                                     np.maximum.reduceat(value, first), slope]).T
     for c in np.flatnonzero(~seen).tolist():
         var = BASELINE_CONTINUOUS_VARS[c]
-        stats[c, :5] = 0.0 if fill_means is None else fill_means.get(var, 0.0)
+        stats[c, :5] = fill_means.get(var, 0.0)
     values[stats.size:] = _static14(stay)
     return values
 
@@ -298,7 +308,7 @@ def build_vocabulary(stays: list[IcuStay]) -> Vocabulary:
 
 
 def notes_to_sequences(stay: IcuStay, vocab: Vocabulary,
-                       max_note_len: int = 32) -> list[list[int]]:
+                       max_note_len: int) -> list[list[int]]:
     """Token-index sequences in timestamp order; OOV dropped, truncation applied.
 
     A note with no in-vocabulary tokens is kept as a single padding token so the
@@ -326,10 +336,9 @@ def notes_to_bow(stay: IcuStay, vocab: Vocabulary) -> np.ndarray:
 
 def prepare_stays(stays: list[IcuStay], labels: dict[str, int],
                   tensors: dict[str, StayTensor], vocab: Vocabulary, stats: ScalingStats,
-                  max_note_len: int = 32):
+                  max_note_len: int) -> list[PreparedStay]:
     """Bundle scaled tensors, static vectors, and note sequences per stay;
     `tensors` holds each stay's `bin_events` tensor by stay id."""
-    from .memnet import PreparedStay
     prepared = []
     for stay in stays:
         tensor = apply_scaling(tensors[stay.stay_id], stats)

@@ -38,6 +38,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tape, Tensor, backward
 from .errors import ArgumentError, ConfigError, DimensionError, ParseError, TrainingError
+from .features import PreparedStay
 
 INFER_BATCH = 256
 
@@ -66,17 +67,6 @@ class HyperConfig:
     @property
     def representation_dim(self) -> int:
         return self.emb_dim + self.static_proj_dim
-
-
-@dataclass
-class PreparedStay:
-    """Model-ready view of one stay (scaled tensor, static vector, note ids)."""
-
-    stay_id: str
-    tensor: np.ndarray             # (t, d), scaled to [0, 1]
-    static: np.ndarray             # (static_dim,)
-    note_seqs: list[list[int]]
-    label: int | None = None
 
 
 @dataclass

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import MetricError
 
+PR_CUTOFF = 0.5  # a score at or above it predicts the positive class
+
 
 @dataclass
 class PrecisionRecall:
@@ -63,14 +65,14 @@ def auc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def precision_recall(scores, labels, cutoff: float = 0.5) -> PrecisionRecall:
-    """Precision/recall at `cutoff` (predicted positive when score >= cutoff).
+def precision_recall(scores, labels) -> PrecisionRecall:
+    """Precision/recall at `PR_CUTOFF` (predicted positive when score >= PR_CUTOFF).
 
     With no predicted positives, precision is undefined; precision and recall are
     then both reported as 0.
     """
     s, y = _split_classes(scores, labels)
-    predicted = s >= cutoff
+    predicted = s >= PR_CUTOFF
     tp = int((predicted & (y == 1)).sum())
     fp = int((predicted & (y == 0)).sum())
     fn = int((~predicted & (y == 1)).sum())

@@ -27,6 +27,7 @@ from .errors import ArgumentError, DimensionError, OptimizationError
 
 INIT_SCALE = 0.1  # parameters start uniform in [-0.1, 0.1]
 FORGET_BIAS = 1.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates, denominator term
 
 
 def uniform_init(rng: np.random.Generator, *shape) -> Tensor:
@@ -183,12 +184,13 @@ class Adam:
     expression keeps the operand order of the textbook form
     m = beta1*m + (1-beta1)*g, s = beta2*s + ((1-beta2)*g)*g,
     p - lr*m_hat / (sqrt(s_hat) + eps), so the result is the same to the bit; a
-    step allocates three temporaries per parameter."""
+    step allocates three temporaries per parameter. beta1, beta2 and eps are
+    `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         if lr <= 0:
             raise OptimizationError(f"Adam: lr must be positive, got {lr}")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # name -> (m, s)
         self.updates: dict[str, int] = {}
 
@@ -207,17 +209,17 @@ class Adam:
                 self.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
             m, s = self.moments[name]
             k = self.updates[name] = self.updates.get(name, 0) + 1
-            scaled_g = np.multiply(1.0 - self.beta1, g)
-            m *= self.beta1
+            scaled_g = np.multiply(1.0 - ADAM_BETA1, g)
+            m *= ADAM_BETA1
             m += scaled_g
-            np.multiply(1.0 - self.beta2, g, out=scaled_g)
+            np.multiply(1.0 - ADAM_BETA2, g, out=scaled_g)
             scaled_g *= g
-            s *= self.beta2
+            s *= ADAM_BETA2
             s += scaled_g
-            denom = np.divide(s, 1.0 - self.beta2 ** k)
+            denom = np.divide(s, 1.0 - ADAM_BETA2 ** k)
             np.sqrt(denom, out=denom)
-            denom += self.eps
-            step = np.divide(m, 1.0 - self.beta1 ** k)
+            denom += ADAM_EPS
+            step = np.divide(m, 1.0 - ADAM_BETA1 ** k)
             np.multiply(self.lr, step, out=step)
             step /= denom
             new_params[name] = Tensor(np.subtract(p.data, step, out=step),

@@ -10,8 +10,8 @@ Every stage writes a manifest (config hash, input/output SHA-256) under
 <out_dir>/manifests/. A stage whose manifest, config hash, inputs, and outputs
 all match is a no-op; a manifest that is not such an object is stale. A missing
 prerequisite raises a dependency error naming the artifact and the stage that
-produces it. A stage body gets its input hashes too, and hands the cohort's to
-`read_cohort`, so the cohort file is hashed once per stage that reads it.
+produces it. A stage body gets the hashes of the files it reads, an external
+cohort's too, and hands a cohort's to `read_cohort`, which then hashes nothing.
 """
 
 from __future__ import annotations
@@ -232,6 +232,14 @@ def _csv_rows(path, header):
             raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def _finite(fields) -> list[float]:
+    """The fields as floats; ValueError unless each is a finite number."""
+    values = [float(x) for x in fields]
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite numbers")
+    return values
+
+
 def write_labels(kept: list[tuple], path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(LABEL_COLUMNS) + "\n")
@@ -271,8 +279,7 @@ def read_scaling(path) -> features.ScalingStats:
     """ParseError unless `path` holds the scaling of features.TIME_VARIABLES."""
     try:
         payload = json.loads(Path(path).read_bytes())
-        arrays = {key: np.array(payload[key], dtype=np.float64)
-                  for key in ("mean", "vmin", "vmax")}
+        arrays = {key: np.array(_finite(payload[key])) for key in ("mean", "vmin", "vmax")}
         if tuple(payload["variables"]) != features.TIME_VARIABLES or \
                 any(a.shape != (len(features.TIME_VARIABLES),) for a in arrays.values()):
             raise ValueError("expected mean, vmin and vmax of the time variables in order")
@@ -308,7 +315,7 @@ def read_representations(path) -> tuple[list[str], np.ndarray]:
     try:
         for lineno, (sid, *values) in _csv_rows(path, lambda n: _representation_columns(n - 1)):
             ids.append(sid)
-            rows.append([float(x) for x in values])
+            rows.append(_finite(values))
     except ValueError as e:
         raise ParseError(f"{path}: line {lineno}: {e}") from None
     return ids, np.array(rows)
@@ -326,7 +333,7 @@ def read_embedding2d(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     try:
         for lineno, (sid, x, y, c) in _csv_rows(path, EMBEDDING_COLUMNS):
             ids.append(sid)
-            pts.append((float(x), float(y)))
+            pts.append(_finite((x, y)))
             clusters.append(int(c))
     except ValueError as e:
         raise ParseError(f"{path}: line {lineno}: {e}") from None
@@ -346,7 +353,7 @@ def _load_labeled(config: RunConfig, inputs: dict[str, str]):
 
 def _stage_synth(config: RunConfig, inputs: dict[str, str]):
     if config.cohort_path:
-        stays = read_cohort(config.cohort_path)
+        stays = read_cohort(config.cohort_path, inputs[config.cohort_path])
     else:
         stays = generate_cohort(config.cohort)
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
@@ -426,7 +433,7 @@ def _stage_cluster(config: RunConfig, inputs: dict[str, str]):
         Y = clustering.tsne_embed(case_rows, perplexity=cc.perplexity,
                                   iters=cc.tsne_iters, seed=cc.seed)
     else:
-        Y = clustering.pca_project(case_rows, 2)
+        Y = clustering.pca_project(case_rows)
     best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed)
     write_embedding2d(case_ids, Y, best.labels, _path(config, "embedding2d.csv"))
     with open(_path(config, "ktable.csv"), "w") as fh:
@@ -454,17 +461,17 @@ def _stage_interpret(config: RunConfig, inputs: dict[str, str]):
 def _stage_evaluate(config: RunConfig, inputs: dict[str, str]):
     labeled, labels = _load_labeled(config, inputs)
     label_ints = {sid: int(lab.is_case) for sid, lab in labels.items()}
-    summary = crossval.nested_cv(labeled, label_ints, list(config.evaluate.models),
+    records = crossval.nested_cv(labeled, label_ints, list(config.evaluate.models),
                                  config.t1_hours, config.model,
-                                 n_outer=config.evaluate.outer_folds,
-                                 n_inner=config.evaluate.inner_folds,
+                                 outer_folds=config.evaluate.outer_folds,
+                                 inner_folds=config.evaluate.inner_folds,
                                  grid=[dict(g) for g in config.evaluate.grid],
                                  seed=config.evaluate.seed)
-    crossval.write_metrics_table(summary, _path(config, "metrics.csv"))
+    crossval.write_metrics_table(records, _path(config, "metrics.csv"))
 
 
 class Stage(typing.NamedTuple):
-    body: typing.Callable[[RunConfig, dict[str, str]], None]  # (config, input hashes)
+    body: typing.Callable[[RunConfig, dict[str, str]], None]  # (config, hashes by file read)
     inputs: tuple[str, ...]         # files in the run directory it reads
     outputs: tuple[str, ...]        # files in the run directory it writes
     config_fields: tuple[str, ...]  # RunConfig fields hashed into its manifest, with seed
@@ -516,13 +523,15 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
             raise StageDependencyError(f"stage '{stage}' requires artifact '{name}' "
                                        f"(run stage '{_PRODUCER[name]}' first)")
     input_hashes = _hashes(config, spec.inputs)
+    read_hashes = dict(input_hashes)  # and an external cohort's, keyed by its path
     fields = config.to_dict()
     payload = {name: fields[name] for name in spec.config_fields}
     payload["seed"] = config.seed
     if "cohort_path" in spec.config_fields and config.cohort_path:
         if not Path(config.cohort_path).is_file():
             raise ConfigError(f"cohort_path {config.cohort_path!r} is not a file")
-        payload["cohort_sha256"] = file_sha256(config.cohort_path)  # the file, not its name
+        # the hash of the file, not its name, goes into the config hash
+        payload["cohort_sha256"] = read_hashes[config.cohort_path] = file_sha256(config.cohort_path)
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     if not force and mpath.exists():
         try:
@@ -536,7 +545,7 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
                 and manifest.get("outputs") == _hashes(config, spec.outputs):
             return manifest
 
-    spec.body(config, input_hashes)
+    spec.body(config, read_hashes)
 
     manifest = {
         "stage": stage,

@@ -58,17 +58,17 @@ class TestLogisticRegression:
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            lr_train(np.zeros((4, 2)), np.ones(4))
+            lr_train(np.zeros((4, 2)), np.ones(4), l2=1e-3)
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(TrainingError):
-            lr_train(np.zeros((4, 2)), [0.0, 0.5, 1.0, 1.0])
+            lr_train(np.zeros((4, 2)), [0.0, 0.5, 1.0, 1.0], l2=1e-3)
 
     def test_probabilities_in_open_interval(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 2))
         y = (X[:, 0] > 0).astype(int)
-        p = lr_predict(lr_train(X, y), X)
+        p = lr_predict(lr_train(X, y, l2=1e-3), X)
         assert np.all((p > 0) & (p < 1))
 
     def test_iteration_cap_without_convergence_raises(self, monkeypatch):
@@ -77,12 +77,12 @@ class TestLogisticRegression:
         y = (X[:, 0] > 0).astype(int)
         monkeypatch.setattr(baselines, "LR_MAX_ITER", 1)
         with pytest.raises(OptimizationError):
-            lr_train(X, y)
+            lr_train(X, y, l2=1e-3)
 
     def test_non_finite_features_raise(self):
         X = np.array([[-1.0], [np.nan], [1.0]])
         with pytest.raises(OptimizationError):
-            lr_train(X, [0, 1, 1])
+            lr_train(X, [0, 1, 1], l2=1e-3)
 
     @pytest.mark.parametrize("l2", [0.0, -1e-3])
     def test_non_positive_l2_rejected(self, l2):

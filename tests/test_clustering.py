@@ -34,7 +34,7 @@ class TestPca:
     def test_axis_aligned_recovery(self):
         rng = np.random.default_rng(0)
         X = np.column_stack([5.0 * rng.standard_normal(200), rng.standard_normal(200)])
-        Y = pca_project(X, 2)
+        Y = pca_project(X)
         # first component is (up to sign) the x-axis
         corr = np.corrcoef(Y[:, 0], X[:, 0])[0, 1]
         assert abs(corr) > 0.99
@@ -43,13 +43,13 @@ class TestPca:
         rng = np.random.default_rng(1)
         direction = np.array([1.0, 2.0, -1.0, 0.5])
         X = np.outer(rng.standard_normal(50), direction)
-        Y = pca_project(X, 2)
+        Y = pca_project(X)
         assert Y[:, 1].var() < 1e-16 * max(1.0, Y[:, 0].var())
 
     def test_projected_variance_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((5, 4)) @ np.diag([3.0, 2.0, 0.5, 0.1])
-        Y = pca_project(X, 2)
+        Y = pca_project(X)
         cov = np.cov(X, rowvar=False)
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
         proj_var = Y.var(axis=0, ddof=1)
@@ -59,7 +59,7 @@ class TestPca:
     def test_two_d_input_preserves_distances(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 2)) * [2.0, 0.7]
-        Y = pca_project(X, 2)
+        Y = pca_project(X)
         dx = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
         dy = np.sqrt(((Y[:, None] - Y[None]) ** 2).sum(-1))
         assert np.max(np.abs(dx - dy)) < 1e-9
@@ -68,7 +68,7 @@ class TestPca:
     def test_matches_svd_oracle_with_sign_rule(self, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((40 + 10 * seed, 6)) @ np.diag([5.0, 3.0, 1.5, 1.0, 0.5, 0.1])
-        Y = pca_project(X, 2)
+        Y = pca_project(X)
         Xc = X - X.mean(axis=0)
         want = Xc @ np.linalg.svd(Xc, full_matrices=False)[2][:2].T
         for j in range(2):
@@ -77,11 +77,6 @@ class TestPca:
         # coordinate is positive
         W = np.linalg.lstsq(Xc, Y, rcond=None)[0]
         assert all(W[np.argmax(np.abs(W[:, j])), j] > 0 for j in range(2))
-
-    @pytest.mark.parametrize("out_dim", [0, 4])
-    def test_out_dim_outside_input_rejected(self, out_dim):
-        with pytest.raises(ArgumentError):
-            pca_project(np.random.default_rng(6).standard_normal((5, 3)), out_dim)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -122,7 +117,8 @@ class TestTsne:
 
     def test_infeasible_perplexity(self):
         with pytest.raises(ArgumentError):
-            tsne_embed(np.random.default_rng(0).standard_normal((20, 3)), perplexity=10.0)
+            tsne_embed(np.random.default_rng(0).standard_normal((20, 3)), perplexity=10.0,
+                       iters=1000, seed=0)
 
 
 class TestKmeans:
@@ -140,12 +136,12 @@ class TestKmeans:
     def test_matches_exhaustive_two_partition_oracle(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((8, 2))
-        out = kmeans(X, 2, seed=0, restarts=20)
+        out = kmeans(X, 2, seed=0)
         assert out.inertia == pytest.approx(best_two_partition_inertia(X), rel=1e-9)
 
     def test_k_too_large(self):
         with pytest.raises(ArgumentError):
-            kmeans(np.zeros((3, 2)), 4)
+            kmeans(np.zeros((3, 2)), 4, seed=0)
 
     def test_every_cluster_nonempty_and_inertia_definition(self):
         rng = np.random.default_rng(13)
@@ -205,7 +201,7 @@ class TestSelectK:
 
     def test_empty_range_rejected(self):
         with pytest.raises(ArgumentError):
-            select_k(np.zeros((10, 2)), [])
+            select_k(np.zeros((10, 2)), [], seed=0)
 
 
 class TestAdjustedRand:

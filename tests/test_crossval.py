@@ -70,26 +70,25 @@ class TestFolds:
 class TestNestedCv:
     def test_lr_five_fold_metrics_shape(self, labeled, tmp_path):
         stays, labels = labeled
-        summary = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, seed=0)
-        assert len(summary.records) == 5
-        assert all(0.0 <= r.auc <= 1.0 for r in summary.records)
-        rows = summary.table()
-        assert len(rows) == 1
-        assert set(rows[0]) >= {"model", "auc", "precision", "recall"}
-        assert "+/-" in rows[0]["auc"]
-        write_metrics_table(summary, tmp_path / "metrics.csv")
+        records = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=5,
+                            inner_folds=5, grid=[], seed=0)
+        assert len(records) == 5
+        assert all(0.0 <= r.auc <= 1.0 for r in records)
+        write_metrics_table(records, tmp_path / "metrics.csv")
         text = (tmp_path / "metrics.csv").read_text().splitlines()
         assert text[0] == "model,auc,precision,recall"
         assert len(text) == 2
+        row = text[1].split(",")
+        assert row[0] == "lr" and all("+/-" in cell for cell in row[1:])
 
     def test_inner_tuning_runs_and_is_deterministic(self, labeled):
         stays, labels = labeled
         grid = [{"lr": 0.005}, {"lr": 0.02}]
-        a = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, n_outer=3, n_inner=2,
+        a = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=3, inner_folds=2,
                       grid=grid, seed=1)
-        b = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, n_outer=3, n_inner=2,
+        b = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=3, inner_folds=2,
                       grid=grid, seed=1)
-        assert [r.auc for r in a.records] == [r.auc for r in b.records]
+        assert [r.auc for r in a] == [r.auc for r in b]
 
     def test_neural_inner_tuning_fits_every_grid_point(self, labeled, monkeypatch):
         stays, labels = labeled
@@ -103,32 +102,34 @@ class TestNestedCv:
             return fit(prepared, hyper)
 
         monkeypatch.setattr(baselines, "lstm_baseline_train", recording)
-        a = nested_cv(stays, labels, ["lstm"], 24, FAST_HYPER, n_outer=n_outer,
-                      n_inner=n_inner, grid=grid, seed=1)
+        a = nested_cv(stays, labels, ["lstm"], 24, FAST_HYPER, outer_folds=n_outer,
+                      inner_folds=n_inner, grid=grid, seed=1)
         # per outer fold: every grid point on every inner fold, then the outer fit
         assert len(fitted_lrs) == n_outer * (len(grid) * n_inner + 1)
         assert set(fitted_lrs) <= {g["lr"] for g in grid}
-        b = nested_cv(stays, labels, ["lstm"], 24, FAST_HYPER, n_outer=n_outer,
-                      n_inner=n_inner, grid=grid, seed=1)
-        assert a.records == b.records
+        b = nested_cv(stays, labels, ["lstm"], 24, FAST_HYPER, outer_folds=n_outer,
+                      inner_folds=n_inner, grid=grid, seed=1)
+        assert a == b
 
     def test_neural_models_run_on_small_cohort(self, labeled):
         stays, labels = labeled
-        summary = nested_cv(stays, labels, ["lstm", "hielstm", "memnet"], 24,
-                            FAST_HYPER, n_outer=2, seed=2)
-        assert len(summary.records) == 6
-        assert all(0.0 <= r.auc <= 1.0 for r in summary.records)
+        records = nested_cv(stays, labels, ["lstm", "hielstm", "memnet"], 24,
+                            FAST_HYPER, outer_folds=2, inner_folds=5, grid=[], seed=2)
+        assert len(records) == 6
+        assert all(0.0 <= r.auc <= 1.0 for r in records)
 
     def test_lr_learns_signal(self, labeled):
         stays, labels = labeled
-        summary = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, seed=0)
-        assert np.mean([r.auc for r in summary.records]) > 0.6
+        records = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=5,
+                            inner_folds=5, grid=[], seed=0)
+        assert np.mean([r.auc for r in records]) > 0.6
 
     @pytest.mark.parametrize("fold_seed", [1, 2])
     def test_lr_learns_signal_other_fold_seeds(self, labeled, fold_seed):
         stays, labels = labeled
-        summary = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, seed=fold_seed)
-        assert np.mean([r.auc for r in summary.records]) > 0.6
+        records = nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=5,
+                            inner_folds=5, grid=[], seed=fold_seed)
+        assert np.mean([r.auc for r in records]) > 0.6
 
     def test_lr_penalty_selection_reuses_outer_design_rows(self, labeled, monkeypatch):
         stays, labels = labeled
@@ -144,8 +145,8 @@ class TestNestedCv:
                             counting("summaries", crossval.summarize_for_baselines))
         monkeypatch.setattr(baselines, "lr_train", counting("fits", baselines.lr_train))
         n_outer, n_inner = 3, 2
-        nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, n_outer=n_outer,
-                  n_inner=n_inner, seed=0)
+        nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=n_outer,
+                  inner_folds=n_inner, grid=[], seed=0)
         # every stay is summarised once per outer fold, never again per inner fold
         assert calls["summaries"] == n_outer * len(stays)
         assert calls["fits"] == n_outer * (1 + len(LR_L2_GRID) * n_inner)
@@ -168,8 +169,8 @@ class TestNestedCv:
 
         for name in calls:
             monkeypatch.setattr(crossval, name, counting(name, getattr(crossval, name)))
-        nested_cv(stays, labels, models, 24, replace(FAST_HYPER, epochs=0), n_outer=3,
-                  n_inner=5, grid=grid, seed=0)
+        nested_cv(stays, labels, models, 24, replace(FAST_HYPER, epochs=0), outer_folds=3,
+                  inner_folds=5, grid=grid, seed=0)
         # each split is built whole, with its vocabulary, before any fit runs
         assert calls == {"fit_scaling": fits, "build_vocabulary": fits}
 
@@ -195,7 +196,8 @@ class TestFitPool:
         for workers in (1, 2):
             monkeypatch.setattr(crossval, "fit_workers", lambda n, w=workers: min(w, n))
             runs.append(nested_cv(stays, labels, list(crossval.MODEL_IDS), 24,
-                                  replace(FAST_HYPER, epochs=1), n_outer=2, seed=0).records)
+                                  replace(FAST_HYPER, epochs=1), outer_folds=2,
+                                  inner_folds=5, grid=[], seed=0))
         assert [(r.fold_id, r.model_id) for r in runs[0]] == \
             [(k, m) for k in range(2) for m in crossval.MODEL_IDS]
         assert runs[0] == runs[1]
@@ -211,7 +213,8 @@ class TestFitPool:
             memnet.train, stays, labels, 2, 0, 1, later))
         with pytest.raises(TrainingError) as raised:
             nested_cv(stays, labels, ["lr", "lstm", "memnet"], 24,
-                      replace(FAST_HYPER, epochs=0), n_outer=2, seed=0)
+                      replace(FAST_HYPER, epochs=0), outer_folds=2, inner_folds=5, grid=[],
+                      seed=0)
         assert raised.value is first
 
     @pytest.mark.parametrize("lstm_fold, raised", [(0, "lstm"), (2, "lr")])
@@ -231,7 +234,7 @@ class TestFitPool:
             baselines.lstm_baseline_train, stays, labels, 3, 0, lstm_fold, failures["lstm"]))
         with pytest.raises(AkisubError) as error:
             nested_cv(stays, labels, ["lr", "lstm"], 24, replace(FAST_HYPER, epochs=0),
-                      n_outer=3, seed=0)
+                      outer_folds=3, inner_folds=5, grid=[], seed=0)
         assert error.value is failures[raised]
 
     def test_pairs_not_started_are_cancelled(self, labeled, monkeypatch):
@@ -250,7 +253,7 @@ class TestFitPool:
         monkeypatch.setattr(baselines, "lstm_baseline_train", failing_first)
         with pytest.raises(TrainingError, match="fold 0"):
             nested_cv(stays, labels, ["lstm"], 24, replace(FAST_HYPER, epochs=0),
-                      n_outer=3, seed=0)
+                      outer_folds=3, inner_folds=5, grid=[], seed=0)
         assert len(calls) <= 2
 
     def test_cli_evaluate_exits_with_the_fit_error_code(self, tmp_path, monkeypatch, capsys):
@@ -324,8 +327,8 @@ def lr_designs(labeled):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "lr_train", recording)
-        nested_cv(stays, labels, ["lr", "lr_bow"], 24, FAST_HYPER, n_outer=2,
-                  n_inner=2, seed=0)
+        nested_cv(stays, labels, ["lr", "lr_bow"], 24, FAST_HYPER, outer_folds=2,
+                  inner_folds=2, grid=[], seed=0)
     return list(designs.values())
 
 

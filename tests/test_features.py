@@ -125,7 +125,7 @@ class TestBaselineVector:
     def test_hand_stats(self):
         stay = generate_cohort(CohortConfig(n_stays=1, seed=4))[0]
         _with_series(stay, "creatinine", [(0.5, 1.0), (2.5, 2.0), (4.5, 3.0)])
-        vec = summarize_for_baselines(stay, 24)
+        vec = summarize_for_baselines(stay, 24, {})
         names = baseline_feature_names()
         get = lambda n: vec[names.index(n)]
         assert get("creatinine_first") == 1.0
@@ -139,7 +139,7 @@ class TestBaselineVector:
     def test_single_observation_degenerate_slope(self):
         stay = generate_cohort(CohortConfig(n_stays=1, seed=4))[0]
         _with_series(stay, "creatinine", [(1.0, 4.2)])
-        vec = summarize_for_baselines(stay, 24)
+        vec = summarize_for_baselines(stay, 24, {})
         names = baseline_feature_names()
         for stat in ("first", "last", "avg", "min", "max"):
             assert vec[names.index(f"creatinine_{stat}")] == pytest.approx(4.2)
@@ -147,7 +147,7 @@ class TestBaselineVector:
         assert vec[names.index("creatinine_count")] == 1.0
 
     def test_length_is_147(self, stays):
-        vec = summarize_for_baselines(stays[0], 24)
+        vec = summarize_for_baselines(stays[0], 24, {})
         assert vec.shape == (BASELINE_DIM,)
         assert len(baseline_feature_names()) == BASELINE_DIM
         assert len(BASELINE_CONTINUOUS_VARS) == 19
@@ -170,7 +170,7 @@ class TestNotes:
                       ClinicalNote(1.0, ["stable", "patient"]),
                       ClinicalNote(2.0, ["zzz-not-in-vocab"])]
         vocab = Vocabulary(tokens=("<pad>", "lasix", "patient", "stable"))
-        seqs = notes_to_sequences(stay, vocab)
+        seqs = notes_to_sequences(stay, vocab, max_note_len=32)
         assert seqs == [[3, 2], [0], [1]]  # order 1h, 2h, 3h; all-OOV -> [pad]
 
     def test_truncation_and_index_range(self, stays):
@@ -246,7 +246,7 @@ class TestTupleReferenceParity:
         fill_values = np.repeat([(fill or {}).get(var, 0.0) for var in BASELINE_CONTINUOUS_VARS],
                                 len(features.BASELINE_STATS))
         for stay in _edge_stays():
-            vec = summarize_for_baselines(stay, t1, fill)
+            vec = summarize_for_baselines(stay, t1, fill or {})
             values, imputed = summary_reference(stay, BASELINE_CONTINUOUS_VARS, t1, fill)
             n = len(values)
             assert _same_bits(vec[:n], values), stay.stay_id

@@ -176,7 +176,7 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_single_step_hand_value():
     p = Tensor(np.array([0.0]), requires_grad=True)
-    p2 = nn.Adam(lr=0.01, beta1=0.9, beta2=0.999).step({"p": p}, {p: np.array([1.0])})["p"]
+    p2 = nn.Adam(lr=0.01).step({"p": p}, {p: np.array([1.0])})["p"]
     # bias-corrected m_hat/sqrt(s_hat) = 1 -> delta = -lr
     assert p2.data[0] == pytest.approx(-0.01, rel=1e-6)
 
@@ -218,13 +218,12 @@ def test_adam_in_place_matches_out_of_place_reference_bitwise():
     rng = np.random.default_rng(5)
     shape = (7, 12)
     params = {"p": Tensor(rng.normal(size=shape), requires_grad=True)}
-    opt = nn.Adam(lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+    opt = nn.Adam(lr=0.003)
     ref_p, ref_m, ref_s = params["p"].data.copy(), np.zeros(shape), np.zeros(shape)
     for k in range(20):
         g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=shape)
         params = opt.step(params, {params["p"]: g})
-        ref_p, ref_m, ref_s = adam_step_reference(ref_p, g, ref_m, ref_s, k, lr=0.003,
-                                                  beta1=0.85, beta2=0.995, eps=1e-7)
+        ref_p, ref_m, ref_s = adam_step_reference(ref_p, g, ref_m, ref_s, k, lr=0.003)
         m, s = opt.moments["p"]
         if k == 0:
             first_m, first_s = m, s

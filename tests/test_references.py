@@ -1,7 +1,8 @@
 """Every top-level function and class of `akisub` is referenced by a module of
 `akisub` or by a file of the benchmark under `bench/`; code that only tests call
 belongs in `tests/oracles.py`, and each oracle there is used by a test module or
-by another oracle. Every run-config setting is read by the program."""
+by another oracle. Every run-config setting is read by the program, no parameter
+default restates one, and every default that is left has a caller that sets it."""
 
 import ast
 import dataclasses
@@ -205,3 +206,100 @@ def test_config_checker_on_planted_source():
     }
     assert unread_fields(package, {("a", "C"): ["used", "self_only", "stored"]}) == \
         ["C.self_only", "C.stored"]
+
+
+def parameter_defaults(package: dict[str, str]) -> list[tuple[str, str, str, int | None]]:
+    """(module, callee, parameter, position) of each parameter default of a function
+    or method of `package` (module name to source). `callee` is the name a call
+    uses: the class for `__init__`, else the function's own name. `position` is the
+    index of the positional argument that sets the parameter (`self` not counted),
+    None for a keyword-only one."""
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(stmt): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = methods.get(id(node))
+            callee = owner if node.name == "__init__" else node.name
+            args = node.args.posonlyargs + node.args.args
+            skip = 1 if owner is not None else 0
+            first = len(args) - len(node.args.defaults)
+            found += [(module, callee, arg.arg, i - skip)
+                      for i, arg in enumerate(args) if i >= first]
+            found += [(module, callee, arg.arg, None)
+                      for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                      if default is not None]
+    return sorted(found, key=lambda d: d[:3])
+
+
+def uncalled_defaults(package: dict[str, str], others: list[str],
+                      exempt: set[str] = frozenset()) -> list[str]:
+    """`module.callee(parameter)` of each parameter default of `package` that no call
+    in a package module or in a source of `others` passes, by keyword or by
+    position, to a callee of that name; a call with `*args` or `**kwargs` passes
+    every parameter. `exempt` holds `module.callee` names left out."""
+    calls = [node for source in [*package.values(), *others]
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+
+    def passes(call, callee, parameter, position):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == callee and (
+            any(kw.arg in (parameter, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or (position is not None and len(call.args) > position))
+
+    return [f"{module}.{callee}({parameter})"
+            for module, callee, parameter, position in parameter_defaults(package)
+            if f"{module}.{callee}" not in exempt
+            and not any(passes(call, callee, parameter, position) for call in calls)]
+
+
+def run_config_fields() -> set[str]:
+    """Names of the fields of RunConfig and of its sections."""
+    sections = [hint for hint in typing.get_type_hints(RunConfig).values()
+                if dataclasses.is_dataclass(hint)]
+    return {f.name for cls in (RunConfig, *sections) for f in dataclasses.fields(cls)}
+
+
+def test_no_default_restates_a_config_setting():
+    """A default on a parameter named after a setting is a second declaration of it:
+    the config's value is the one a run uses, so its callers pass it."""
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    fields = run_config_fields()
+    assert {"seed", "perplexity", "max_note_len", "grid", "inner_folds"} <= fields
+    assert [f"{module}.{callee}({parameter})"
+            for module, callee, parameter, _ in parameter_defaults(package)
+            if parameter in fields] == []
+
+
+def test_every_default_is_passed_by_some_caller():
+    """A default that no program call overrides is a constant in disguise; only the
+    console-script entry point `cli.main` keeps one for its callers outside."""
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for path in sorted(BENCH.rglob("*.py"))]
+    assert uncalled_defaults(package, others, exempt={"cli.main"}) == []
+
+
+def test_default_checkers_on_planted_source():
+    package = {
+        "a": ("def f(x, k=1, *, flag=False): pass\n"
+              "def g(x, tol=0.4): pass\n"
+              "def h(x, seed=0): pass\n"
+              "class C:\n"
+              "    def __init__(self, lr, eps=1e-8): pass\n"
+              "    def step(self, n=1): pass\n"),
+        "b": ("from .a import C, f, h\n"
+              "def run(c, args):\n"
+              "    f(1, 2)\n"
+              "    C(0.1).step(3)\n"
+              "    return h(*args), f(0, flag=True)\n"),
+    }
+    assert parameter_defaults(package) == [
+        ("a", "C", "eps", 1), ("a", "f", "flag", None), ("a", "f", "k", 1),
+        ("a", "g", "tol", 1), ("a", "h", "seed", 1), ("a", "step", "n", 0)]
+    assert uncalled_defaults(package, []) == ["a.C(eps)", "a.g(tol)"]
+    assert uncalled_defaults(package, ["C(0.1, 1e-7)\n"], exempt={"a.g"}) == []

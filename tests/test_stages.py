@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import shutil
 import typing
 from pathlib import Path
@@ -14,8 +15,9 @@ from akisub.clustering import pca_project
 from akisub.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from akisub.errors import ConfigError, DataError, StageDependencyError
 from akisub.stages import (_SCALAR_TYPES, STAGE_TABLE, STAGES, RunConfig, config_from_dict,
-                           read_embedding2d, read_labels, read_representations, read_vocab,
-                           run_all, run_stage, write_vocab)
+                           read_embedding2d, read_labels, read_representations, read_scaling,
+                           read_vocab, run_all, run_stage, write_embedding2d,
+                           write_representations, write_scaling, write_vocab)
 
 
 # each holds one value out of its documented range
@@ -38,7 +40,7 @@ OUT_OF_RANGE_CONFIGS = [
 # size is the row count of the stay tensors, the cohort's noise and note
 # vocabulary are fixed, a linear autoencoder's layout is the PCA one, the
 # top note LSTM's width is the embedding width, and k-means restarts and the
-# McClain-Rao tolerance are constants of `clustering.select_k`
+# McClain-Rao tolerance are constants of `clustering` that `select_k` uses
 REMOVED_SETTINGS = [
     {"model": {"memory_size": 7}},
     {"evaluate": {"grid": [{"memory_size": 6}]}},
@@ -170,7 +172,7 @@ class TestFullPipeline:
         is_case = np.array([labels[sid].is_case for sid in ids])
         case_ids, Y, _ = read_embedding2d(run_dir / "embedding2d.csv")
         assert case_ids == [sid for sid, case in zip(ids, is_case) if case]
-        assert np.array_equal(Y, pca_project(X[is_case], 2))
+        assert np.array_equal(Y, pca_project(X[is_case]))
 
     def test_rerun_is_noop(self, pipeline_run):
         out, config, manifests = pipeline_run
@@ -251,17 +253,23 @@ def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
     assert len(parsed) == 1
 
 
-def test_run_all_hashes_the_cohort_once_per_stage(tmp_path, monkeypatch):
-    """Synth hashes the cohort it wrote and each reader hashes it once, for its
-    manifest; `read_cohort` takes that hash and hashes only when called without."""
-    sha256, hashed = cohort.file_sha256, []
+@pytest.fixture
+def hashed(monkeypatch):
+    """The name of each file `file_sha256` hashes from here on, in order."""
+    sha256, names = cohort.file_sha256, []
 
     def counting(path):
-        hashed.append(Path(path).name)
+        names.append(Path(path).name)
         return sha256(path)
 
     monkeypatch.setattr(cohort, "file_sha256", counting)
     monkeypatch.setattr(stages, "file_sha256", counting)
+    return names
+
+
+def test_run_all_hashes_the_cohort_once_per_stage(tmp_path, hashed):
+    """Synth hashes the cohort it wrote and each reader hashes it once, for its
+    manifest; `read_cohort` takes that hash and hashes only when called without."""
     config = small_config(tmp_path, seed=12)
     config.model = dataclasses.replace(config.model, epochs=0)
     run_all(config)
@@ -270,6 +278,19 @@ def test_run_all_hashes_the_cohort_once_per_stage(tmp_path, monkeypatch):
     assert hashed.count("cohort.jsonl") == 1 + len(readers)
     read_cohort(tmp_path / "cohort.jsonl")
     assert hashed.count("cohort.jsonl") == 2 + len(readers)
+
+
+def test_synth_hashes_an_external_cohort_once(tmp_path, hashed, monkeypatch):
+    """The hash `run_stage` takes for the config hash is the one synth parses by."""
+    monkeypatch.setattr(cohort, "_last_parse", None)
+    external = tmp_path / "external.jsonl"
+    write_cohort(generate_cohort(CohortConfig(n_stays=5, seed=1)), external)
+    config = dataclasses.replace(small_config(tmp_path / "run"), cohort_path=str(external))
+    manifest = run_stage("synth", config)
+    assert hashed == ["external.jsonl", "cohort.jsonl"]
+    assert run_stage("synth", config, force=True) == manifest
+    assert hashed.count("external.jsonl") == 2
+    assert cohort._last_parse[0] == cohort.file_sha256(external)
 
 
 def test_cohort_changed_between_stages_is_parsed_again(tmp_path):
@@ -505,6 +526,15 @@ class TestCli:
         ("interpret", "embedding2d.csv", lambda t: _edit_row(t, 1, lambda f: [*f[:3], "a"]),
          "parse", "embedding2d.csv: line 2: invalid literal"),
         ("interpret", "embedding2d.csv", lambda t: "", "parse", "embedding2d.csv: line 1"),
+        ("cluster", "representations.csv",
+         lambda t: _edit_row(t, 1, lambda f: [f[0], "nan", *f[2:]]),
+         "parse", "representations.csv: line 2: values must be finite numbers"),
+        ("interpret", "embedding2d.csv",
+         lambda t: _edit_row(t, 2, lambda f: [f[0], "inf", *f[2:]]),
+         "parse", "embedding2d.csv: line 3: values must be finite numbers"),
+        ("embed", "scaling.json",
+         lambda t: json.dumps({**json.loads(t), "vmax": [float("nan")] * 21}),
+         "parse", "scaling.json: malformed scaling (ValueError: values must be finite numbers)"),
         ("embed", "scaling.json", lambda t: "{}", "parse", "scaling.json: malformed scaling"),
         ("embed", "scaling.json", lambda t: t.replace('"creatinine", ', "", 1),
          "parse", "scaling.json: malformed scaling (ValueError"),
@@ -515,6 +545,7 @@ class TestCli:
          "parse", "vocab.txt: expected distinct"),
     ], ids=["labels-is-case", "labels-header", "labels-stage", "labels-onset", "reps-short-row",
             "reps-cell", "reps-unknown-stay", "emb-short-row", "emb-cluster", "emb-empty",
+            "reps-nan", "emb-inf", "scaling-nan",
             "scaling-empty", "scaling-variables", "vocab-size", "vocab-empty",
             "vocab-duplicate"])
     def test_cli_malformed_artifact_exit_code_and_json(self, pipeline_run, tmp_path, capsys,
@@ -538,6 +569,34 @@ class TestCli:
         path.write_bytes(b"stay_id,\xff\n")
         with pytest.raises(errors.ParseError, match="not UTF-8"):
             reader(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_read_representations_rejects_non_finite_numbers(self, value, tmp_path):
+        path = tmp_path / "representations.csv"
+        write_representations(["a", "b"], np.ones((2, 3)), path)
+        path.write_text(_edit_row(path.read_text(), 2, lambda f: [*f[:3], value]))
+        with pytest.raises(errors.ParseError,
+                           match=re.escape(f"{path}: line 3: values must be finite")):
+            read_representations(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_read_embedding2d_rejects_non_finite_numbers(self, value, tmp_path):
+        path = tmp_path / "embedding2d.csv"
+        write_embedding2d(["a", "b"], np.ones((2, 2)), np.array([0, 1]), path)
+        path.write_text(_edit_row(path.read_text(), 1, lambda f: [f[0], value, *f[2:]]))
+        with pytest.raises(errors.ParseError,
+                           match=re.escape(f"{path}: line 2: values must be finite")):
+            read_embedding2d(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_read_scaling_rejects_non_finite_numbers(self, value, tmp_path):
+        path = tmp_path / "scaling.json"
+        d = len(features.TIME_VARIABLES)
+        mean = np.zeros(d)
+        mean[3] = value
+        write_scaling(features.ScalingStats("s", mean, np.zeros(d), np.ones(d)), path)
+        with pytest.raises(errors.ParseError, match="values must be finite numbers"):
+            read_scaling(path)
 
     def test_vocab_round_trips_tokens_with_other_line_breaks(self, tmp_path):
         vocab = features.Vocabulary(tokens=("<pad>", "a\u2028b", "c\x85", "d\re"))
