@@ -6,13 +6,16 @@ creatinine/urine trajectories (archetype 1 -> stage 1, 2 -> stage 3,
 3 -> stage 2), and notes whose tokens carry complementary risk and archetype
 signal. Controls never satisfy any KDIGO clause; a fraction of controls are
 "mimics" whose structured profile looks case-like so that notes add
-information beyond the structured data. Only the stay count, case fraction,
-subtype mixture and seed are settings (`CohortConfig`): the noise of each
-variable is fixed by the tables below, and notes draw from the 160 tokens of
-`NOTE_TOKENS`.
+information beyond the structured data. Only the stay count, case fraction
+and seed are settings (`CohortConfig`): the subtype mixture and the noise of
+each variable are fixed by the tables below, and notes draw from the 160
+tokens of `NOTE_TOKENS`.
 
 Cohort files are JSON Lines with a versioned header record; see
 `write_cohort` for the schema.
+
+`write_text` is the one writer of the package's text files: every CSV, JSON
+and text artifact goes through it (CSV ones through `write_rows`), as UTF-8.
 
 In memory, each `EventSeries` holds its measurements column-wise: `points` is
 one C-contiguous (n, 2) float64 array whose column 0 holds the offsets (hours
@@ -148,6 +151,13 @@ class IcuStay:
     planted_subtype: int | None = None  # generator ground truth; models never read it
 
     def validate(self):
+        """DataError unless the stay is well formed. Its id is a string without commas
+        or whitespace, so each CSV artifact holds it as one field of one line."""
+        if not isinstance(self.stay_id, str):
+            raise DataError(f"stay_id {self.stay_id!r} is not a string")
+        if self.stay_id.split() != [self.stay_id] or "," in self.stay_id:
+            raise DataError(f"stay_id {self.stay_id!r} is empty or holds a comma or "
+                            "whitespace")
         if self.age <= 0 or self.weight_kg <= 0:
             raise DataError(f"{self.stay_id}: non-positive age or weight")
         if self.sex not in SEXES or self.ethnicity not in ETHNICITIES:
@@ -179,7 +189,6 @@ class IcuStay:
 class CohortConfig:
     n_stays: int = 600  # about 110 cases, enough for the default t-SNE perplexity
     case_fraction: float = 0.2
-    subtype_mixture: tuple[float, float, float] = (0.595, 0.088, 0.317)
     seed: int = 0
 
     def validate(self):
@@ -187,9 +196,6 @@ class CohortConfig:
             raise ConfigError("n_stays must be positive")
         if not 0.0 < self.case_fraction < 1.0:
             raise ConfigError("case_fraction must be in (0, 1)")
-        w = np.asarray(self.subtype_mixture, dtype=float)
-        if len(w) != 3 or np.any(w < 0) or w.sum() <= 0:
-            raise ConfigError("subtype_mixture needs 3 non-negative weights with positive sum")
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +227,9 @@ def _uniform(rng, lo: float, hi: float) -> float:
 # archetype tables
 # ---------------------------------------------------------------------------
 
-# per variable: observation-window means for archetypes (1, 2, 3, control),
-# between-stay sd, observation noise sd, physiological clamp
+# per non-renal variable, in the order of TIME_VARIABLES: observation-window means
+# for archetypes (1, 2, 3, control), between-stay sd, observation noise sd,
+# physiological clamp
 _VAR_ROWS = {
     #                 a1       a2       a3      ctrl   b_sd   o_sd     lo      hi
     "diasbp":      (58.64,   61.13,   60.45,  62.0,   2.8,   2.2,    30.0,  110.0),
@@ -237,7 +244,6 @@ _VAR_ROWS = {
     "bun":         (28.66,   28.65,   27.66,  18.0,   3.3,   2.0,     3.0,  140.0),
     "calcium":     (8.36,     8.40,    8.78,   8.6,   0.19,  0.15,    5.0,   13.0),
     "chloride":    (105.19, 102.22,  103.38, 104.0,   1.2,   1.0,    85.0,  125.0),
-    "creatinine":  (1.55,     1.96,    1.69,   1.05,  None,  None,   None,   None),  # handled separately
     "hemoglobin":  (13.55,   17.18,   15.53,  11.8,   0.52,  0.40,    5.0,   22.0),
     "inr":         (1.47,     1.54,    1.47,   1.30,  0.10,  0.06,    0.8,    8.0),
     "platelet":    (242.08, 384.96,  265.31, 230.0,  21.0,  12.0,    20.0,  900.0),
@@ -245,16 +251,17 @@ _VAR_ROWS = {
     "pt":          (15.45,   17.30,   15.55,  14.5,   0.9,   0.6,     9.0,   45.0),
     "ptt":         (35.12,   39.24,   36.94,  32.0,   2.5,   1.6,    18.0,  120.0),
     "wbc":         (10.59,   15.71,   13.23,   9.5,   1.3,   1.0,     1.0,   60.0),
-    "urine_rate":  (1.35,     1.02,    1.19,   1.50,  None,  None,   None,   None),  # handled separately
 }
 
-# renal series get tight noise with hard clamps so planted labels are stable
-_SCR_BETWEEN_SD = {1: 0.07, 2: 0.09, 3: 0.07, 0: 0.12}
-_SCR_OBS_SD = 0.032
-_SCR_OBS_CLAMP = 0.08
-_URINE_BETWEEN_SD = {1: 0.06, 2: 0.06, 3: 0.06, 0: 0.09}
-_URINE_OBS_SD = 0.024
-_URINE_OBS_CLAMP = 0.06
+# renal series span the whole stay and get tight noise with hard clamps, so planted
+# labels are stable; per variable: {archetype: (baseline mean, between-stay sd)},
+# baseline clamp, observation noise sd and its clamp, value floor, hours between points
+_RENAL_ROWS = {
+    "creatinine": ({1: (1.55, 0.07), 2: (1.96, 0.09), 3: (1.69, 0.07), 0: (1.05, 0.12)},
+                   (0.4, 12.0), 0.032, 0.08, 0.2, 6.0),
+    "urine_rate": ({1: (1.35, 0.06), 2: (1.02, 0.06), 3: (1.19, 0.06), 0: (1.50, 0.09)},
+                   (0.55, 4.0), 0.024, 0.06, 0.05, 2.0),
+}
 
 # planted creatinine ramp: fold increase over baseline by archetype; with the
 # dip below, archetypes 1, 2 and 3 land in KDIGO stages 1, 3 and 2
@@ -304,8 +311,10 @@ _COMORBIDITY_P = {
 # archetype identity is what the clustering should recover.
 _MISMATCH_CONTROL_P = 0.35
 _PROFILE_MIMIC_CONTROL_P = 0.10
-_MIMIC_PROFILE_P = (0.595, 0.088, 0.317)
-_MIMIC_PROFILE_CDF = _cdf(_MIMIC_PROFILE_P)
+# the planted subtype mixture (subtype II is about 9% of cases); mimic controls draw
+# their archetype profile from it too
+_SUBTYPE_P = (0.595, 0.088, 0.317)
+_SUBTYPE_CDF = _cdf(_SUBTYPE_P)
 # every note of a case holds exactly this many marker tokens from its archetype
 # pool; unremarkable notes hold one (sometimes two) markers from a random pool
 # chosen once per stay
@@ -357,9 +366,6 @@ _EXTRA_FILLERS = NOTE_TOKENS[len(_BASE_TOKENS):]
 def generate_cohort(config: CohortConfig) -> list[IcuStay]:
     """Deterministically generate `config.n_stays` synthetic ICU stays."""
     config.validate()
-    w = np.asarray(config.subtype_mixture, dtype=float)
-    mixture = _cdf(w / w.sum())
-
     assign_rng = np.random.default_rng([config.seed, 0xA55])
     stays: list[IcuStay] = []
     patient_counter = -1
@@ -378,7 +384,7 @@ def generate_cohort(config: CohortConfig) -> list[IcuStay]:
             stay_no = 1
 
         is_case = rng.random() < config.case_fraction
-        subtype = 1 + _pick(rng, mixture) if is_case else None
+        subtype = 1 + _pick(rng, _SUBTYPE_CDF) if is_case else None
         profile, note_arche = _draw_flavor(rng, is_case, subtype)
 
         if demo is None:
@@ -400,11 +406,11 @@ def _draw_flavor(rng, is_case, subtype):
         return subtype, subtype
     u = rng.random()
     if u < _MISMATCH_CONTROL_P:
-        profile = 1 + _pick(rng, _MIMIC_PROFILE_CDF)
+        profile = 1 + _pick(rng, _SUBTYPE_CDF)
         others = [a for a in (1, 2, 3) if a != profile]
         return profile, others[int(rng.integers(2))]
     if u < _MISMATCH_CONTROL_P + _PROFILE_MIMIC_CONTROL_P:
-        return 1 + _pick(rng, _MIMIC_PROFILE_CDF), None
+        return 1 + _pick(rng, _SUBTYPE_CDF), None
     return 0, None
 
 
@@ -420,31 +426,12 @@ def _draw_demographics(rng, arche: int) -> dict:
             "med_flags": meds, "comorbidity_flags": como}
 
 
-def _level(rng, var: str, arche: int) -> float:
-    a1, a2, a3, ctrl, b_sd, _, lo, hi = _VAR_ROWS[var]
-    mean = (ctrl, a1, a2, a3)[arche]
-    if var == "creatinine":
-        b_sd = _SCR_BETWEEN_SD[arche]
-        lo, hi = 0.4, 12.0
-    elif var == "urine_rate":
-        b_sd = _URINE_BETWEEN_SD[arche]
-        lo, hi = 0.55, 4.0
+def _level(rng, mean: float, b_sd: float, lo: float, hi: float) -> float:
+    """A stay's level of a variable: normal around `mean`, kept within 2.5 sd of it
+    and within [lo, hi]."""
     level = rng.normal(mean, b_sd)
     level = min(max(level, mean - 2.5 * b_sd), mean + 2.5 * b_sd)
     return min(max(level, lo), hi)
-
-
-def _noisy(rng, level: float, sd: float, clamp: float | None,
-           lo: float | None, hi: float | None) -> float:
-    noise = rng.normal(0.0, sd) if sd > 0 else 0.0
-    if clamp is not None:
-        noise = min(max(noise, -clamp), clamp)
-    v = level + noise
-    if lo is not None:
-        v = max(v, lo)
-    if hi is not None:
-        v = min(v, hi)
-    return float(v)
 
 
 def _generate_stay(rng, stay_id, patient_id, demo, is_case, subtype,
@@ -454,22 +441,20 @@ def _generate_stay(rng, stay_id, patient_id, demo, is_case, subtype,
 
     # non-renal variables: one observation per 2 h bin over the 48 h horizon,
     # dropped independently to exercise imputation
-    for var in TIME_VARIABLES:
-        if var in ("creatinine", "urine_rate"):
-            continue
-        _, _, _, _, _, o_sd, lo, hi = _VAR_ROWS[var]
-        level = _level(rng, var, profile)
+    for var, (a1, a2, a3, ctrl, b_sd, o_sd, lo, hi) in _VAR_ROWS.items():
+        level = _level(rng, (ctrl, a1, a2, a3)[profile], b_sd, lo, hi)
         pts = []
         for j in range(int(OBS_HORIZON_HOURS / 2)):
             if rng.random() < _MISSING_P:
                 continue
             t = 2.0 * j + _uniform(rng, 0.1, 1.9)
-            pts.append((float(t), _noisy(rng, level, o_sd, None, lo, hi)))
-        series = EventSeries(var, pts)
-        (chart if var in CHART_VARIABLES else labs)[var] = series
+            pts.append((t, min(max(level + rng.normal(0.0, o_sd), lo), hi)))
+        (chart if var in CHART_VARIABLES else labs)[var] = EventSeries(var, pts)
 
-    labs["creatinine"] = _scr_series(rng, profile, is_case, subtype)
-    labs["urine_rate"] = _urine_series(rng, profile, is_case, subtype)
+    labs["creatinine"] = _renal_series(rng, "creatinine", profile,
+                                       _scr_ramp if is_case else None)
+    labs["urine_rate"] = _renal_series(rng, "urine_rate", profile,
+                                       _oliguria_dip if subtype == 3 else None)
 
     notes = _generate_notes(rng, note_arche)
 
@@ -477,45 +462,41 @@ def _generate_stay(rng, stay_id, patient_id, demo, is_case, subtype,
                    chart_series=chart, lab_series=labs, notes=notes, **demo)
 
 
-def _scr_series(rng, profile, is_case, subtype) -> EventSeries:
-    base = _level(rng, "creatinine", profile)
-    if is_case:
-        ratio = _uniform(rng, *_SCR_RAMP_RATIO[subtype])
-        onset = _uniform(rng, *_ONSET_RANGE)
-        ramp = _uniform(rng, *_RAMP_DURATION)
+def _renal_series(rng, var: str, profile: int, course) -> EventSeries:
+    """A renal series over the whole stay: the stay's baseline, shaped by a planted
+    `course` if one is given, plus clamped noise. `course(rng, profile)` draws the
+    course and returns its value at (baseline, hour). Points in the observation
+    window drop out at random."""
+    levels, (lo, hi), o_sd, clamp, floor, step = _RENAL_ROWS[var]
+    base = _level(rng, *levels[profile], lo, hi)
+    value = course(rng, profile) if course else lambda base, t: base
     pts = []
     t = 1.0
     while t < STAY_HORIZON_HOURS:
-        value = base
-        if is_case and t > onset:
-            frac = min(1.0, (t - onset) / ramp)
-            value = base * (1.0 + (ratio - 1.0) * frac)
         drop = t <= OBS_HORIZON_HOURS and rng.random() < _MISSING_P
-        v = _noisy(rng, value, _SCR_OBS_SD, _SCR_OBS_CLAMP, 0.2, None)
+        noise = min(max(rng.normal(0.0, o_sd), -clamp), clamp)
         if not drop:
-            pts.append((t, v))
-        t += 6.0
-    return EventSeries("creatinine", pts)
+            pts.append((t, max(value(base, t) + noise, floor)))
+        t += step
+    return EventSeries(var, pts)
 
 
-def _urine_series(rng, profile, is_case, subtype) -> EventSeries:
-    base = _level(rng, "urine_rate", profile)
-    dip = None
-    if is_case and subtype == 3:
-        start = _uniform(rng, 55.0, 135.0)
-        dip = (start, start + _uniform(rng, *_DIP_DURATION), _uniform(rng, *_DIP_LEVEL))
-    pts = []
-    t = 1.0
-    while t < STAY_HORIZON_HOURS:
-        value = base
-        if dip is not None and dip[0] <= t < dip[1]:
-            value = dip[2]
-        drop = t <= OBS_HORIZON_HOURS and rng.random() < _MISSING_P
-        v = _noisy(rng, value, _URINE_OBS_SD, _URINE_OBS_CLAMP, 0.05, None)
-        if not drop:
-            pts.append((t, v))
-        t += 2.0
-    return EventSeries("urine_rate", pts)
+def _scr_ramp(rng, arche):
+    """A case's creatinine course: from an onset after both observation windows, a
+    linear ramp to its archetype's fold of the baseline."""
+    ratio = _uniform(rng, *_SCR_RAMP_RATIO[arche])
+    onset = _uniform(rng, *_ONSET_RANGE)
+    ramp = _uniform(rng, *_RAMP_DURATION)
+    return lambda base, t: \
+        base * (1.0 + (ratio - 1.0) * min(1.0, (t - onset) / ramp)) if t > onset else base
+
+
+def _oliguria_dip(rng, _arche):
+    """An archetype-3 case's urine course: a sustained dip to a fixed rate."""
+    start = _uniform(rng, 55.0, 135.0)
+    end = start + _uniform(rng, *_DIP_DURATION)
+    level = _uniform(rng, *_DIP_LEVEL)
+    return lambda base, t: level if start <= t < end else base
 
 
 def _generate_notes(rng, note_arche) -> list[ClinicalNote]:
@@ -598,12 +579,22 @@ def _record_to_stay(rec: dict) -> IcuStay:
 
 
 def write_cohort(stays: list[IcuStay], path) -> None:
-    path = Path(path)
     header = {"format": COHORT_FORMAT, "version": COHORT_VERSION, "n_stays": len(stays)}
-    with path.open("w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for stay in stays:
-            fh.write(json.dumps(_stay_to_record(stay), sort_keys=True) + "\n")
+    records = chain([header], map(_stay_to_record, stays))
+    write_text(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+
+
+def write_text(path, chunks) -> None:
+    """Write the strings of iterable `chunks`, one after another, to the file at `path`
+    as UTF-8 text: the one place the package writes a text file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV artifact: the `header` fields, then one line per row of `rows`, each
+    row's fields joined by commas."""
+    write_text(path, (",".join(fields) + "\n" for fields in chain([header], rows)))
 
 
 def file_sha256(path) -> str:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines, memnet
-from .cohort import IcuStay
+from .cohort import IcuStay, write_rows
 from .errors import FoldError, MetricError
 from .features import (ScalingStats, StayTensor, Vocabulary, build_vocabulary,
                        fit_scaling, bin_events, prepare_stays, notes_to_bow,
@@ -283,12 +283,13 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
 
 def write_metrics_table(records: list[MetricRecord], path) -> None:
     """Tables-1/2-shaped rows: one per model, each metric as mean +/- sd over folds."""
-    with open(path, "w") as fh:
-        fh.write("model,auc,precision,recall\n")
-        for model_id in sorted({r.model_id for r in records}):
-            cells = [model_id]
-            for metric in ("auc", "precision", "recall"):
-                vals = np.array([getattr(r, metric) for r in records if r.model_id == model_id])
-                cells.append(f"{vals.mean():.4f} +/- {vals.std(ddof=1):.4f}"
-                             if len(vals) > 1 else f"{vals.mean():.4f}")
-            fh.write(",".join(cells) + "\n")
+    metrics = ("auc", "precision", "recall")
+    rows = []
+    for model_id in sorted({r.model_id for r in records}):
+        cells = [model_id]
+        for metric in metrics:
+            vals = np.array([getattr(r, metric) for r in records if r.model_id == model_id])
+            cells.append(f"{vals.mean():.4f} +/- {vals.std(ddof=1):.4f}"
+                         if len(vals) > 1 else f"{vals.mean():.4f}")
+        rows.append(cells)
+    write_rows(path, ("model", *metrics), rows)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import (CHART_VARIABLES, COMORBIDITY_FLAGS, ETHNICITIES, MED_FLAGS, SEXES,
-                     TIME_VARIABLES, IcuStay)
+                     TIME_VARIABLES, IcuStay, write_rows)
 from .errors import ArgumentError, ImputationError, SchemaError
 
 SUB_WINDOW_HOURS = 2.0
@@ -357,21 +357,13 @@ def prepare_stays(stays: list[IcuStay], labels: dict[str, int],
 # ---------------------------------------------------------------------------
 
 def write_stay_tensors(tensors: list[StayTensor], values_path, mask_path) -> None:
-    header = "stay_id,bin," + ",".join(TIME_VARIABLES)
-    with open(values_path, "w") as fv, open(mask_path, "w") as fm:
-        fv.write(header + "\n")
-        fm.write(header + "\n")
-        for tensor in tensors:
-            for j in range(tensor.values.shape[0]):
-                row_v = ",".join(repr(float(x)) for x in tensor.values[j])
-                row_m = ",".join(str(int(x)) for x in tensor.mask[j])
-                fv.write(f"{tensor.stay_id},{j},{row_v}\n")
-                fm.write(f"{tensor.stay_id},{j},{row_m}\n")
+    header = ("stay_id", "bin", *TIME_VARIABLES)
+    write_rows(values_path, header, ([t.stay_id, str(j), *(repr(float(x)) for x in row)]
+                                     for t in tensors for j, row in enumerate(t.values)))
+    write_rows(mask_path, header, ([t.stay_id, str(j), *(str(int(x)) for x in row)]
+                                   for t in tensors for j, row in enumerate(t.mask)))
 
 
 def write_baseline_features(stay_ids, rows, path) -> None:
-    header = "stay_id," + ",".join(baseline_feature_names())
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for sid, row in zip(stay_ids, rows):
-            fh.write(sid + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    write_rows(path, ("stay_id", *baseline_feature_names()),
+               ([sid, *(repr(float(x)) for x in row)] for sid, row in zip(stay_ids, rows)))

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, crossval, features, kdigo, memnet, stats
-from .cohort import CohortConfig, file_sha256, generate_cohort, read_cohort, write_cohort
+from .cohort import (CohortConfig, file_sha256, generate_cohort, read_cohort, write_cohort,
+                     write_rows, write_text)
 from .errors import ArgumentError, ConfigError, DataError, ParseError, StageDependencyError
 from .kdigo import AkiLabel
 from .memnet import HyperConfig
@@ -241,13 +242,11 @@ def _finite(fields) -> list[float]:
 
 
 def write_labels(kept: list[tuple], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(LABEL_COLUMNS) + "\n")
-        for stay, label in kept:
-            onset = repr(label.onset_offset_hours) if label.is_case else ""
-            stage = str(label.stage) if label.stage is not None else ""
-            rule = label.triggering_rule or ""
-            fh.write(f"{stay.stay_id},{int(label.is_case)},{onset},{stage},{rule}\n")
+    write_rows(path, LABEL_COLUMNS, (
+        (stay.stay_id, str(int(label.is_case)),
+         repr(label.onset_offset_hours) if label.is_case else "",
+         str(label.stage) if label.stage is not None else "", label.triggering_rule or "")
+        for stay, label in kept))
 
 
 def read_labels(path) -> dict[str, AkiLabel]:
@@ -271,8 +270,7 @@ def write_scaling(scaling: features.ScalingStats, path) -> None:
     payload = {"split_id": scaling.split_id, "variables": list(scaling.variables),
                "mean": scaling.mean.tolist(), "vmin": scaling.vmin.tolist(),
                "vmax": scaling.vmax.tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    write_text(path, [json.dumps(payload, sort_keys=True)])
 
 
 def read_scaling(path) -> features.ScalingStats:
@@ -289,7 +287,7 @@ def read_scaling(path) -> features.ScalingStats:
 
 
 def write_vocab(vocab: features.Vocabulary, path) -> None:
-    Path(path).write_text("\n".join(vocab.tokens) + "\n")
+    write_text(path, ["\n".join(vocab.tokens) + "\n"])
 
 
 def read_vocab(path) -> features.Vocabulary:
@@ -304,10 +302,8 @@ def read_vocab(path) -> features.Vocabulary:
 
 
 def write_representations(stay_ids, matrix: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(_representation_columns(matrix.shape[1])) + "\n")
-        for sid, row in zip(stay_ids, matrix):
-            fh.write(sid + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    write_rows(path, _representation_columns(matrix.shape[1]),
+               ([sid, *(repr(float(x)) for x in row)] for sid, row in zip(stay_ids, matrix)))
 
 
 def read_representations(path) -> tuple[list[str], np.ndarray]:
@@ -322,10 +318,9 @@ def read_representations(path) -> tuple[list[str], np.ndarray]:
 
 
 def write_embedding2d(stay_ids, Y: np.ndarray, clusters: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(EMBEDDING_COLUMNS) + "\n")
-        for sid, (x, y), c in zip(stay_ids, Y, clusters):
-            fh.write(f"{sid},{repr(float(x))},{repr(float(y))},{int(c)}\n")
+    write_rows(path, EMBEDDING_COLUMNS,
+               ((sid, repr(float(x)), repr(float(y)), str(int(c)))
+                for sid, (x, y), c in zip(stay_ids, Y, clusters)))
 
 
 def read_embedding2d(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -364,10 +359,7 @@ def _stage_label(config: RunConfig, inputs: dict[str, str]):
     stays = read_cohort(_path(config, "cohort.jsonl"), inputs["cohort.jsonl"])
     kept, excluded = kdigo.apply_exclusions(stays, config.t1_hours)
     write_labels(kept, _path(config, "labels.csv"))
-    with open(_path(config, "exclusions.csv"), "w") as fh:
-        fh.write("stay_id,reason\n")
-        for sid, reason in excluded:
-            fh.write(f"{sid},{reason}\n")
+    write_rows(_path(config, "exclusions.csv"), ("stay_id", "reason"), excluded)
 
 
 def _stage_featurize(config: RunConfig, inputs: dict[str, str]):
@@ -400,10 +392,8 @@ def _stage_train(config: RunConfig, inputs: dict[str, str]):
     _, _, prepared, vocab = _prepared(config, inputs)
     result = memnet.train(prepared, config.model, len(vocab))
     memnet.save_checkpoint(result, _path(config, "checkpoint.npz"))
-    with open(_path(config, "loss_history.csv"), "w") as fh:
-        fh.write("epoch,mean_loss\n")
-        for i, loss in enumerate(result.loss_history):
-            fh.write(f"{i},{repr(loss)}\n")
+    write_rows(_path(config, "loss_history.csv"), ("epoch", "mean_loss"),
+               ((str(i), repr(loss)) for i, loss in enumerate(result.loss_history)))
 
 
 def _stage_embed(config: RunConfig, inputs: dict[str, str]):
@@ -436,10 +426,8 @@ def _stage_cluster(config: RunConfig, inputs: dict[str, str]):
         Y = clustering.pca_project(case_rows)
     best, table = clustering.select_k(Y, cc.k_range, seed=cc.seed)
     write_embedding2d(case_ids, Y, best.labels, _path(config, "embedding2d.csv"))
-    with open(_path(config, "ktable.csv"), "w") as fh:
-        fh.write("k,mcclain_rao,selected\n")
-        for k, value in table:
-            fh.write(f"{k},{repr(value)},{int(k == len(best.centroids))}\n")
+    write_rows(_path(config, "ktable.csv"), ("k", "mcclain_rao", "selected"),
+               ((str(k), repr(value), str(int(k == len(best.centroids)))) for k, value in table))
 
 
 def _stage_interpret(config: RunConfig, inputs: dict[str, str]):
@@ -535,7 +523,7 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     if not force and mpath.exists():
         try:
-            manifest = json.loads(mpath.read_text())
+            manifest = json.loads(mpath.read_text(encoding="utf-8"))
         except ValueError:  # not UTF-8 JSON
             manifest = None
         # no-op only for a manifest object whose config, inputs and outputs all match
@@ -556,7 +544,7 @@ def run_stage(stage: str, config: RunConfig, force: bool = False) -> dict:
         "outputs": _hashes(config, spec.outputs),
     }
     mpath.parent.mkdir(parents=True, exist_ok=True)
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_text(mpath, [json.dumps(manifest, indent=2, sort_keys=True)])
     return manifest
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betainc, gammaincc
 
 from .cohort import (COMORBIDITY_FLAGS, ETHNICITIES, MED_FLAGS, SEXES,
-                     TIME_VARIABLES, IcuStay)
+                     TIME_VARIABLES, IcuStay, write_rows, write_text)
 from .errors import ArgumentError, DataError, NumericalRankError
 from .kdigo import AkiLabel, egfr_mdrd
 from .metrics import _midranks
@@ -420,21 +420,18 @@ def stage_composition(clusters, labels: list[AkiLabel]) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 def write_report_csv(report: SubtypeReport, path) -> None:
-    k = len(report.cluster_sizes)
-    with open(path, "w") as fh:
-        cols = ",".join(f"cluster_{i}" for i in range(k))
-        fh.write(f"variable,category,{cols},unadjusted_p,test,adjusted_p,"
-                 "significant_pairs\n")
-        for block in report.blocks:
-            for cat_i, cat in enumerate(block.categories):
-                first = cat_i == 0
-                p = _fmt_p(block.unadjusted_p) if first else ""
-                ap = _fmt_p(block.adjusted_p) if first else ""
-                test = block.test_name or "" if first else ""
-                pairs = ";".join(f"{i}-{j}" for i, j in block.significant_pairs) \
-                    if first else ""
-                cells = ",".join(block.cells[cat_i])
-                fh.write(f"{block.name},{cat},{cells},{p},{test},{ap},{pairs}\n")
+    """One row per category of each block; the p-value, test and pairs columns fill
+    only the block's first row."""
+    cols = [f"cluster_{i}" for i in range(len(report.cluster_sizes))]
+    rows = []
+    for block in report.blocks:
+        tail = [_fmt_p(block.unadjusted_p), block.test_name or "", _fmt_p(block.adjusted_p),
+                ";".join(f"{i}-{j}" for i, j in block.significant_pairs)]
+        for cat, cells in zip(block.categories, block.cells):
+            rows.append([block.name, cat, *cells, *tail])
+            tail = [""] * len(tail)
+    write_rows(path, ["variable", "category", *cols, "unadjusted_p", "test", "adjusted_p",
+                      "significant_pairs"], rows)
 
 
 def _fmt_p(p) -> str:
@@ -460,8 +457,7 @@ def write_report_text(report: SubtypeReport, path) -> None:
                 row += [_fmt_p(block.unadjusted_p).ljust(8),
                         _fmt_p(block.adjusted_p).ljust(8), pairs]
             lines.append("".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, ["\n".join(lines) + "\n"])
 
 
 def write_heatmap_matrix(report: SubtypeReport, path) -> None:
@@ -476,18 +472,12 @@ def write_heatmap_matrix(report: SubtypeReport, path) -> None:
         sd = means.std()
         rows.append((means - means.mean()) / sd if sd > 0 else means * 0.0)
         names.append(block.name)
-    cols = ",".join(f"cluster_{i}" for i in range(len(report.cluster_sizes)))
-    with open(path, "w") as fh:
-        fh.write(f"variable,{cols}\n")
-        for name, row in zip(names, rows):
-            fh.write(name + "," + ",".join(f"{v:.4f}" for v in row) + "\n")
+    cols = [f"cluster_{i}" for i in range(len(report.cluster_sizes))]
+    write_rows(path, ["variable", *cols],
+               ([name, *(f"{v:.4f}" for v in row)] for name, row in zip(names, rows)))
 
 
 def write_stage_composition(counts: np.ndarray, pct: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("cluster,n,stage1,stage2,stage3,stage1_pct,stage2_pct,stage3_pct\n")
-        for i in range(counts.shape[0]):
-            n = int(counts[i].sum())
-            c = ",".join(str(int(x)) for x in counts[i])
-            p = ",".join(f"{x:.2f}" for x in pct[i])
-            fh.write(f"{i},{n},{c},{p}\n")
+    write_rows(path, "cluster,n,stage1,stage2,stage3,stage1_pct,stage2_pct,stage3_pct".split(","),
+               ([str(i), str(int(c.sum())), *(str(int(x)) for x in c), *(f"{x:.2f}" for x in p)]
+                for i, (c, p) in enumerate(zip(counts, pct))))

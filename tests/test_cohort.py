@@ -10,7 +10,7 @@ from akisub import cohort
 from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, NOTE_TOKENS,
                            CohortConfig, EventSeries, _cdf, _pick, _uniform,
                            generate_cohort, read_cohort, write_cohort)
-from akisub.errors import ConfigError, DataError, ParseError
+from akisub.errors import DataError, ParseError
 from akisub.kdigo import apply_exclusions
 from oracles import planted_stage
 
@@ -37,14 +37,13 @@ def test_case_fraction_binomial_interval():
 
 
 def test_subtype_two_creatinine_mean_matches_target():
-    cfg = CohortConfig(n_stays=800, case_fraction=0.65, subtype_mixture=(0.0, 1.0, 0.0),
-                       seed=5)
-    stays = generate_cohort(cfg)
+    """The creatinine of archetype-2 cases, drawn as the generator draws it, averages
+    the planted 1.96 over the first 24 h."""
     means = []
-    for s in stays:
-        if s.planted_subtype != 2:
-            continue
-        obs = [v for t, v in s.lab_series["creatinine"].points if t <= 24.0]
+    for i in range(500):
+        rng = np.random.default_rng([5, i])
+        series = cohort._renal_series(rng, "creatinine", 2, cohort._scr_ramp)
+        obs = [v for t, v in series.points if t <= 24.0]
         if obs:
             means.append(np.mean(obs))
     assert len(means) >= 400
@@ -86,11 +85,6 @@ def test_planted_labels_agree_with_kdigo_engine():
             agree += label.stage == planted_stage(stay.planted_subtype)
     assert n_cases > 80
     assert agree / n_cases >= 0.95
-
-
-def test_degenerate_mixture_rejected():
-    with pytest.raises(ConfigError):
-        generate_cohort(CohortConfig(n_stays=5, subtype_mixture=(0.0, 0.0, 0.0)))
 
 
 def test_vocab_universe_contains_signal_tokens():
@@ -274,6 +268,25 @@ class TestReadValidation:
         lines[2] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 3: .*note token {message}"):
+            read_cohort(path)
+
+    @pytest.mark.parametrize("stay_id, message", [
+        ("s,00003", "'s,00003' is empty or holds a comma or whitespace"),
+        ("", "'' is empty or holds a comma or whitespace"),
+        ("s 1", "'s 1' is empty or holds a comma or whitespace"),
+        ("s1\n", r"'s1\\n' is empty or holds a comma or whitespace"),
+        (7, "7 is not a string"),
+    ])
+    def test_stay_id_a_csv_cannot_hold_names_line(self, tmp_path, stay_id, message):
+        """Each CSV artifact holds a stay id as one field of one line."""
+        path = tmp_path / "c.jsonl"
+        write_cohort(generate_cohort(CohortConfig(n_stays=2, seed=1)), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["stay_id"] = stay_id
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 3: .*stay_id {message}"):
             read_cohort(path)
 
     def test_invalid_stay_fields_rejected(self, tmp_path):

@@ -1,14 +1,19 @@
+import codecs
 import dataclasses
 import functools
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import akisub
 from akisub import cohort, errors, features, stages
 from akisub.cli import build_parser, main, resolve_config
 from akisub.clustering import pca_project
@@ -37,8 +42,8 @@ OUT_OF_RANGE_CONFIGS = [
 ]
 
 # each sets a setting, or a value of one, the config does not have: the memory
-# size is the row count of the stay tensors, the cohort's noise and note
-# vocabulary are fixed, a linear autoencoder's layout is the PCA one, the
+# size is the row count of the stay tensors, the cohort's noise, note vocabulary
+# and subtype mixture are fixed, a linear autoencoder's layout is the PCA one, the
 # top note LSTM's width is the embedding width, and k-means restarts and the
 # McClain-Rao tolerance are constants of `clustering` that `select_k` uses
 REMOVED_SETTINGS = [
@@ -46,6 +51,7 @@ REMOVED_SETTINGS = [
     {"evaluate": {"grid": [{"memory_size": 6}]}},
     {"cohort": {"noise_scale": 1.0}},
     {"cohort": {"vocab_size": 160}},
+    {"cohort": {"subtype_mixture": [0.6, 0.1, 0.3]}},
     {"cluster": {"autoencoder_epochs": 400}},
     {"cluster": {"method": "autoencoder"}},
     {"model": {"top_hidden": 128}},
@@ -210,19 +216,65 @@ def test_cli_missing_external_cohort_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-def test_cli_external_cohort_with_zero_creatinine_creates_nothing(tmp_path, capsys):
+def _external_run(tmp_path, stays, edit=None) -> Path:
+    """A run config file over an external cohort of `stays`, whose first stay record
+    `edit` changes, and the run directory `tmp_path/run`."""
     external = tmp_path / "external.jsonl"
-    write_cohort(generate_cohort(CohortConfig(n_stays=2, seed=1)), external)
-    lines = external.read_text().splitlines()
-    rec = json.loads(lines[1])
-    rec["labs"]["creatinine"][0][1] = 0.0
-    lines[1] = json.dumps(rec)
-    external.write_text("\n".join(lines) + "\n")
+    write_cohort(stays, external)
+    if edit:
+        lines = external.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[1])
+        edit(rec)
+        lines[1] = json.dumps(rec)
+        external.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cohort_path": str(external), "out_dir": str(tmp_path / "run")}))
+    return cfg
+
+
+def test_cli_external_cohort_with_zero_creatinine_creates_nothing(tmp_path, capsys):
+    def zero_creatinine(rec):
+        rec["labs"]["creatinine"][0][1] = 0.0
+
+    cfg = _external_run(tmp_path, generate_cohort(CohortConfig(n_stays=2, seed=1)),
+                        zero_creatinine)
     assert main(["--config", str(cfg), "synth"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "parse"
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_external_cohort_with_comma_in_stay_id_creates_nothing(tmp_path, capsys):
+    """A stay id that labels.csv cannot hold fails synth, naming the cohort's line."""
+    cfg = _external_run(tmp_path, generate_cohort(CohortConfig(n_stays=4, seed=1)),
+                        lambda rec: rec.update(stay_id="s,00003"))
+    assert main(["--config", str(cfg), "synth"]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "parse"
+    assert re.search(r"external\.jsonl: line 2: .*stay_id 's,00003'", error["message"])
+    assert not (tmp_path / "run" / "labels.csv").exists()
+
+
+def test_stages_write_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, the default text encoding is ASCII;
+    synth, label and featurize still write a non-ASCII stay id and token as UTF-8."""
+    stays = generate_cohort(CohortConfig(n_stays=20, seed=1))
+    stays[0].stay_id = "s00000-\u00e9"
+    stays[0].notes[0].tokens[0] = "cr\u00e9atinine"
+    cfg = _external_run(tmp_path, stays)
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(akisub.__file__).parents[1])}
+    python = [sys.executable, "-X", "utf8=0"]
+    encoding = subprocess.run(
+        python + ["-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, check=True).stdout.decode()
+    assert codecs.lookup(encoding.strip()).name == "ascii"
+    for stage in ("synth", "label", "featurize"):
+        done = subprocess.run(python + ["-m", "akisub.cli", "--config", str(cfg), stage],
+                              env=env, capture_output=True)
+        assert done.returncode == 0, (stage, done.stderr.decode(errors="replace"))
+    run = tmp_path / "run"
+    assert "cr\u00e9atinine" in read_vocab(run / "vocab.txt").tokens
+    assert "s00000-\u00e9" in read_labels(run / "labels.csv")
 
 
 def test_48_hour_window_runs_through_embed(tmp_path):
