@@ -27,13 +27,30 @@ each series a row-slice view of it.
 reading a file whose content matches returns a new list of the same `IcuStay`
 objects without parsing again. The stays are therefore shared between readers
 and must not be mutated. A caller that has just hashed the file passes that
-digest, and the file is not hashed a second time.
+digest, and the file is not hashed a second time. `write_cohort` sets the kept
+parse too: the stays it writes are kept under the hash of the bytes it wrote,
+so a file read back after it is written is not parsed, and the stays it was
+given must not be mutated afterwards either. A generated stay equals
+its parse in every respect: its dicts hold their keys in the file's sorted
+order, and its points are read-only.
+
+`generate_cohort` and `write_cohort` work on all the CPUs the process may use
+(`_fork_join`): the stays are split into contiguous ranges, this process runs
+the first, and each other range runs in a forked child that sends its result
+back pickled. Each stay draws from its own stream, and a plan walked once in
+order assigns the patients, so the stays and the file's bytes do not depend on
+the number of processes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import signal
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
@@ -360,42 +377,155 @@ _EXTRA_FILLERS = NOTE_TOKENS[len(_BASE_TOKENS):]
 
 
 # ---------------------------------------------------------------------------
+# fork-join over stay ranges
+# ---------------------------------------------------------------------------
+
+# Fewest stays an extra worker process takes. On 2 cores, in a process that has
+# loaded numpy and scipy, a fork, its pipe and its wait cost about 6 ms, against
+# about 2 ms to generate a stay and 0.8 ms to serialise one, so a range of this
+# size repays its process several times over.
+FORK_MIN_STAYS = 40
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _workers(n: int) -> int:
+    """Processes to share `n` stays: one per usable CPU, while each extra one gets at
+    least `FORK_MIN_STAYS` stays. One where there is no `os.fork`, or where another
+    thread runs, since a forked child holds a copy of that thread's locks."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(usable_cpus(), n // FORK_MIN_STAYS))
+
+
+def _fork_join(fn, n: int):
+    """Yield the items of `fn(r)` for each of the `_workers(n)` contiguous ranges `r`
+    that split `range(n)`, in order. This process takes the first range's items as
+    they are asked for. Each other range runs at once in a forked child, which
+    collects its items and, when the range's turn comes, sends them back one pickle
+    each. An exception of a range, raised here or in a child, is raised at its turn.
+    Once the generator is exhausted or closed, no child is left, so a caller that
+    may stop early closes it (`contextlib.closing`)."""
+    workers = _workers(n)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    children = {}  # pid -> (its range, the read end of its pipe)
+    try:
+        for indices in ranges[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _run_child(fn, indices, write_end)
+            os.close(write_end)
+            children[pid] = (indices, open(read_end, "rb"))
+        yield from fn(ranges[0])
+        for pid, (indices, pipe) in list(children.items()):
+            with pipe:
+                while True:
+                    try:
+                        kind, value = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the child ended early
+                        kind = "lost"
+                    if kind != "item":
+                        break
+                    yield value
+            del children[pid]
+            status = os.waitpid(pid, 0)[1]
+            if kind == "error":
+                raise value
+            if kind == "lost":
+                raise ChildProcessError(f"the worker for stays {indices.start} to "
+                                        f"{indices.stop - 1} ended with wait status "
+                                        f"{status} before sending all its items")
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(fn, indices: range, write_end: int):
+    """In a forked child: collect the items of `fn(indices)`, then send each down
+    `write_end` as a pickled `("item", item)` and end with `("end", None)`; send
+    `("error", exception)` instead if `fn` raises. Then end the process without
+    returning."""
+    status = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            try:
+                # all items first: the parent reads this pipe only at the range's turn
+                items = list(fn(indices))
+            except Exception as e:
+                messages = [("error", e)]
+            else:
+                messages = chain((("item", item) for item in items), [("end", None)])
+            for message in messages:
+                pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+# ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
 
 def generate_cohort(config: CohortConfig) -> list[IcuStay]:
-    """Deterministically generate `config.n_stays` synthetic ICU stays."""
+    """Deterministically generate `config.n_stays` synthetic ICU stays, their ranges
+    on as many processes as `_fork_join` gives them."""
     config.validate()
+    plan = _patient_plan(config)
+    with closing(_fork_join(lambda indices: _generate_range(config, plan, indices),
+                            config.n_stays)) as stays:
+        return list(stays)
+
+
+def _patient_plan(config: CohortConfig) -> list[tuple[str, str, bool]]:
+    """(stay id, patient id, repeat) of each stay. A stay repeats the previous
+    stay's patient with chance `_REPEAT_STAY_P`, drawn from the one assignment
+    stream, unless that stay was itself a repeat (at most two stays per patient);
+    the first stay draws nothing."""
     assign_rng = np.random.default_rng([config.seed, 0xA55])
-    stays: list[IcuStay] = []
-    patient_counter = -1
-    prev_patient: tuple[str, dict] | None = None
-
+    plan, patients, repeat = [], 0, True  # as if before a repeat: stay 0 draws nothing
     for i in range(config.n_stays):
-        rng = np.random.default_rng([config.seed, 1, i])
-        repeat = prev_patient is not None and assign_rng.random() < _REPEAT_STAY_P
-        if repeat:
-            patient_id, demo = prev_patient
-            stay_no = 2
-        else:
-            patient_counter += 1
-            patient_id = f"p{patient_counter:05d}"
-            demo = None
-            stay_no = 1
+        repeat = not repeat and assign_rng.random() < _REPEAT_STAY_P
+        patients += not repeat
+        plan.append((f"s{i:05d}-{1 + repeat}", f"p{patients - 1:05d}", repeat))
+    return plan
 
-        is_case = rng.random() < config.case_fraction
-        subtype = 1 + _pick(rng, _SUBTYPE_CDF) if is_case else None
-        profile, note_arche = _draw_flavor(rng, is_case, subtype)
 
-        if demo is None:
+def _stay_head(config: CohortConfig, i: int):
+    """Stay `i`'s own stream and its first draws: (stream, is_case, subtype,
+    structured profile, note archetype)."""
+    rng = np.random.default_rng([config.seed, 1, i])
+    is_case = rng.random() < config.case_fraction
+    subtype = 1 + _pick(rng, _SUBTYPE_CDF) if is_case else None
+    return rng, is_case, subtype, *_draw_flavor(rng, is_case, subtype)
+
+
+def _generate_range(config: CohortConfig, plan, indices: range) -> list[IcuStay]:
+    """The stays of `indices`, as a walk over all stays generates them. A first
+    stay draws its patient's demographics after its head; a repeat stay takes them
+    from the previous stay, redrawn from that stay's stream when the range opens
+    with the repeat."""
+    stays, demo = [], None
+    for i in indices:
+        rng, is_case, subtype, profile, note_arche = _stay_head(config, i)
+        stay_id, patient_id, repeat = plan[i]
+        if not repeat:
             demo = _draw_demographics(rng, profile)
-            prev_patient = (patient_id, demo)
-        else:
-            prev_patient = None  # at most two stays per patient
-
-        stay = _generate_stay(rng, f"s{i:05d}-{stay_no}", patient_id, demo,
-                              is_case, subtype, profile, note_arche)
-        stays.append(stay)
+        elif demo is None:
+            first_rng, *_, first_profile, _ = _stay_head(config, i - 1)
+            demo = _draw_demographics(first_rng, first_profile)
+        stays.append(_generate_stay(rng, stay_id, patient_id, demo,
+                                    is_case, subtype, profile, note_arche))
     return stays
 
 
@@ -423,7 +553,8 @@ def _draw_demographics(rng, arche: int) -> dict:
     meds = {n: int(rng.random() < p) for n, p in zip(MED_FLAGS, _MED_P[arche])}
     como = {n: int(rng.random() < p) for n, p in zip(COMORBIDITY_FLAGS, _COMORBIDITY_P[arche])}
     return {"age": age, "sex": sex, "ethnicity": ethnicity, "weight_kg": weight,
-            "med_flags": meds, "comorbidity_flags": como}
+            "med_flags": dict(sorted(meds.items())),
+            "comorbidity_flags": dict(sorted(como.items()))}
 
 
 def _level(rng, mean: float, b_sd: float, lo: float, hi: float) -> float:
@@ -449,7 +580,7 @@ def _generate_stay(rng, stay_id, patient_id, demo, is_case, subtype,
                 continue
             t = 2.0 * j + _uniform(rng, 0.1, 1.9)
             pts.append((t, min(max(level + rng.normal(0.0, o_sd), lo), hi)))
-        (chart if var in CHART_VARIABLES else labs)[var] = EventSeries(var, pts)
+        (chart if var in CHART_VARIABLES else labs)[var] = _series(var, pts)
 
     labs["creatinine"] = _renal_series(rng, "creatinine", profile,
                                        _scr_ramp if is_case else None)
@@ -459,7 +590,15 @@ def _generate_stay(rng, stay_id, patient_id, demo, is_case, subtype,
     notes = _generate_notes(rng, note_arche)
 
     return IcuStay(stay_id=stay_id, patient_id=patient_id, planted_subtype=subtype,
-                   chart_series=chart, lab_series=labs, notes=notes, **demo)
+                   chart_series=chart, lab_series=dict(sorted(labs.items())), notes=notes,
+                   **demo)
+
+
+def _series(var: str, pts) -> EventSeries:
+    """A generated series, its points read-only like those of a parsed one."""
+    series = EventSeries(var, pts)
+    series.points.flags.writeable = False
+    return series
 
 
 def _renal_series(rng, var: str, profile: int, course) -> EventSeries:
@@ -478,7 +617,7 @@ def _renal_series(rng, var: str, profile: int, course) -> EventSeries:
         if not drop:
             pts.append((t, max(value(base, t) + noise, floor)))
         t += step
-    return EventSeries(var, pts)
+    return _series(var, pts)
 
 
 def _scr_ramp(rng, arche):
@@ -579,9 +718,42 @@ def _record_to_stay(rec: dict) -> IcuStay:
 
 
 def write_cohort(stays: list[IcuStay], path) -> None:
-    header = {"format": COHORT_FORMAT, "version": COHORT_VERSION, "n_stays": len(stays)}
-    records = chain([header], map(_stay_to_record, stays))
-    write_text(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    """Write `stays` as a cohort file: a header record, then one record per stay, each
+    a line of sort-keyed JSON. `_fork_join` ranges serialise the records, and this
+    process writes them in order, hashing the bytes as it writes. When every stay
+    passes `IcuStay.validate` and no stay id repeats, the stays become the kept
+    parse of `read_cohort` under that hash."""
+    global _last_parse
+    _last_parse = None
+    header = json.dumps({"format": COHORT_FORMAT, "version": COHORT_VERSION,
+                         "n_stays": len(stays)}, sort_keys=True) + "\n"
+    digest = hashlib.sha256(header.encode("utf-8"))
+    valid = len({s.stay_id for s in stays}) == len(stays)
+
+    def hashed_lines(records):
+        nonlocal valid
+        yield header
+        for line, stay_valid in records:
+            valid = valid and stay_valid
+            digest.update(line.encode("utf-8"))
+            yield line
+
+    with closing(_fork_join(lambda indices: _records(stays, indices), len(stays))) as records:
+        write_text(path, hashed_lines(records))
+    if valid:
+        _last_parse = (digest.hexdigest(), list(stays))
+
+
+def _records(stays: list[IcuStay], indices: range):
+    """Yield (file line, whether it passes `IcuStay.validate`) of each stay at
+    `indices`."""
+    for i in indices:
+        try:
+            stays[i].validate()
+            valid = True
+        except (TypeError, ValueError, AttributeError, DataError):
+            valid = False
+        yield json.dumps(_stay_to_record(stays[i]), sort_keys=True) + "\n", valid
 
 
 def write_text(path, chunks) -> None:

@@ -4,8 +4,9 @@ The outer loop estimates performance; the inner loop tunes on the outer
 training split only. Each split, outer or inner, is built once as a `FoldData`
 that carries the scaling and vocabulary fitted on its training side; every
 model and grid candidate of the split reads those, so no fitted statistic
-sees the split's test side. One loop, `_select`, makes every inner-CV choice:
-the candidate with the best mean inner AUC, the first one on ties.
+sees the split's test side. The two LR models of an outer fold share its inner
+fold ids. One loop, `_select`, makes every inner-CV choice: the candidate with
+the best mean inner AUC, the first one on ties.
 For the logistic-regression models (`lr`, `lr_bow`) the inner loop always
 chooses the L2 penalty from `LR_L2_GRID`, on the design rows the outer fold has
 already built: each inner fold refits only the standardisation, and the rows
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines, memnet
-from .cohort import IcuStay, write_rows
+from .cohort import IcuStay, usable_cpus, write_rows
 from .errors import FoldError, MetricError
 from .features import (ScalingStats, StayTensor, Vocabulary, build_vocabulary,
                        fit_scaling, bin_events, prepare_stays, notes_to_bow,
@@ -145,12 +146,13 @@ def _standardize(X_fit: np.ndarray, X_apply: np.ndarray):
     return (X_fit - mu) / sd, (X_apply - mu) / sd
 
 
-def _lr_train_and_score(model_id: str, fold: FoldData, t1_hours: float, n_inner: int,
-                        seed: int) -> np.ndarray:
+def _lr_train_and_score(model_id: str, fold: FoldData, t1_hours: float,
+                        fold_of: np.ndarray) -> np.ndarray:
     """Choose l2 by inner CV on the fold's training rows, fit on them, score the test split.
 
-    The design rows are summarised once per outer fold; missing statistics are
-    filled with the outer training split's means, in the inner folds too.
+    `fold_of` is the inner fold id of each training stay. The design rows are
+    summarised once per outer fold; missing statistics are filled with the outer
+    training split's means, in the inner folds too.
     """
     fill = dict(zip(fold.scaling.variables, fold.scaling.mean))
 
@@ -166,9 +168,8 @@ def _lr_train_and_score(model_id: str, fold: FoldData, t1_hours: float, n_inner:
                    y_held)
 
     X_train, y = design(fold.train_stays), fold.train_labels
-    fold_of = fold.inner_folds(n_inner, seed)
     inner = ((*_standardize(X_train[fold_of != k], X_train[fold_of == k]),
-              y[fold_of != k], y[fold_of == k]) for k in range(n_inner))
+              y[fold_of != k], y[fold_of == k]) for k in np.unique(fold_of))
     l2 = _select(LR_L2_GRID, inner, score)
     X_train, X_test = _standardize(X_train, design(fold.test_stays))
     params = baselines.lr_train(X_train, y, l2=l2)
@@ -215,10 +216,7 @@ def fit_workers(n_pairs: int) -> int:
     on over the BLAS threads of one fit, at least 1 and at most `n_pairs` (when
     positive). The BLAS thread count is the first positive integer among
     `BLAS_THREAD_VARS`; with none set, BLAS is taken to use every CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     blas_threads = cpus
     for var in BLAS_THREAD_VARS:
         try:
@@ -256,11 +254,14 @@ def nested_cv(stays: list[IcuStay], labels: dict[str, int], models: list[str],
     folds = [_fold_data(stays, y, fold_of, k, f"outer{k}-train", tensors)
              for k in range(outer_folds)]
     pairs = [(k, model_id) for k in range(outer_folds) for model_id in models]
+    lr_inner = {}  # outer fold -> inner fold ids; LR pairs run in this thread only
 
     def fit(fold_idx: int, model_id: str) -> np.ndarray:
         fold, inner_seed = folds[fold_idx], seed + 1000 + fold_idx
         if model_id in LR_MODELS:
-            return _lr_train_and_score(model_id, fold, t1_hours, inner_folds, inner_seed)
+            if fold_idx not in lr_inner:
+                lr_inner[fold_idx] = fold.inner_folds(inner_folds, inner_seed)
+            return _lr_train_and_score(model_id, fold, t1_hours, lr_inner[fold_idx])
         chosen = _tune(model_id, fold, hyper, tensors, grid, inner_folds, inner_seed)
         return _train_and_score(model_id, fold, chosen, tensors)
 

@@ -12,6 +12,12 @@ all match is a no-op; a manifest that is not such an object is stale. A missing
 prerequisite raises a dependency error naming the artifact and the stage that
 produces it. A stage body gets the hashes of the files it reads, an external
 cohort's too, and hands a cohort's to `read_cohort`, which then hashes nothing.
+
+Synth generates the cohort and writes `cohort.jsonl` on all the CPUs the process
+may use, in forked children that end before the stage does (see `cohort`).
+`write_cohort` keeps the stays it wrote as `read_cohort`'s parse under the hash
+of the bytes it wrote, so within one process the stages after synth read
+`cohort.jsonl` without parsing it: the hash each of them takes matches.
 """
 
 from __future__ import annotations

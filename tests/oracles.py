@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from akisub import autodiff as ad
-from akisub import nn
+from akisub import cohort, nn
 from akisub.autodiff import Tensor
 from akisub.baselines import LrParams
 
@@ -547,6 +547,38 @@ def mc_nested_f_p(observed_f: float, reduced: np.ndarray, full: np.ndarray,
 def planted_stage(subtype: int) -> int:
     """KDIGO stage the generator plants for an archetype (1->1, 2->3, 3->2)."""
     return {1: 1, 2: 3, 3: 2}[subtype]
+
+
+def generate_cohort_reference(config) -> list:
+    """The cohort as one in-order walk over the stays generates it: the patient
+    assignment is drawn as the walk goes, and a repeat stay takes the demographics
+    its patient's first stay drew."""
+    assign_rng = np.random.default_rng([config.seed, 0xA55])
+    stays = []
+    patient_counter = -1
+    prev_patient = None
+    for i in range(config.n_stays):
+        rng = np.random.default_rng([config.seed, 1, i])
+        repeat = prev_patient is not None and assign_rng.random() < cohort._REPEAT_STAY_P
+        if repeat:
+            patient_id, demo = prev_patient
+            stay_no = 2
+        else:
+            patient_counter += 1
+            patient_id = f"p{patient_counter:05d}"
+            demo = None
+            stay_no = 1
+        is_case = rng.random() < config.case_fraction
+        subtype = 1 + cohort._pick(rng, cohort._SUBTYPE_CDF) if is_case else None
+        profile, note_arche = cohort._draw_flavor(rng, is_case, subtype)
+        if demo is None:
+            demo = cohort._draw_demographics(rng, profile)
+            prev_patient = (patient_id, demo)
+        else:
+            prev_patient = None  # at most two stays per patient
+        stays.append(cohort._generate_stay(rng, f"s{i:05d}-{stay_no}", patient_id, demo,
+                                           is_case, subtype, profile, note_arche))
+    return stays
 
 
 def pairwise_auc(scores, labels) -> float:

@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from akisub.cohort import (_FILLER_WEIGHTS, CHART_VARIABLES, LAB_VARIABLES, NOTE
                            generate_cohort, read_cohort, write_cohort)
 from akisub.errors import DataError, ParseError
 from akisub.kdigo import apply_exclusions
-from oracles import planted_stage
+from oracles import generate_cohort_reference, planted_stage
 
 
 def test_generation_is_deterministic():
@@ -93,18 +97,25 @@ def test_vocab_universe_contains_signal_tokens():
     assert len(set(NOTE_TOKENS)) == 160
 
 
+def _write_unkept(stays, path):
+    """Write `stays` and drop the parse `write_cohort` keeps, so the next read parses."""
+    write_cohort(stays, path)
+    cohort._last_parse = None
+
+
 class TestRoundTrip:
     def test_empty_cohort(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_cohort([], path)
+        _write_unkept([], path)
         assert path.read_text().count("\n") == 1  # header only
         assert read_cohort(path) == []
 
     def test_single_stay(self, tmp_path):
         stays = generate_cohort(CohortConfig(n_stays=1, seed=2))
         path = tmp_path / "c.jsonl"
-        write_cohort(stays, path)
-        assert read_cohort(path) == stays
+        _write_unkept(stays, path)
+        back = read_cohort(path)
+        assert back == stays and back[0] is not stays[0]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=999))
@@ -113,10 +124,11 @@ class TestRoundTrip:
         stays = generate_cohort(CohortConfig(n_stays=n, seed=seed))
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/c.jsonl"
-            write_cohort(stays, path)
+            _write_unkept(stays, path)
             back = read_cohort(path)
         assert back == stays
-        assert [s.stay_id for s in back] == [s.stay_id for s in stays]
+        assert [_layout(s) for s in back] == [_layout(s) for s in stays]
+        assert not any(a is b for a, b in zip(back, stays, strict=True))
 
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -164,7 +176,7 @@ def _all_series(stays):
 def test_series_layout_generated_and_read(tmp_path):
     stays = generate_cohort(CohortConfig(n_stays=8, seed=6))
     path = tmp_path / "c.jsonl"
-    write_cohort(stays, path)
+    _write_unkept(stays, path)
     for series in _all_series(stays) + _all_series(read_cohort(path)):
         pts = series.points
         assert pts.ndim == 2 and pts.shape[1] == 2
@@ -362,13 +374,13 @@ class TestReadCache:
         path = tmp_path / "c.jsonl"
         first = generate_cohort(CohortConfig(n_stays=3, seed=1))
         second = generate_cohort(CohortConfig(n_stays=3, seed=2))
-        write_cohort(first, path)
+        _write_unkept(first, path)
         assert read_cohort(path) == first
-        write_cohort(second, path)
+        _write_unkept(second, path)
         assert read_cohort(path) == second
 
     def test_same_content_at_another_path_is_a_hit(self, tmp_path):
-        write_cohort(generate_cohort(CohortConfig(n_stays=2, seed=3)), tmp_path / "a.jsonl")
+        _write_unkept(generate_cohort(CohortConfig(n_stays=2, seed=3)), tmp_path / "a.jsonl")
         (tmp_path / "b.jsonl").write_bytes((tmp_path / "a.jsonl").read_bytes())
         a, b = read_cohort(tmp_path / "a.jsonl"), read_cohort(tmp_path / "b.jsonl")
         assert a is not b
@@ -377,7 +389,7 @@ class TestReadCache:
     def test_changing_the_returned_list_changes_no_later_read(self, tmp_path):
         path = tmp_path / "c.jsonl"
         stays = generate_cohort(CohortConfig(n_stays=3, seed=5))
-        write_cohort(stays, path)
+        _write_unkept(stays, path)
         first = read_cohort(path)
         first.append(first[0])
         del first[1]
@@ -385,7 +397,7 @@ class TestReadCache:
 
     def test_points_are_read_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_cohort(generate_cohort(CohortConfig(n_stays=1, seed=6)), path)
+        _write_unkept(generate_cohort(CohortConfig(n_stays=1, seed=6)), path)
         points = read_cohort(path)[0].lab_series["creatinine"].points
         with pytest.raises(ValueError, match="read-only"):
             points[0, 1] = 99.0
@@ -398,5 +410,185 @@ class TestReadCache:
                 read_cohort(bad)
         good = tmp_path / "good.jsonl"
         stays = generate_cohort(CohortConfig(n_stays=2, seed=7))
-        write_cohort(stays, good)
+        _write_unkept(stays, good)
         assert read_cohort(good) == stays
+
+
+# ---------------------------------------------------------------------------
+# generation and serialisation over forked workers
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the seed-0, 160-stay cohort file, as the one-process writer wrote it
+SEED0_160_SHA256 = "4330ba8d1648b9dc1c12c9c176432f6e1f2027e15646b756937839906bdc89f6"
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the number of processes `generate_cohort` and `write_cohort` split over."""
+    return lambda k: monkeypatch.setattr(cohort, "_workers", lambda n: k)
+
+
+def _layout(stay):
+    """What `==` on stays does not compare: the type of each field, flag and note
+    offset, the key order of each dict, and whether each series' points are
+    writeable and C-contiguous."""
+    dicts = (stay.med_flags, stay.comorbidity_flags, stay.chart_series, stay.lab_series)
+    return ([(name, type(value)) for name, value in vars(stay).items()],
+            [type(v) for v in [*stay.med_flags.values(), *stay.comorbidity_flags.values()]],
+            [type(note.offset_hours) for note in stay.notes],
+            [list(d) for d in dicts],
+            [(s.points.flags.writeable, s.points.flags.c_contiguous)
+             for s in [*stay.chart_series.values(), *stay.lab_series.values()]])
+
+
+def _check_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkJoin:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_stays_and_bytes_match_the_serial_walk(self, tmp_path, workers, seed, k):
+        config = CohortConfig(n_stays=60, seed=seed)
+        reference = generate_cohort_reference(config)
+        workers(k)
+        stays = generate_cohort(config)
+        assert stays == reference
+        assert [_layout(s) for s in stays] == [_layout(s) for s in reference]
+        write_cohort(stays, tmp_path / "forked.jsonl")
+        workers(1)
+        write_cohort(reference, tmp_path / "serial.jsonl")
+        assert (tmp_path / "forked.jsonl").read_bytes() == \
+            (tmp_path / "serial.jsonl").read_bytes()
+        _check_no_child_left()
+
+    def test_the_seeds_above_open_a_range_with_a_repeat_stay(self):
+        """A range whose first stay repeats the patient of the range before must redraw
+        that patient's demographics."""
+        for seed, k in ((10, 2), (11, 3)):
+            plan = cohort._patient_plan(CohortConfig(n_stays=60, seed=seed))
+            assert any(plan[60 * j // k][2] for j in range(1, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_seed_0_file_is_pinned(self, tmp_path, workers, k):
+        workers(k)
+        path = tmp_path / "c.jsonl"
+        write_cohort(generate_cohort(CohortConfig(n_stays=160, seed=0)), path)
+        assert cohort.file_sha256(path) == SEED0_160_SHA256
+        assert cohort._last_parse[0] == SEED0_160_SHA256
+
+    def test_generated_stays_equal_a_fresh_parse(self, tmp_path):
+        stays = generate_cohort(CohortConfig(n_stays=40, seed=8))
+        path = tmp_path / "c.jsonl"
+        write_cohort(stays, path)
+        parsed = cohort._parse_cohort(path)
+        assert parsed == stays
+        assert [_layout(s) for s in parsed] == [_layout(s) for s in stays]
+        # the written stays are the kept parse
+        assert all(a is b for a, b in zip(read_cohort(path), stays, strict=True))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda stays: [dataclasses.replace(stays[0], age=-1.0), *stays[1:]],
+         "non-positive age"),
+        (lambda stays: [*stays, stays[0]], "duplicate stay_id"),
+    ])
+    def test_stays_a_parse_rejects_are_not_kept(self, tmp_path, edit, message):
+        path = tmp_path / "c.jsonl"
+        write_cohort(edit(generate_cohort(CohortConfig(n_stays=3, seed=2))), path)
+        assert cohort._last_parse is None
+        with pytest.raises(ParseError, match=message):
+            read_cohort(path)
+
+    def test_ranges_in_order_each_in_its_own_process(self, workers):
+        workers(3)
+        items = list(cohort._fork_join(lambda indices: [(i, os.getpid()) for i in indices], 10))
+        assert [i for i, _ in items] == list(range(10))
+        here, first, second = items[0][1], items[3][1], items[6][1]
+        assert [pid for _, pid in items] == [here] * 3 + [first] * 3 + [second] * 4
+        assert here == os.getpid() and len({here, first, second}) == 3
+        _check_no_child_left()
+
+    def test_a_child_error_is_raised_at_its_turn(self, workers):
+        workers(3)
+        received = []
+
+        def fn(indices):
+            if indices.start == 10:
+                raise DataError(f"range from {indices.start}")
+            return indices
+
+        with pytest.raises(DataError, match="range from 10"):
+            for i in cohort._fork_join(fn, 30):
+                received.append(i)
+        assert received == list(range(10))
+        _check_no_child_left()
+
+    def test_an_error_here_ends_the_children(self, workers):
+        workers(3)
+
+        def fn(indices):
+            if indices.start == 0:
+                raise KeyError("this process's range")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="this process's range"):
+            list(cohort._fork_join(fn, 30))
+        assert time.monotonic() - start < 30
+        _check_no_child_left()
+
+    def test_closing_early_ends_the_children(self, workers):
+        workers(2)
+
+        def fn(indices):
+            if indices.start:
+                time.sleep(60)
+            return indices
+
+        start = time.monotonic()
+        items = cohort._fork_join(fn, 10)
+        assert next(items) == 0
+        items.close()
+        assert time.monotonic() - start < 30
+        _check_no_child_left()
+
+    def test_a_child_that_sends_nothing(self, workers):
+        workers(2)
+        with pytest.raises(ChildProcessError, match="stays 5 to 9 ended with wait status"):
+            list(cohort._fork_join(lambda indices: [indices.start and os._exit(3)], 10))
+        _check_no_child_left()
+
+
+class TestWorkers:
+    def test_one_per_cpu_while_each_gets_the_minimum(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        m = cohort.FORK_MIN_STAYS
+        assert [cohort._workers(n) for n in (0, 1, 2 * m - 1, 2 * m, 3 * m, 10 * m)] == \
+            [1, 1, 1, 2, 3, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cohort._workers(10 * m) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cohort.usable_cpus() == 3
+        assert cohort._workers(10 * cohort.FORK_MIN_STAYS) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cohort.usable_cpus() == 1
+
+    def test_no_fork_without_os_fork_or_with_another_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        n = 10 * cohort.FORK_MIN_STAYS
+        assert cohort._workers(n) == 2
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            assert cohort._workers(n) == 1
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert cohort._workers(n) == 1

@@ -293,16 +293,18 @@ def test_config_round_trips_through_its_dict(tmp_path, t1_hours):
 
 
 def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
+    """Synth keeps the stays it wrote as the parse of `cohort.jsonl`, so no stage of a
+    one-process run parses the file; the one parse is this test's own."""
     parse, parsed = cohort._parse_cohort, []
     monkeypatch.setattr(cohort, "_last_parse", None)
     monkeypatch.setattr(cohort, "_parse_cohort", lambda path: parsed.append(path) or parse(path))
     config = small_config(tmp_path, seed=12)
     config.model = dataclasses.replace(config.model, epochs=0)
     run_all(config)
-    assert parsed == [tmp_path / "cohort.jsonl"]
+    assert parsed == []
     # no stage mutated the shared stays
     assert read_cohort(tmp_path / "cohort.jsonl") == parse(tmp_path / "cohort.jsonl")
-    assert len(parsed) == 1
+    assert parsed == []
 
 
 @pytest.fixture
@@ -349,8 +351,12 @@ def test_cohort_changed_between_stages_is_parsed_again(tmp_path):
     config = small_config(tmp_path, seed=12)
     run_stage("synth", config)
     run_stage("label", config)  # keeps the parse of the full cohort
+    kept = cohort._last_parse
     stays = generate_cohort(config.cohort)
-    write_cohort(stays[:40], tmp_path / "cohort.jsonl")
+    # written elsewhere and copied, so that the kept parse is still the full cohort's
+    write_cohort(stays[:40], tmp_path / "cut.jsonl")
+    (tmp_path / "cohort.jsonl").write_bytes((tmp_path / "cut.jsonl").read_bytes())
+    cohort._last_parse = kept
     run_stage("featurize", config)
     labels = read_labels(tmp_path / "labels.csv")
     rows = (tmp_path / "baseline_features.csv").read_text().splitlines()[1:]
