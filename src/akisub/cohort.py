@@ -154,6 +154,12 @@ class ClinicalNote:
 
 @dataclass
 class IcuStay:
+    """One ICU stay. `feature_memo` holds what `features` has computed from the stay's
+    own fields (its 2-hour bins and the fill-independent part of its baseline
+    summary, per observation window), so a stay must not be modified once
+    featurized. Equality, `dataclasses.replace` (which starts an empty memo) and
+    the cohort file ignore it."""
+
     stay_id: str
     patient_id: str
     age: float
@@ -166,6 +172,7 @@ class IcuStay:
     lab_series: dict[str, EventSeries]
     notes: list[ClinicalNote]
     planted_subtype: int | None = None  # generator ground truth; models never read it
+    feature_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def validate(self):
         """DataError unless the stay is well formed. Its id is a string without commas

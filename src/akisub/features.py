@@ -2,7 +2,13 @@
 the 147-entry summary vector for classical baselines, and note encodings.
 
 No stage persists the stay tensors: train, embed and evaluate rebuild them
-from the cohort with `prepare_stays`.
+from the cohort with `prepare_stays`. The two pure per-stay transforms are
+memoised on the stay (`IcuStay.feature_memo`), per observation window:
+`bin_events` keeps its read-only bin arrays, and `summarize_for_baselines` all
+of its row but the fills of unobserved variables, which each call applies to a
+new copy. The stages of one process share the kept parse's stays, so each stay
+is binned and summarised once; a stay must therefore not be modified once
+featurized.
 
 Fixed layouts
 -------------
@@ -116,18 +122,26 @@ def _bin_sums(col: np.ndarray, j: np.ndarray, value: np.ndarray, t: int, d: int)
 
 
 def bin_events(stay: IcuStay, t1_hours: float) -> StayTensor:
-    """Average each variable over 2-hour sub-windows; mask 0 where unobserved."""
+    """Average each variable over 2-hour sub-windows; mask 0 where unobserved.
+
+    The first call for a stay and window keeps both arrays, read-only, in
+    `stay.feature_memo`; a later call returns them in a new `StayTensor`."""
     t = bin_count(t1_hours)
-    known = set(TIME_VARIABLES)
-    for name in list(stay.chart_series) + list(stay.lab_series):
-        if name not in known:
-            raise SchemaError(f"unknown variable id {name!r}")
-    d = len(TIME_VARIABLES)
-    sums, counts = _bin_sums(*_window_points(stay, TIME_VARIABLES, t1_hours), t, d)
-    observed = counts > 0
-    values = np.zeros((t, d))
-    values[observed] = sums[observed] / counts[observed]
-    return StayTensor(stay.stay_id, values, observed.astype(np.float64))
+    key = ("bins", t1_hours)
+    if key not in stay.feature_memo:
+        known = set(TIME_VARIABLES)
+        for name in list(stay.chart_series) + list(stay.lab_series):
+            if name not in known:
+                raise SchemaError(f"unknown variable id {name!r}")
+        d = len(TIME_VARIABLES)
+        sums, counts = _bin_sums(*_window_points(stay, TIME_VARIABLES, t1_hours), t, d)
+        observed = counts > 0
+        values = np.zeros((t, d))
+        values[observed] = sums[observed] / counts[observed]
+        mask = observed.astype(np.float64)
+        values.flags.writeable = mask.flags.writeable = False
+        stay.feature_memo[key] = values, mask
+    return StayTensor(stay.stay_id, *stay.feature_memo[key])
 
 
 def fit_scaling(tensors: list[StayTensor], split_id: str) -> ScalingStats:
@@ -214,7 +228,25 @@ def baseline_feature_names() -> list[str]:
 def summarize_for_baselines(stay: IcuStay, t1_hours: float,
                             fill_means: dict[str, float]) -> np.ndarray:
     """First/last/avg/min/max over raw observations in the window, least-squares
-    slope over observed 2-hour bins, and the raw observation count, per variable.
+    slope over observed 2-hour bins, and the raw observation count, per variable;
+    first to max of a variable without observations are its `fill_means` entry.
+
+    All but those entries are computed once per stay and window and kept in
+    `stay.feature_memo`; each call returns a new row with its own fill applied."""
+    key = ("summary", t1_hours)
+    if key not in stay.feature_memo:
+        stay.feature_memo[key] = _summary(stay, t1_hours)
+    row, unseen = stay.feature_memo[key]
+    values = row.copy()
+    width = len(BASELINE_STATS)
+    for c in unseen:
+        values[c * width:c * width + 5] = fill_means.get(BASELINE_CONTINUOUS_VARS[c], 0.0)
+    return values
+
+
+def _summary(stay: IcuStay, t1_hours: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only summary row of `summarize_for_baselines` with 0 in place of
+    each fill, and the indices of the variables without observations.
 
     All variables are summarised at once, with the bits of a loop over them: first,
     last, min, max and count do not depend on an order of summation, and every sum
@@ -251,11 +283,9 @@ def summarize_for_baselines(stay: IcuStay, t1_hours: float,
                                     totals[:n_seen] / n_obs,
                                     np.minimum.reduceat(value, first),
                                     np.maximum.reduceat(value, first), slope]).T
-    for c in np.flatnonzero(~seen).tolist():
-        var = BASELINE_CONTINUOUS_VARS[c]
-        stats[c, :5] = fill_means.get(var, 0.0)
     values[stats.size:] = _static14(stay)
-    return values
+    values.flags.writeable = False
+    return values, tuple(np.flatnonzero(~seen).tolist())
 
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:

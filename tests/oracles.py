@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from akisub import autodiff as ad
-from akisub import cohort, nn
+from akisub import cohort, features, nn
 from akisub.autodiff import Tensor
 from akisub.baselines import LrParams
 
@@ -374,6 +374,58 @@ def summary_reference(stay, variables, t1_hours: float, fill_means=None):
             values += [fill] * 5 + [0.0, 0.0]
             imputed += [True] * 5 + [False] * 2
     return np.array(values), np.array(imputed)
+
+
+def bin_events_unmemoised(stay, t1_hours: float):
+    """(values, mask) of `features.bin_events` computed afresh from the stay: the
+    function's array kernel without its per-stay memo."""
+    t = features.bin_count(t1_hours)
+    d = len(features.TIME_VARIABLES)
+    sums, counts = features._bin_sums(
+        *features._window_points(stay, features.TIME_VARIABLES, t1_hours), t, d)
+    observed = counts > 0
+    values = np.zeros((t, d))
+    values[observed] = sums[observed] / counts[observed]
+    return values, observed.astype(np.float64)
+
+
+def summary_unmemoised(stay, t1_hours: float, fill_means: dict[str, float]) -> np.ndarray:
+    """`features.summarize_for_baselines` computed afresh from the stay with this
+    fill: the function's array kernel without its per-stay memo."""
+    t = features.bin_count(t1_hours)
+    variables = features.BASELINE_CONTINUOUS_VARS
+    n_vars = len(variables)
+    col, j, value = features._window_points(stay, variables, t1_hours)
+    sums, counts = features._bin_sums(col, j, value, t, n_vars)
+    n_obs = np.bincount(col, minlength=n_vars)
+    seen = n_obs > 0
+    values = np.zeros(features.BASELINE_DIM)
+    stats = values[:n_vars * len(features.BASELINE_STATS)].reshape(n_vars, -1)
+    stats[:, 6] = n_obs
+    if seen.any():
+        n_obs = n_obs[seen]
+        n_seen = len(n_obs)
+        first = n_obs.cumsum() - n_obs
+        counts = counts.T[seen]
+        in_bin = counts > 0
+        n_bins = in_bin.sum(axis=1)
+        y = sums.T[seen][in_bin] / counts[in_bin]
+        totals = features._segment_sums(np.concatenate([value, y]),
+                                        np.concatenate([n_obs, n_bins]))
+        xc = in_bin.nonzero()[1] - (in_bin @ np.arange(t) / n_bins).repeat(n_bins)
+        yc = y - (totals[n_seen:] / n_bins).repeat(n_bins)
+        cross = features._segment_sums(np.concatenate([xc * yc, xc * xc]),
+                                       np.concatenate([n_bins, n_bins]))
+        slope = np.divide(cross[:n_seen], cross[n_seen:], out=np.zeros(n_seen),
+                          where=n_bins > 1)
+        stats[seen, :6] = np.array([value[first], value[first + n_obs - 1],
+                                    totals[:n_seen] / n_obs,
+                                    np.minimum.reduceat(value, first),
+                                    np.maximum.reduceat(value, first), slope]).T
+    for c in np.flatnonzero(~seen).tolist():
+        stats[c, :5] = fill_means.get(variables[c], 0.0)
+    values[stats.size:] = features._static14(stay)
+    return values
 
 
 def fit_scaling_reference(tensors, variables):

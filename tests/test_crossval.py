@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import time
 from dataclasses import replace
 
@@ -134,10 +135,12 @@ class TestNestedCv:
     def test_lr_penalty_selection_reuses_outer_design_rows(self, labeled, monkeypatch):
         stays, labels = labeled
         calls = {"summaries": 0, "fits": 0}
+        lock = threading.Lock()  # the inner fits run on the fit threads
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -150,6 +153,32 @@ class TestNestedCv:
         # every stay is summarised once per outer fold, never again per inner fold
         assert calls["summaries"] == n_outer * len(stays)
         assert calls["fits"] == n_outer * (1 + len(LR_L2_GRID) * n_inner)
+
+    def test_inner_splits_are_shared_by_the_models_of_a_fold(self, labeled, monkeypatch):
+        stays, labels = labeled
+        models = ["lstm", "hielstm", "memnet"]
+        grid = [{"lr": 0.01}, {"lr": 0.001}]
+
+        def run(run_models):
+            return nested_cv(stays, labels, run_models, 24, replace(FAST_HYPER, epochs=1),
+                             outer_folds=2, inner_folds=2, grid=grid, seed=1)
+
+        alone = {(r.fold_id, r.model_id): r for m in models for r in run([m])}
+        calls = {"grouped_stratified_folds": 0, "build_vocabulary": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(crossval, name, counting(name, getattr(crossval, name)))
+        together = run(models)
+        # the outer folds and one set of inner fold ids per outer fold; a vocabulary
+        # per outer split and per inner split, whatever the number of models
+        assert calls == {"grouped_stratified_folds": 1 + 2, "build_vocabulary": 2 + 2 * 2}
+        assert together == [alone[(k, m)] for k in range(2) for m in models]
 
     @pytest.mark.parametrize("models, grid, fits", [
         (list(crossval.MODEL_IDS), [], 3),  # once per outer fold
@@ -216,6 +245,41 @@ class TestFitPool:
                       replace(FAST_HYPER, epochs=0), outer_folds=2, inner_folds=5, grid=[],
                       seed=0)
         assert raised.value is first
+
+    def test_lr_records_do_not_depend_on_worker_count(self, labeled, monkeypatch):
+        stays, labels = labeled
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(crossval, "fit_workers", lambda n, w=workers: min(w, n))
+            runs.append(nested_cv(stays, labels, ["lr", "lr_bow"], 24, FAST_HYPER,
+                                  outer_folds=3, inner_folds=3, grid=[], seed=0))
+        assert runs[0] == runs[1]
+
+    def test_first_failing_inner_lr_fit_in_order_is_raised(self, labeled, monkeypatch):
+        """Inner fits fail at l2 = LR_L2_GRID[1] after a sleep and at every weaker
+        penalty at once; the error raised is that of the second fit on inner fold 0
+        of outer fold 0, the first failing one in (inner fold, l2) order."""
+        stays, labels = labeled
+        fold_of = grouped_stratified_folds(stays, labels, 2, 0)
+        train = [s for s, f in zip(stays, fold_of) if f != 0]
+        inner = grouped_stratified_folds(train, labels, 3, 1000)
+        fit = baselines.lr_train
+
+        def failing(X, y, l2):
+            if l2 == LR_L2_GRID[1]:
+                time.sleep(0.2)
+            if l2 in LR_L2_GRID[1:]:
+                raise OptimizationError(f"l2={l2} rows={len(X)}")
+            return fit(X, y, l2=l2)
+
+        monkeypatch.setattr(crossval, "fit_workers", lambda n: min(2, n))
+        monkeypatch.setattr(baselines, "lr_train", failing)
+        threads = threading.active_count()
+        with pytest.raises(OptimizationError) as raised:
+            nested_cv(stays, labels, ["lr"], 24, FAST_HYPER, outer_folds=2, inner_folds=3,
+                      grid=[], seed=0)
+        assert str(raised.value) == f"l2={LR_L2_GRID[1]} rows={int(np.sum(inner != 0))}"
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("lstm_fold, raised", [(0, "lstm"), (2, "lr")])
     def test_lr_failures_keep_their_place_in_the_order(self, labeled, monkeypatch,

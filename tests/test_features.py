@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,8 @@ from akisub.features import (BASELINE_CONTINUOUS_VARS, BASELINE_DIM, StayTensor,
                              bin_events, build_vocabulary, fit_scaling,
                              impute_and_scale, notes_to_bow, notes_to_sequences,
                              static_vector, summarize_for_baselines)
-from oracles import bin_events_reference, fit_scaling_reference, summary_reference
+from oracles import (bin_events_reference, bin_events_unmemoised, fit_scaling_reference,
+                     summary_reference, summary_unmemoised)
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +280,106 @@ class TestTupleReferenceParity:
             starts = np.cumsum(lengths) - lengths
             want = [np.add.reduce(values[a:a + n]) for a, n in zip(starts, lengths)]
             assert _same_bits(features._segment_sums(values, lengths), want)
+
+
+FILLS = ({"bun": 17.25, "creatinine": 1.125, "wbc": 9.5}, {"bun": -3.0, "pt": 12.75})
+
+
+class TestStayMemo:
+    """`bin_events` and `summarize_for_baselines` keep what they compute on the stay;
+    every call still gives the bits of the computation without the memo."""
+
+    @pytest.mark.parametrize("t1", [24, 48])
+    def test_bins_match_the_unmemoised_kernel_on_every_call(self, t1):
+        for stay in _edge_stays():
+            values, mask = bin_events_unmemoised(stay, t1)
+            for _ in range(2):
+                tensor = bin_events(stay, t1)
+                assert tensor.stay_id == stay.stay_id
+                assert _same_bits(tensor.values, values), stay.stay_id
+                assert _same_bits(tensor.mask, mask), stay.stay_id
+
+    @pytest.mark.parametrize("t1", [24, 48])
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_each_call_applies_its_own_fill(self, t1, order):
+        for stay in _edge_stays():
+            for i in order + order:
+                want = summary_unmemoised(stay, t1, FILLS[i])
+                assert _same_bits(summarize_for_baselines(stay, t1, FILLS[i]), want), \
+                    stay.stay_id
+
+    def test_windows_are_kept_apart(self):
+        stay = _edge_stays()[-4]  # points before and after 24 h
+        for t1 in (24, 48, 24):
+            assert _same_bits(summarize_for_baselines(stay, t1, FILLS[0]),
+                              summary_unmemoised(stay, t1, FILLS[0]))
+            assert _same_bits(bin_events(stay, t1).values, bin_events_unmemoised(stay, t1)[0])
+
+    def test_replaced_stay_gets_a_fresh_memo(self):
+        stay = generate_cohort(CohortConfig(n_stays=1, seed=4))[0]
+        before = summarize_for_baselines(stay, 24, FILLS[0])
+        bin_events(stay, 24)
+        older = dataclasses.replace(stay, age=stay.age + 10.0)
+        assert older.feature_memo == {} and stay.feature_memo != {}
+        assert older != stay and dataclasses.replace(stay) == stay
+        after = summarize_for_baselines(older, 24, FILLS[0])
+        assert _same_bits(after, summary_unmemoised(older, 24, FILLS[0]))
+        age = baseline_feature_names().index("age_scaled")
+        assert after[age] == older.age / 100.0 != before[age]
+        assert _same_bits(np.delete(after, age), np.delete(before, age))
+
+    def test_memo_is_ignored_by_equality_and_repr(self):
+        warm, cold = generate_cohort(CohortConfig(n_stays=2, seed=4)), \
+            generate_cohort(CohortConfig(n_stays=2, seed=4))
+        for stay in warm:
+            bin_events(stay, 24)
+            summarize_for_baselines(stay, 48, {})
+        assert warm == cold
+        assert [repr(s) for s in warm] == [repr(s) for s in cold]
+
+    def test_bin_arrays_are_read_only(self, stays):
+        for tensor in (bin_events(stays[0], 24), bin_events(stays[0], 24)):
+            for array in (tensor.values, tensor.mask):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1.0
+
+    def test_changing_a_returned_row_changes_no_later_call(self, stays):
+        stay = stays[1]
+        first = summarize_for_baselines(stay, 24, FILLS[1])
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = np.nan
+        assert _same_bits(summarize_for_baselines(stay, 24, FILLS[1]), want)
+
+    def test_threads_filling_one_memo_agree(self):
+        """Eight threads bin and summarise the same cold stays at once, switching
+        every microsecond: each result is still the unmemoised one."""
+        stays = generate_cohort(CohortConfig(n_stays=40, seed=21))
+        want = [(bin_events_unmemoised(s, 24)[0], summary_unmemoised(s, 24, FILLS[0]))
+                for s in stays]
+
+        def featurize(_):
+            return [(bin_events(s, 24).values, summarize_for_baselines(s, 24, FILLS[0]))
+                    for s in stays]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = list(pool.map(featurize, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for (values, row), (want_values, want_row) in zip(run, want):
+                assert _same_bits(values, want_values) and _same_bits(row, want_row)
+
+    def test_failed_binning_memoises_nothing(self):
+        stay = generate_cohort(CohortConfig(n_stays=1, seed=4))[0]
+        stay.lab_series["troponin"] = EventSeries("troponin", [(1.0, 1.0)])
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="troponin"):
+                bin_events(stay, 24)
+        with pytest.raises(ArgumentError):
+            bin_events(stay, 36)
+        assert stay.feature_memo == {}

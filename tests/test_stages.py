@@ -307,6 +307,34 @@ def test_run_all_parses_the_cohort_once(tmp_path, monkeypatch):
     assert parsed == []
 
 
+def test_feature_memo_never_shows_in_an_output(tmp_path):
+    """A one-process `run_all` shares the kept parse's stays, and so their feature
+    memo, between its stages. Every artifact it writes has the SHA-256 of the one
+    written when the memo is dropped before each stage. Some stays lack a lab
+    series, so featurize and each outer fold fill their summaries differently."""
+    stays = generate_cohort(CohortConfig(n_stays=120, case_fraction=0.3, seed=12))
+    for stay in stays[::3]:
+        stay.lab_series["bun"] = cohort.EventSeries("bun")
+    for stay in stays[::5]:
+        stay.lab_series["wbc"] = cohort.EventSeries("wbc")
+    write_cohort(stays, tmp_path / "external.jsonl")
+    config = dataclasses.replace(small_config(tmp_path / "warm", seed=12),
+                                 cohort_path=str(tmp_path / "external.jsonl"))
+    config.evaluate = dataclasses.replace(config.evaluate, models=("lr", "lr_bow"))
+    warm = run_all(config)
+    labels = read_labels(tmp_path / "warm" / "labels.csv")
+    assert all(("bins", 24) in s.feature_memo and ("summary", 24) in s.feature_memo
+               for s in cohort._last_parse[1] if s.stay_id in labels)
+    cold_config = dataclasses.replace(config, out_dir=str(tmp_path / "cold"))
+    cold = []
+    for stage in STAGES:
+        for stay in cohort._last_parse[1] if cohort._last_parse else ():
+            stay.feature_memo.clear()
+        cold.append(run_stage(stage, cold_config))
+    assert [m["outputs"] for m in cold] == [m["outputs"] for m in warm]
+    assert all(m["outputs"] for m in warm)
+
+
 @pytest.fixture
 def hashed(monkeypatch):
     """The name of each file `file_sha256` hashes from here on, in order."""
