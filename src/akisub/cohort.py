@@ -16,6 +16,26 @@ Cohort files are JSON Lines with a versioned header record; see
 
 `write_text` is the one writer of the package's text files: every CSV, JSON
 and text artifact goes through it (CSV ones through `write_rows`), as UTF-8.
+Every write is atomic (`replacing`): the bytes go to a new file in the target's
+directory, which then replaces the target in one `os.replace`. A reader sees
+the old file or the new one, never a part, and a write that fails leaves the
+old file as it was. So every write the package makes gives the file a new inode.
+
+`file_sha256` reads a file once in a process while the file holds still. It
+keeps, for each absolute path, the digest with the file's `(st_dev, st_ino,
+st_size, st_mtime_ns, st_ctime_ns)`, and returns the kept digest while a fresh
+`os.stat` gives the same five fields; any difference and the file is hashed
+again. The kernel sets a file's ctime on every change to its bytes or its
+status, and no call can set it back, so content that changed has a new key. Two
+rules keep the key honest. A digest is kept only if the file's status did not
+change while it was hashed. And it is kept only if the file's ctime is more
+than `RACY_MARGIN_NS` older than the start of the hash: file timestamps are
+coarse (a kernel tick, or 1 s on some filesystems), so a write within the same
+tick as the hash could leave all five fields as they were (git's "racily clean"
+entries). The digest of such a recent file is returned but not kept.
+Filesystems that do not update ctime on a write, or whose clock is not the one
+this process reads (a network filesystem whose server's clock is more than the
+margin behind, a wall clock stepped back by more than it), are not supported.
 
 In memory, each `EventSeries` holds its measurements column-wise: `points` is
 one C-contiguous (n, 2) float64 array whose column 0 holds the offsets (hours
@@ -50,10 +70,11 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
+from time import time_ns
 
 import numpy as np
 
@@ -763,10 +784,27 @@ def _records(stays: list[IcuStay], indices: range):
         yield json.dumps(_stay_to_record(stays[i]), sort_keys=True) + "\n", valid
 
 
+@contextmanager
+def replacing(path):
+    """The path of a new file to write in place of the file at `path`: when the block
+    ends, the new file replaces `path` in one `os.replace`; when it raises, the new
+    file is removed and `path` keeps its bytes. The name is unique to the call, in the
+    directory of `path`; open it with mode "x", which gives it the permissions of a
+    plain `open` under the process umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_text(path, chunks) -> None:
     """Write the strings of iterable `chunks`, one after another, to the file at `path`
-    as UTF-8 text: the one place the package writes a text file."""
-    with open(path, "w", encoding="utf-8") as fh:
+    as UTF-8 text, atomically: the one place the package writes a text file."""
+    with replacing(path) as tmp, open(tmp, "x", encoding="utf-8") as fh:
         fh.writelines(chunks)
 
 
@@ -776,13 +814,39 @@ def write_rows(path, header, rows) -> None:
     write_text(path, (",".join(fields) + "\n" for fields in chain([header], rows)))
 
 
+# A file whose ctime is within this margin of the start of its hash is not kept. It
+# must be at least the filesystem's timestamp granularity: 1 s covers ext3, ext4 with
+# small inodes and HFS+, and the kernel tick by which finer timestamps lag the clock.
+RACY_MARGIN_NS = 1_000_000_000
+
+# absolute path -> (status key, hex SHA-256). Each entry is checked against a fresh
+# stat on every read, so threads that race to set one can only cost a hash.
+_digests: dict[str, tuple[tuple[int, ...], str]] = {}
+
+
+def _status_key(path: str) -> tuple[int, ...]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def file_sha256(path) -> str:
-    """Hex SHA-256 of the bytes of the file at `path`."""
+    """Hex SHA-256 of the bytes of the file at `path`. The digest of an earlier call is
+    returned while the file's status key matches it: see the module docstring."""
+    path = os.path.abspath(path)
+    key = _status_key(path)
+    kept = _digests.get(path)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    start = time_ns()
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    hexdigest = digest.hexdigest()
+    ctime_ns = key[-1]
+    if ctime_ns < start - RACY_MARGIN_NS and _status_key(path) == key:
+        _digests[path] = (key, hexdigest)
+    return hexdigest
 
 
 _last_parse: tuple[str, list[IcuStay]] | None = None  # (content SHA-256, stays)

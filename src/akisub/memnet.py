@@ -37,6 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tape, Tensor, backward
+from .cohort import replacing
 from .errors import ArgumentError, ConfigError, DimensionError, ParseError, TrainingError
 from .features import PreparedStay
 
@@ -281,6 +282,7 @@ CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(result: TrainResult, path) -> None:
+    """Write `result` as the npz archive at `path`, atomically (`cohort.replacing`)."""
     params = result.params
     meta = {
         "format": CHECKPOINT_FORMAT,
@@ -291,7 +293,7 @@ def save_checkpoint(result: TrainResult, path) -> None:
         "feature_dim": params["A"].shape[0],
         "loss_history": result.loss_history,
     }
-    with open(path, "wb") as fh:
+    with replacing(path) as tmp, open(tmp, "xb") as fh:
         np.savez(fh, allow_pickle=False, **{name: t.data for name, t in params.items()},
                  meta=np.array(json.dumps(meta, sort_keys=True)))
 

@@ -13,6 +13,16 @@ prerequisite raises a dependency error naming the artifact and the stage that
 produces it. A stage body gets the hashes of the files it reads, an external
 cohort's too, and hands a cohort's to `read_cohort`, which then hashes nothing.
 
+Every hash is `cohort.file_sha256`, which reads a file once per content in a
+process: it keeps each digest with the file's device, inode, size, mtime and
+ctime, and hashes again when a fresh stat differs in any of them. A file whose
+ctime is within `cohort.RACY_MARGIN_NS` (1 s) of the hash is hashed on every
+call, since a write in the same timestamp tick could leave its stat as it was.
+Every artifact is written atomically, as a new inode. So a no-op check stats
+the files it names and reads none it has read before in this process, and a
+file changed by any writer is hashed again. A filesystem that does not update
+ctime on a write is not supported.
+
 Synth generates the cohort and writes `cohort.jsonl` on all the CPUs the process
 may use, in forked children that end before the stage does (see `cohort`).
 `write_cohort` keeps the stays it wrote as `read_cohort`'s parse under the hash

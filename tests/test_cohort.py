@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
 
@@ -412,6 +413,141 @@ class TestReadCache:
         stays = generate_cohort(CohortConfig(n_stays=2, seed=7))
         _write_unkept(stays, good)
         assert read_cohort(good) == stays
+
+
+# ---------------------------------------------------------------------------
+# atomic writes and the digest cache of file_sha256
+# ---------------------------------------------------------------------------
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "a.csv"
+        cohort.write_text(path, ["old\n"])
+
+        def chunks():
+            yield "new, partly written\n" * 1000
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cohort.write_text(path, chunks())
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["a.csv"]
+
+    def test_rewrite_is_a_new_inode_with_the_mode_open_gives(self, tmp_path):
+        path, plain = tmp_path / "a.csv", tmp_path / "plain"
+        cohort.write_text(path, ["one\n"])
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        before = path.stat()
+        cohort.write_text(path, ["two\n"])
+        assert path.read_text(encoding="utf-8") == "two\n"
+        assert path.stat().st_ino != before.st_ino
+        assert path.stat().st_mode == before.st_mode == plain.stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "plain"]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestDigestCache:
+    def test_unchanged_old_file_is_read_once(self, tmp_path, digests, aged, hash_reads):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x" * 100)
+        assert cohort.file_sha256(path) == cohort.file_sha256(str(path)) == _sha256(path)
+        assert hash_reads == {"f.bin": 100}
+        assert list(digests) == [str(path)]
+
+    def test_equal_size_rewrite_with_mtime_put_back_is_hashed_again(self, tmp_path, digests,
+                                                                   aged, rewrite_in_place):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"a" * 64)
+        first = cohort.file_sha256(path)
+        assert str(path) in digests
+        before = path.stat()
+        rewrite_in_place(path, b"b" * 64)
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+            (before.st_ino, before.st_size, before.st_mtime_ns)
+        assert cohort.file_sha256(path) == _sha256(path) != first
+
+    def test_replacing_file_of_the_same_size_is_hashed_again(self, tmp_path, digests, aged):
+        path, other = tmp_path / "f.bin", tmp_path / "g.bin"
+        path.write_bytes(b"a" * 64)
+        first = cohort.file_sha256(path)
+        other.write_bytes(b"b" * 64)
+        before = path.stat()
+        os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(other, path)
+        assert cohort.file_sha256(path) == _sha256(path) != first
+
+    def test_file_written_within_the_margin_is_never_kept(self, tmp_path, digests):
+        path = tmp_path / "f.bin"
+        for content in (b"a" * 64, b"b" * 64, b"c" * 64):
+            mtime = path.stat().st_mtime_ns if path.exists() else None
+            with open(path, "r+b" if mtime else "wb") as fh:
+                fh.write(content)
+            if mtime:
+                os.utime(path, ns=(mtime, mtime))
+            assert cohort.file_sha256(path) == hashlib.sha256(content).hexdigest()
+            assert digests == {}
+
+    def test_file_that_changes_while_hashed_is_not_kept(self, tmp_path, digests, aged,
+                                                         monkeypatch):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"a" * 64)
+
+        def appending(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            with open(file, "ab") as writer:
+                writer.write(b"b")
+            return fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cohort, "open", appending, raising=False)
+            cohort.file_sha256(path)
+        assert digests == {}
+        assert cohort.file_sha256(path) == _sha256(path)
+        assert digests[str(path)][1] == _sha256(path)
+
+    def test_missing_file_raises_and_keeps_nothing(self, tmp_path, digests, aged):
+        path = tmp_path / "f.bin"
+        with pytest.raises(FileNotFoundError):
+            cohort.file_sha256(path)
+        assert digests == {}
+        path.write_bytes(b"a")
+        cohort.file_sha256(path)
+        path.unlink()
+        with pytest.raises(FileNotFoundError):
+            cohort.file_sha256(path)
+
+    def test_threads_get_correct_digests(self, tmp_path, digests, aged):
+        paths = []
+        for i in range(4):
+            paths.append(tmp_path / f"f{i}.bin")
+            paths[-1].write_bytes(bytes([i]) * (1000 + i))
+        want = {str(p): _sha256(p) for p in paths}
+        wrong = []
+
+        def hash_all():
+            for _ in range(50):
+                for p in paths:
+                    if cohort.file_sha256(p) != want[str(p)]:
+                        wrong.append(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hash_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert {path: digest for path, (_, digest) in digests.items()} == want
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,23 @@ class TestCheckpoint:
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
+    def test_failed_save_keeps_the_previous_file(self, checkpoint, monkeypatch):
+        """A save that fails partway leaves the previous checkpoint loadable, with its
+        bytes, and no temp file beside it."""
+        before = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+        result = memnet.load_checkpoint(checkpoint)
+
+        def failing_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04" + bytes(4096))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError, match="disk full"):
+            memnet.save_checkpoint(result, checkpoint)
+        assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == before
+        assert memnet.load_checkpoint(checkpoint).loss_history == result.loss_history
+        assert [p.name for p in checkpoint.parent.iterdir()] == [checkpoint.name]
+
     def test_records_model_sizes_from_tensor_shapes(self, checkpoint):
         meta = read_members(checkpoint)["meta"]
         assert (meta["vocab_size"], meta["feature_dim"], meta["static_dim"]) == (VOCAB, 3, 20)

@@ -1,6 +1,7 @@
 import codecs
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import re
@@ -189,7 +190,6 @@ class TestFullPipeline:
 
     def test_forced_synth_rerun_bit_identical(self, pipeline_run):
         out, config, manifests = pipeline_run
-        import hashlib
         before = hashlib.sha256((out / "cohort.jsonl").read_bytes()).hexdigest()
         run_stage("synth", config, force=True)
         after = hashlib.sha256((out / "cohort.jsonl").read_bytes()).hexdigest()
@@ -350,8 +350,8 @@ def hashed(monkeypatch):
 
 
 def test_run_all_hashes_the_cohort_once_per_stage(tmp_path, hashed):
-    """Synth hashes the cohort it wrote and each reader hashes it once, for its
-    manifest; `read_cohort` takes that hash and hashes only when called without."""
+    """Synth asks for the hash of the cohort it wrote and each reader asks for it once,
+    for its manifest; `read_cohort` takes that hash and asks only when called without."""
     config = small_config(tmp_path, seed=12)
     config.model = dataclasses.replace(config.model, epochs=0)
     run_all(config)
@@ -363,7 +363,8 @@ def test_run_all_hashes_the_cohort_once_per_stage(tmp_path, hashed):
 
 
 def test_synth_hashes_an_external_cohort_once(tmp_path, hashed, monkeypatch):
-    """The hash `run_stage` takes for the config hash is the one synth parses by."""
+    """Synth asks for the hash of an external cohort once: the hash `run_stage` takes
+    for the config hash is the one synth parses by."""
     monkeypatch.setattr(cohort, "_last_parse", None)
     external = tmp_path / "external.jsonl"
     write_cohort(generate_cohort(CohortConfig(n_stays=5, seed=1)), external)
@@ -373,6 +374,45 @@ def test_synth_hashes_an_external_cohort_once(tmp_path, hashed, monkeypatch):
     assert run_stage("synth", config, force=True) == manifest
     assert hashed.count("external.jsonl") == 2
     assert cohort._last_parse[0] == cohort.file_sha256(external)
+
+
+def test_noop_run_all_reads_each_artifact_once_per_process(tmp_path, digests, aged,
+                                                            hash_reads):
+    """Past the racy margin, a no-op `run_all` reads each artifact once in a fresh
+    process (the digests cleared), and none in a process that has read them."""
+    config = small_config(tmp_path, seed=12)
+    config.model = dataclasses.replace(config.model, epochs=0)
+    manifests = run_all(config)
+    digests.clear()
+    hash_reads.clear()
+    assert run_all(config) == manifests
+    artifacts = {name for spec in STAGE_TABLE.values() for name in spec.outputs}
+    assert len(artifacts) == 16
+    assert hash_reads == {name: (tmp_path / name).stat().st_size for name in artifacts}
+    hash_reads.clear()
+    assert run_all(config) == manifests
+    assert sum(hash_reads.values()) == 0
+
+
+def test_tampered_cohort_of_same_size_and_mtime_reruns_label(tmp_path, digests, aged,
+                                                             rewrite_in_place):
+    """Past the racy margin, in a process that kept the cohort's digest, a one-digit
+    change that keeps the file's size and mtime still re-runs label."""
+    config = small_config(tmp_path, seed=12)
+    config.model = dataclasses.replace(config.model, epochs=0)
+    label = run_all(config)[1]
+    assert run_stage("label", config) == label
+    path = tmp_path / "cohort.jsonl"
+    assert str(path) in digests
+    data = path.read_bytes()
+    age = re.search(rb'"age": \d+\.\d*(\d)', data)
+    tampered = data[:age.start(1)] + str((int(age[1]) + 1) % 10).encode() + data[age.end(1):]
+    rewrite_in_place(path, tampered)
+    again = run_stage("label", config)
+    assert again["inputs"]["cohort.jsonl"] == hashlib.sha256(tampered).hexdigest()
+    assert again["inputs"] != label["inputs"]
+    assert json.loads((tmp_path / "manifests" / "label.json").read_text(encoding="utf-8")) \
+        == again
 
 
 def test_cohort_changed_between_stages_is_parsed_again(tmp_path):
